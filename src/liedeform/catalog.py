@@ -8,21 +8,20 @@ the library's internal 0-based convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .cohomology import (
     Cochain,
     class_eq,
-    cocycle_constraints,
+    cohomology_dim,
     is_coboundary,
     is_cocycle,
     span_in_cohomology,
 )
 from .deform import (
     Deformation,
-    ExtendabilityVerdict,
     defect,
     search_isomorphism,
     specialize,
@@ -188,10 +187,7 @@ def phi(
     if symbolic:
         if params is not None:
             raise ValueError("symbolic construction takes no parameter values")
-        if spec.arity == 0:
-            p, q, r = _P, _Q, _R  # unused by the table
-        else:
-            p, q, r = _P, _Q, _R
+        p, q, r = _P, _Q, _R
     else:
         params = tuple(Fraction(x) for x in (params or ()))
         if len(params) != spec.arity:
@@ -201,11 +197,6 @@ def phi(
         filled = params + (Fraction(0),) * (3 - len(params))
         p, q, r = filled
     return _cochain(5, _phi_table(name, p, q, r))
-
-
-def phi_cocycle_constraints(name: str) -> list[PolyScalar]:
-    """Symbolic cocycle constraint set for a phi family on h_2."""
-    return cocycle_constraints(heisenberg(2), phi(name, symbolic=True))
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,7 @@ class ReproduceSummary:
     nonisomorphic_nilpotent_generic_members: int
 
 
-def reproduce(max_order: int = 4) -> tuple[list[PaperRow], ReproduceSummary]:
+def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     """Recompute the full classification of infinitesimal deformations of h_2."""
     h2 = heisenberg(2)
     reps = paper_representatives()
@@ -310,7 +301,7 @@ def reproduce(max_order: int = 4) -> tuple[list[PaperRow], ReproduceSummary]:
         c = rep.cochain()
         cochains[rep.label] = c
         cocycle = is_cocycle(h2, c)
-        D = Deformation(h2, {1: c}, truncation_order=max_order)
+        D = Deformation(h2, {1: c})
         verdict = strict_extendability(D)
         if verdict.exact_lie_bracket:
             obstruction_zero = True
@@ -346,7 +337,7 @@ def reproduce(max_order: int = 4) -> tuple[list[PaperRow], ReproduceSummary]:
         IsomorphismFact(a, b, "class_eq", ()) for a, b in equal_pairs
     ])
 
-    iso_facts = list(_generic_member_isomorphisms(max_order))
+    iso_facts = list(_generic_member_isomorphisms())
     nilpotent_members = [r.label for r in rows if r.nilpotent_at_t1]
     classes = _iso_classes(nilpotent_members, iso_facts)
 
@@ -357,7 +348,7 @@ def reproduce(max_order: int = 4) -> tuple[list[PaperRow], ReproduceSummary]:
         pairwise_class_distinct=not equal_pairs,
         equal_class_pairs=tuple(equal_pairs),
         distinct_classes=distinct_classes,
-        h2_dim=20,
+        h2_dim=cohomology_dim(h2, 2).dim_H,
         representative_span_in_h2=span,
         phi8_000_equals_phi6_00=phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0)),
         isomorphisms=tuple(iso_facts),
@@ -366,10 +357,8 @@ def reproduce(max_order: int = 4) -> tuple[list[PaperRow], ReproduceSummary]:
     return rows, summary
 
 
-def _specialized(label: str, family: str, params: tuple[int, ...], max_order: int) -> LieAlgebra:
-    h2 = heisenberg(2)
-    D = Deformation(h2, {1: phi(family, params)}, truncation_order=max_order)
-    return specialize(D, 1)
+def _specialized(family: str, params: tuple[int, ...]) -> LieAlgebra:
+    return specialize(Deformation(heisenberg(2), {1: phi(family, params)}), 1)
 
 
 def d5_d6_basis_change() -> BasisChange:
@@ -385,7 +374,7 @@ def d5_d6_basis_change() -> BasisChange:
     return BasisChange(ExactMatrix(rows))
 
 
-def _generic_member_isomorphisms(max_order: int):
+def _generic_member_isomorphisms():
     """Verified isomorphisms among the nilpotent generic members at t=1.
 
     d4(0:0) ~ d7(0:0:0) is found by the 32-case sign-diagonal search.  The
@@ -393,15 +382,15 @@ def _generic_member_isomorphisms(max_order: int):
     monomial-plus-one-transvection class works there (exhausted over
     coefficients +-1), since the true map needs two transvections.
     """
-    A4 = _specialized("d4(0:0)", "phi4", (0, 0), max_order)
-    B7 = _specialized("d7(0:0:0)", "phi7", (0, 0, 0), max_order)
+    A4 = _specialized("phi4", (0, 0))
+    B7 = _specialized("phi7", (0, 0, 0))
     T = search_isomorphism(A4, B7, "diagonal_signs")
     if T is not None:
         cols = tuple(T.matrix.column(j) for j in range(T.matrix.ncols))
         yield IsomorphismFact("d4(0:0)", "d7(0:0:0)", "diagonal_signs", cols)
 
-    A5 = _specialized("d5(0:0)", "phi5", (0, 0), max_order)
-    B6 = _specialized("d6(0:0)", "phi6", (0, 0), max_order)
+    A5 = _specialized("phi5", (0, 0))
+    B6 = _specialized("phi6", (0, 0))
     T56 = d5_d6_basis_change()
     if verify_isomorphism(A5, B6, T56):
         cols = tuple(T56.matrix.column(j) for j in range(T56.matrix.ncols))

@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, catalog
 from .cohomology import (
-    NotACocycleError,
     class_eq,
     cocycle_constraints,
     cohomology_dim,
@@ -294,7 +292,7 @@ def _cmd_deform(args) -> int:
             for x in constraints:
                 print(f"  {x}")
         return EXIT_NEGATIVE
-    D = Deformation(A, {1: mu1}, truncation_order=args.max_order)
+    D = Deformation(A, {1: mu1})
     report = defect_report(D)
     verdict = strict_extendability(D)
     doc = {
@@ -326,7 +324,7 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    D = deformation_from_dict(_load_json(args.deformation), default_truncation=args.max_order)
+    D = deformation_from_dict(_load_json(args.deformation))
     try:
         outcome = extend_step(D)
     except ValueError as exc:
@@ -336,7 +334,7 @@ def _cmd_extend(args) -> int:
         if args.json:
             _emit_json({"extended": True, "deformation": deformation_to_dict(outcome.extended)})
         else:
-            new_order = outcome.extended.max_order
+            new_order = outcome.extended.top_order
             print(f"extended with a term at order {new_order}")
             _print_cochain(outcome.extended.term(new_order), f"mu{new_order}")
         return EXIT_OK
@@ -349,7 +347,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    D = deformation_from_dict(_load_json(args.deformation), default_truncation=args.max_order)
+    D = deformation_from_dict(_load_json(args.deformation))
     t = parse_rational(args.t)
     try:
         member = specialize(D, t)
@@ -396,8 +394,6 @@ def _cmd_iso(args) -> int:
 
 def _catalog_object(args):
     name = args.name
-    if name.startswith("h") and name[1:].isdigit():
-        return algebra_to_dict(catalog.heisenberg(int(name[1:])))
     if name in catalog.FAMILIES:
         params = None
         if args.params:
@@ -407,7 +403,7 @@ def _catalog_object(args):
             if c.is_symbolic():
                 raise SchemaError(name, "cannot specialize a symbolic cochain")
             base = catalog.heisenberg(2) if not name.startswith("h1_") else catalog.heisenberg(1)
-            D = Deformation(base, {1: c}, truncation_order=args.max_order)
+            D = Deformation(base, {1: c})
             return algebra_to_dict(specialize(D, parse_rational(args.t)))
         return cochain_to_dict(c)
     if name == "representatives":
@@ -422,7 +418,10 @@ def _catalog_object(args):
                 for rep in catalog.paper_representatives()
             ]
         }
-    raise SchemaError("name", f"unknown catalog object {name!r}")
+    try:
+        return algebra_to_dict(catalog.named_algebra(name))
+    except ValueError as exc:
+        raise SchemaError("name", str(exc)) from None
 
 
 def _cmd_catalog(args) -> int:
@@ -438,7 +437,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    rows, summary = catalog.reproduce(max_order=args.max_order)
+    rows, summary = catalog.reproduce()
     doc = {
         "version": __version__,
         "rows": [
@@ -515,11 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"liedeform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, max_order=False, t=False):
+    def add_common(p, t=False):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if max_order:
-            p.add_argument("--max-order", type=int, default=4, metavar="N",
-                           help="defect truncation order (default 4)")
         if t:
             p.add_argument("--t", default="1", metavar="VALUE",
                            help="rational deformation parameter (default 1)")
@@ -567,20 +563,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(handler=_cmd_span)
 
-    p = sub.add_parser("deform", help="per-order defects and extendability verdict")
+    p = sub.add_parser(
+        "deform", help="defects at orders 1..2 and the extendability verdict"
+    )
     p.add_argument("algebra")
     p.add_argument("cochain")
-    add_common(p, max_order=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_deform)
 
     p = sub.add_parser("extend", help="one order-by-order extension step")
     p.add_argument("deformation")
-    add_common(p, max_order=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_extend)
 
-    p = sub.add_parser("specialize", help="member algebra at a rational t")
+    p = sub.add_parser(
+        "specialize", help="member algebra at a rational t, if defects 1..2m vanish"
+    )
     p.add_argument("deformation")
-    add_common(p, max_order=True, t=True)
+    add_common(p, t=True)
     p.set_defaults(handler=_cmd_specialize)
 
     p = sub.add_parser("iso", help="verify or search basis-change isomorphisms")
@@ -611,11 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--symbolic", action="store_true", help="keep p, q, r symbolic")
     pe.add_argument("--deformed", action="store_true",
                     help="emit the deformed algebra at --t instead of the cochain")
-    add_common(pe, max_order=True, t=True)
+    add_common(pe, t=True)
     pe.set_defaults(handler=_cmd_catalog)
 
     p = sub.add_parser("reproduce", help="recompute the full classification table")
-    add_common(p, max_order=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -626,15 +626,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotACocycleError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SingularMatrixError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # SchemaError, NotACocycleError and SingularMatrixError are ValueErrors.
     except (ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import (
+    EchelonBasis,
     ExactMatrix,
     PolyScalar,
     Scalar,
@@ -199,20 +200,16 @@ def _tuples(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 class CochainBasis:
     """Coordinates on C^q(g; g): (increasing tuple, target index) pairs."""
 
-    __slots__ = ("dim", "degree", "tuples", "_tuple_index")
+    __slots__ = ("dim", "degree", "tuples")
 
     def __init__(self, dim: int, degree: int):
         self.dim = dim
         self.degree = degree
         self.tuples = _tuples(dim, degree)
-        self._tuple_index = {t: i for i, t in enumerate(self.tuples)}
 
     @property
     def size(self) -> int:
         return len(self.tuples) * self.dim
-
-    def index_of(self, key: tuple[int, ...], target: int) -> int:
-        return self._tuple_index[key] * self.dim + target
 
     def pairs(self) -> Iterable[tuple[tuple[int, ...], int]]:
         for t in self.tuples:
@@ -383,52 +380,20 @@ def cohomology_dim(
     )
 
 
+def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
+    """Echelon basis of im d_(q-1) inside C^q (empty for q = 0)."""
+    if q == 0:
+        return EchelonBasis()
+    d_prev = differential(algebra, q - 1)
+    return EchelonBasis(d_prev.column(j) for j in range(d_prev.ncols))
+
+
 def _representatives(algebra: LieAlgebra, q: int, d_q: ExactMatrix) -> list[Cochain]:
     """Kernel vectors independent modulo the previous image, in nullspace order."""
-    from .liealg import _reduce_span  # reuse the incremental echelon helper
-
-    n = algebra.dim
-    if q == 0:
-        image_cols: list[tuple[Fraction, ...]] = []
-    else:
-        d_prev = differential(algebra, q - 1)
-        image_cols = [d_prev.column(j) for j in range(d_prev.ncols)]
-    echelon = _EchelonAccumulator(CochainBasis(n, q).size)
-    for v in image_cols:
-        echelon.add(v)
-    reps = []
-    for v in d_q.nullspace():
-        if echelon.add(v):
-            reps.append(Cochain.from_coords(q, n, v))
-    return reps
-
-
-class _EchelonAccumulator:
-    """Incremental rank tracking: add(v) reports whether v extended the span."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: list[tuple[int, list[Fraction]]] = []  # (lead index, row)
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        w = list(v)
-        for lead, row in self.rows:
-            c = w[lead]
-            if c:
-                for k in range(self.length):
-                    if row[k]:
-                        w[k] -= c * row[k]
-        lead = next((k for k, x in enumerate(w) if x), None)
-        if lead is None:
-            return False
-        inv = _ONE / w[lead]
-        self.rows.append((lead, [x * inv for x in w]))
-        self.rows.sort(key=lambda p: p[0])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    echelon = _image_echelon(algebra, q)
+    return [
+        Cochain.from_coords(q, algebra.dim, v) for v in d_q.nullspace() if echelon.add(v)
+    ]
 
 
 def class_eq(algebra: LieAlgebra, c1: Cochain, c2: Cochain) -> bool:
@@ -452,18 +417,11 @@ def span_in_cohomology(algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain])
             raise ValueError("span computation requires rational cochains")
         if not is_cocycle(algebra, c):
             raise NotACocycleError("span computation is defined on cocycles only")
-    if q == 0:
-        image_rank = 0
-        acc = _EchelonAccumulator(CochainBasis(algebra.dim, q).size)
-    else:
-        d_prev = differential(algebra, q - 1)
-        acc = _EchelonAccumulator(CochainBasis(algebra.dim, q).size)
-        for j in range(d_prev.ncols):
-            acc.add(d_prev.column(j))
-        image_rank = acc.rank
+    echelon = _image_echelon(algebra, q)
+    image_rank = len(echelon)
     for c in cocycles:
-        acc.add(c.coords())
-    return acc.rank - image_rank
+        echelon.add(c.coords())
+    return len(echelon) - image_rank
 
 
 def _comb(a: int, b: int) -> int:

@@ -6,8 +6,10 @@ order-n defect is the coefficient of t^n in the deformed Jacobi expression,
 
     sum_{i+j=n} mu_i(x, mu_j(y,z)) + mu_i(y, mu_j(z,x)) + mu_i(z, mu_j(x,y))
 
-with mu_0 the base bracket; the deformation is a Lie structure through
-order N iff these vanish for 1 <= n <= N.
+with mu_0 the base bracket.  When the top order is m, every pair i+j=n
+with n > 2m involves a missing term, so the defects above 2m vanish
+identically, and the deformed bracket is a Lie bracket iff the defects
+vanish for 1 <= n <= 2m.
 """
 
 from __future__ import annotations
@@ -34,14 +36,9 @@ _ONE = Fraction(1)
 class Deformation:
     """Base algebra plus order-tagged 2-cochain terms (all rational)."""
 
-    __slots__ = ("base", "terms", "truncation_order")
+    __slots__ = ("base", "terms")
 
-    def __init__(
-        self,
-        base: LieAlgebra,
-        terms: Mapping[int, Cochain] = (),
-        truncation_order: int = 4,
-    ):
+    def __init__(self, base: LieAlgebra, terms: Mapping[int, Cochain] = ()):
         self.base = base
         clean: dict[int, Cochain] = {}
         for order, c in dict(terms).items():
@@ -56,22 +53,23 @@ class Deformation:
                 )
             clean[order] = c
         self.terms = dict(sorted(clean.items()))
-        if truncation_order < 1:
-            raise ValueError("truncation order must be at least 1")
-        self.truncation_order = truncation_order
 
     def term(self, order: int) -> Cochain:
         c = self.terms.get(order)
         return c if c is not None else Cochain.zero(2, self.base.dim)
 
     @property
-    def max_order(self) -> int:
+    def top_order(self) -> int:
         return max(self.terms, default=0)
+
+    def defect_orders(self) -> range:
+        """1..2m for top order m: the only orders whose defect can be nonzero."""
+        return range(1, 2 * self.top_order + 1)
 
     def with_term(self, order: int, c: Cochain) -> "Deformation":
         terms = dict(self.terms)
         terms[order] = c
-        return Deformation(self.base, terms, self.truncation_order)
+        return Deformation(self.base, terms)
 
     def is_single_term(self) -> bool:
         return set(self.terms) <= {1}
@@ -163,11 +161,10 @@ class DefectReport:
         return None
 
 
-def defect_report(D: Deformation, max_order: Optional[int] = None) -> DefectReport:
-    """Per-order defect statuses for orders 1..max_order."""
-    max_order = max_order or D.truncation_order
+def defect_report(D: Deformation) -> DefectReport:
+    """Per-order defect statuses for orders 1..2m (m the top order)."""
     statuses = []
-    for n in range(1, max_order + 1):
+    for n in D.defect_orders():
         d = defect(D, n)
         if d.is_zero:
             statuses.append(OrderStatus(n, d, True, True, None))
@@ -190,21 +187,18 @@ class ExtendabilityVerdict:
         return f"obstructed_at({self.obstructed_at})"
 
 
-def strict_extendability(
-    D: Deformation, max_order: Optional[int] = None
-) -> ExtendabilityVerdict:
+def strict_extendability(D: Deformation) -> ExtendabilityVerdict:
     """Exact-Lie-bracket verdict for a deformation with only mu_1.
 
-    For a single term the defect vanishes identically for n >= 3, so order 2
-    is mathematically sufficient; higher orders act as self-checks.
+    Order 1 is the cocycle condition, checked first; the defect vanishes
+    identically above order 2, so order 2 decides the verdict.
     """
     if not D.is_single_term():
         raise ValueError("strict extendability applies to single-term deformations")
     mu1 = D.term(1)
     if not is_cocycle(D.base, mu1):
         raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
-    max_order = max_order or D.truncation_order
-    for n in range(2, max_order + 1):
+    for n in D.defect_orders()[1:]:
         if not defect(D, n).is_zero:
             return ExtendabilityVerdict(False, obstructed_at=n)
     return ExtendabilityVerdict(True)
@@ -223,34 +217,19 @@ class ExtendOutcome:
 
 
 def extend_step(D: Deformation) -> ExtendOutcome:
-    """Try to choose mu_n (n = max stored order + 1) killing the order-n defect.
+    """Try to choose mu_n (n = top order + 1) killing the order-n defect.
 
     Solves d mu_n = partial defect, where the partial defect collects the
-    i, j >= 1 terms; when the system is inconsistent the partial defect is
-    a nonzero class in H^3 and is returned as the obstruction.
+    i, j >= 1 terms; D has no order-n term, so that is exactly defect(D, n).
+    When the system is inconsistent the partial defect is a nonzero class
+    in H^3 and is returned as the obstruction.
     """
-    n = D.max_order + 1
+    n = D.top_order + 1
     for k in range(1, n):
         if not defect(D, k).is_zero:
             raise ValueError(f"deformation already has a nonzero defect at order {k}")
     dim = D.base.dim
-    partial_entries = {}
-    pairs = [(i, n - i) for i in D.terms if (n - i) in D.terms]
-    for tau in _increasing_triples(dim):
-        a, b, c = tau
-        acc = [_ZERO] * dim
-        for i, j in pairs:
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                w = _pair_value(D, j, y, z)
-                if vec_is_zero(w):
-                    continue
-                v = _pair_on_vector(D, i, x, w)
-                for m, vm in enumerate(v):
-                    if vm:
-                        acc[m] += vm
-        if not vec_is_zero(tuple(acc)):
-            partial_entries[tau] = tuple(acc)
-    partial = Cochain(3, dim, partial_entries)
+    partial = defect(D, n)
     d2 = differential(D.base, 2)
     x = d2.solve(list(partial.coords()))
     if x is None:
@@ -274,7 +253,7 @@ def infinitesimal_class(D: Deformation) -> Cochain:
 def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
     """The member algebra at a rational t; refuses non-Lie tables."""
     t = Fraction(t_value)
-    for n in range(1, D.truncation_order + 1):
+    for n in D.defect_orders():
         if not defect(D, n).is_zero:
             raise ValueError(
                 f"defect is nonzero at order {n}; refusing to emit a non-Lie table"

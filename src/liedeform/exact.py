@@ -12,6 +12,7 @@ are deterministic.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -39,10 +40,6 @@ class SingularMatrixError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse "a" or "a/b" (unicode minus tolerated) into a Fraction."""
     return Fraction(text.strip().replace("−", "-"))
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def _exp_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -259,16 +256,6 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
-def scalar_is_zero(x: Scalar) -> bool:
-    return not x
-
-
-def evaluate_scalar(x: Scalar, point: Mapping[str, Union[Fraction, int]]) -> Fraction:
-    if isinstance(x, PolyScalar):
-        return x.evaluate(point)
-    return x
-
-
 def is_rational_multiple(poly: PolyScalar, generator: PolyScalar) -> bool:
     """True iff poly = c * generator for some rational c (zero counts)."""
     if poly.is_zero:
@@ -376,9 +363,6 @@ class ExactMatrix:
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self._rows)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns(self._rows, nrows=self.ncols)
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self._rows)
@@ -566,3 +550,43 @@ def _rref(rows: list[list[Fraction]], pivot_cols: int, width: int) -> list[int]:
             for j, v in nz:
                 row[j] -= f * v
     return pivots
+
+
+class EchelonBasis:
+    """Incremental echelon basis of a span of rational vectors.
+
+    add(v) reduces v against the rows kept so far; when a nonzero remainder
+    is left, it is kept with its leading entry normalized to 1, and the rows
+    stay sorted by leading index.  The result depends only on the order in
+    which vectors are added.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors: Iterable[Sequence[Fraction]] = ()):
+        self._rows: list[tuple[int, tuple[Fraction, ...]]] = []  # (lead, row)
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Reduce v into the basis; True iff it extended the span."""
+        w = list(v)
+        for lead, row in self._rows:
+            c = w[lead]
+            if c:
+                for k, x in enumerate(row):
+                    if x:
+                        w[k] -= c * x
+        lead = next((k for k, x in enumerate(w) if x), None)
+        if lead is None:
+            return False
+        inv = _ONE / w[lead]
+        insort(self._rows, (lead, tuple(x * inv for x in w)))  # leads are distinct
+        return True
+
+    @property
+    def basis(self) -> list[tuple[Fraction, ...]]:
+        return [row for _, row in self._rows]
+
+    def __len__(self) -> int:
+        return len(self._rows)

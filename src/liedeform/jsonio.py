@@ -9,13 +9,13 @@ maps to exit code 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence
 
 from .catalog import named_algebra
 from .cohomology import Cochain, CohomologyReport
 from .deform import DefectReport, Deformation
 from .exact import ExactMatrix, PolyScalar, Scalar, format_scalar, parse_scalar
-from .liealg import BasisChange, LieAlgebra
+from .liealg import LieAlgebra
 
 
 class SchemaError(ValueError):
@@ -176,7 +176,6 @@ def cochain_from_dict(doc) -> Cochain:
 def deformation_to_dict(D: Deformation) -> dict:
     return {
         "base": D.base.name if D.base.name else algebra_to_dict(D.base),
-        "truncation_order": D.truncation_order,
         "terms": [
             {"order": n, "cochain": cochain_to_dict(c)}
             for n, c in sorted(D.terms.items())
@@ -184,7 +183,8 @@ def deformation_to_dict(D: Deformation) -> dict:
     }
 
 
-def deformation_from_dict(doc, default_truncation: int = 4) -> Deformation:
+def deformation_from_dict(doc) -> Deformation:
+    """Parse a deformation file; the defect range is derived from its terms."""
     doc = _expect_dict(doc, "deformation")
     base_doc = doc.get("base")
     if isinstance(base_doc, str):
@@ -194,8 +194,7 @@ def deformation_from_dict(doc, default_truncation: int = 4) -> Deformation:
             raise SchemaError("base", str(exc)) from None
     else:
         base = algebra_from_dict(base_doc, check=True)
-    truncation = doc.get("truncation_order", default_truncation)
-    truncation = _expect_int(truncation, "truncation_order")
+    # Older files carry a "truncation_order" key; it is accepted and ignored.
     terms = {}
     for idx, entry in enumerate(_expect_list(doc.get("terms", []), "terms")):
         loc = f"terms[{idx}]"
@@ -210,7 +209,7 @@ def deformation_from_dict(doc, default_truncation: int = 4) -> Deformation:
             )
         terms[order] = c
     try:
-        return Deformation(base, terms, truncation)
+        return Deformation(base, terms)
     except ValueError as exc:
         raise SchemaError("terms", str(exc)) from None
 

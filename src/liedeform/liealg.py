@@ -11,14 +11,14 @@ negative tests can build broken tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .exact import (
+    EchelonBasis,
     ExactMatrix,
     SingularMatrixError,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     vec_zero,
 )
@@ -154,7 +154,7 @@ class LieAlgebra:
         """
         if kind not in ("derived", "lower_central"):
             raise ValueError(f"unknown series kind {kind!r}")
-        full = _reduce_span([_unit(self.dim, i) for i in range(self.dim)])
+        full = [_unit(self.dim, i) for i in range(self.dim)]  # already in echelon form
         current = full
         dims = [len(current)]
         while True:
@@ -177,8 +177,7 @@ class LieAlgebra:
         right: Sequence[tuple[Fraction, ...]],
     ) -> list[tuple[Fraction, ...]]:
         """Echelon basis of span{[u, v]} over basis pairs in lexicographic order."""
-        span = [self.bracket(u, v) for u in left for v in right]
-        return _reduce_span(span)
+        return EchelonBasis(self.bracket(u, v) for u in left for v in right).basis
 
     # -- basis change ---------------------------------------------------------
 
@@ -258,27 +257,6 @@ class BasisChange:
 
 def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if k == i else _ZERO for k in range(n))
-
-
-def _reduce_span(vectors: Iterable[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Echelon basis of the span, in deterministic order (leading index asc)."""
-    basis: list[tuple[int, tuple[Fraction, ...]]] = []  # (leading index, vector)
-    for v in vectors:
-        w = list(v)
-        for lead, b in basis:
-            c = w[lead]
-            if c:
-                for k in range(len(w)):
-                    if b[k]:
-                        w[k] -= c * b[k]
-        lead = next((k for k, x in enumerate(w) if x), None)
-        if lead is None:
-            continue
-        inv = _ONE / w[lead]
-        wt = tuple(x * inv for x in w)
-        basis.append((lead, wt))
-        basis.sort(key=lambda p: p[0])
-    return [b for _, b in basis]
 
 
 def heisenberg_matrix_rep(n: int) -> list[ExactMatrix]:

@@ -15,7 +15,13 @@ from liedeform.catalog import (
     phi,
     reproduce,
 )
-from liedeform.cohomology import class_eq, is_coboundary, is_cocycle, span_in_cohomology
+from liedeform.cohomology import (
+    class_eq,
+    heisenberg_hp_formula,
+    is_coboundary,
+    is_cocycle,
+    span_in_cohomology,
+)
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
 from liedeform.exact import PolyScalar
 
@@ -142,8 +148,14 @@ def test_representative_labels():
     assert all(is_cocycle(heisenberg(2), r.cochain()) for r in reps)
 
 
-def test_reproduce_summary():
-    rows, summary = reproduce()
+@pytest.fixture(scope="module")
+def reproduced():
+    """One reproduce() run shared by the tests that read its rows or summary."""
+    return reproduce()
+
+
+def test_reproduce_summary(reproduced):
+    rows, summary = reproduced
     assert summary.classes == 20
     assert summary.extendable == 18
     assert summary.obstructed == 2
@@ -155,11 +167,16 @@ def test_reproduce_summary():
     assert all(r.obstruction_class_zero for r in rows if r.strict_extendable)
 
 
-def test_reproduce_class_collisions_are_the_known_ones():
+def test_reproduce_h2_dim_is_the_closed_form(reproduced):
+    _, summary = reproduced
+    assert summary.h2_dim == heisenberg_hp_formula(2, 2) == 20
+
+
+def test_reproduce_class_collisions_are_the_known_ones(reproduced):
     # Two of the designated d8 points collapse onto d6 points: the family
     # table collapses to phi6(p:0) at q = r = 0, and the remaining
     # difference on (e1, e4) is a coboundary.
-    _, summary = reproduce()
+    _, summary = reproduced
     assert summary.equal_class_pairs == (
         ("d6(1:0)", "d8(1:0:0)"),
         ("d6(0:0)", "d8(0:1:0)"),
@@ -170,8 +187,8 @@ def test_reproduce_class_collisions_are_the_known_ones():
     assert summary.phi8_000_equals_phi6_00
 
 
-def test_reproduce_structure_flags():
-    rows, _ = reproduce()
+def test_reproduce_structure_flags(reproduced):
+    rows, _ = reproduced
     by_label = {r.label: r for r in rows}
     for label in ("d4(0:0)", "d5(0:0)", "d6(0:0)", "d7(0:0:0)"):
         assert by_label[label].nilpotent_at_t1 is True
@@ -182,8 +199,8 @@ def test_reproduce_structure_flags():
             assert r.nilpotent_at_t1 is None and r.solvable_at_t1 is None
 
 
-def test_reproduce_isomorphism_facts():
-    _, summary = reproduce()
+def test_reproduce_isomorphism_facts(reproduced):
+    _, summary = reproduced
     assert summary.nonisomorphic_nilpotent_generic_members == 2
     methods = {(f.label_a, f.label_b): f.method for f in summary.isomorphisms}
     assert methods == {

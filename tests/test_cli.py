@@ -246,6 +246,27 @@ def test_cli_deform_obstructed(h2_file, tmp_path, capsys):
     assert "obstructed at order 2" in out
 
 
+def test_cli_deform_verdict_has_no_order_argument(h2_file, tmp_path, capsys):
+    path = phi_file(tmp_path, "phi8", (0, 1, 0), fname="obstructed.json")
+    assert main(["deform", h2_file, path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["obstructed_at"] == 2
+    assert [o["order"] for o in doc["defects"]["orders"]] == [1, 2]
+    dpath = write(tmp_path, "def.json", deformation_to_dict(
+        Deformation(catalog.heisenberg(2), {1: catalog.phi("phi3")})
+    ))
+    for argv in (
+        ["deform", h2_file, path],
+        ["extend", dpath],
+        ["specialize", dpath],
+        ["catalog", "emit", "phi3", "--deformed"],
+        ["reproduce"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-order", "1"])
+        assert exc.value.code == 2
+
+
 def test_cli_deform_trivial(h2_file, tmp_path, capsys):
     path = write(tmp_path, "zero.json", cochain_to_dict(Cochain.zero(2, 5)))
     assert main(["deform", h2_file, path]) == 0
@@ -277,6 +298,17 @@ def test_cli_extend_and_specialize(tmp_path, capsys):
     # phi3(e1, e4) = e1, so [e1, e4]_t = t e1 at t = 1/2
     assert member.bracket_basis(0, 3) == (Fraction(1, 2), 0, 0, 0, 0)
     assert member.jacobi_violations() == []
+
+
+def test_cli_old_truncation_order_key_is_ignored(tmp_path, capsys):
+    D = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi8", (0, 1, 0))})
+    doc = deformation_to_dict(D)
+    assert "truncation_order" not in doc
+    doc["truncation_order"] = 1
+    assert deformation_from_dict(doc).terms == D.terms
+    dpath = write(tmp_path, "old.json", doc)
+    assert main(["specialize", dpath]) == 1
+    assert "defect is nonzero at order 2" in capsys.readouterr().err
 
 
 def test_cli_specialize_refuses_obstructed(tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeform.catalog import d5_d6_basis_change, h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
@@ -32,8 +35,8 @@ from liedeform.liealg import BasisChange, LieAlgebra
 from test_cohomology import random_cochain
 
 
-def single(c, base=None, truncation=4):
-    return Deformation(base or heisenberg(2), {1: c}, truncation_order=truncation)
+def single(c, base=None):
+    return Deformation(base or heisenberg(2), {1: c})
 
 
 # -- defects ---------------------------------------------------------------------
@@ -75,8 +78,40 @@ def test_single_term_defect_vanishes_for_orders_three_and_four():
         assert defect(D, 4).is_zero
 
 
+def test_defect_range_is_derived_from_the_top_order():
+    # A lone order-3 cocycle term: its only self-pairing lands at order 6.
+    D = Deformation(heisenberg(2), {3: phi("phi8", (0, 1, 0))})
+    assert D.defect_orders() == range(1, 7)
+    for n in range(1, 6):
+        assert defect(D, n).is_zero
+    assert not defect(D, 6).is_zero
+    assert [s.order for s in defect_report(D).orders] == [1, 2, 3, 4, 5, 6]
+    assert defect_report(D).first_nonzero == 6
+    with pytest.raises(ValueError, match="defect is nonzero at order 6"):
+        specialize(D, 1)
+
+
+def _cochains(dim):
+    keys = list(combinations(range(dim), 2))
+    vector = st.lists(st.integers(-2, 2).map(Fraction), min_size=dim, max_size=dim)
+    return st.lists(vector, min_size=len(keys), max_size=len(keys)).map(
+        lambda vecs: Cochain(2, dim, dict(zip(keys, vecs)))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(top=st.integers(1, 2), data=st.data())
+def test_defects_vanish_above_twice_the_top_order(top, data):
+    lower = data.draw(st.sets(st.integers(1, top - 1))) if top > 1 else set()
+    terms = {order: data.draw(_cochains(5)) for order in sorted(lower | {top})}
+    D = Deformation(heisenberg(2), terms)
+    assert defect(D, 2 * top + 1).is_zero
+    assert defect(D, 2 * top + 2).is_zero
+
+
 def test_defect_report_statuses():
     report = defect_report(single(phi("phi8", (0, 0, 1))))
+    assert [s.order for s in report.orders] == [1, 2]
     assert report.first_nonzero == 2
     st = report.status(2)
     assert not st.is_zero

@@ -24,6 +24,7 @@ from .cohomology import (
 )
 from .deform import (
     Deformation,
+    NonzeroDefectError,
     defect_report,
     extend_step,
     search_isomorphism,
@@ -327,9 +328,9 @@ def _cmd_extend(args) -> int:
     D = deformation_from_dict(_load_json(args.deformation))
     try:
         outcome = extend_step(D)
-    except ValueError as exc:
+    except NonzeroDefectError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_NEGATIVE
     if outcome.ok:
         if args.json:
             _emit_json({"extended": True, "deformation": deformation_to_dict(outcome.extended)})

@@ -15,11 +15,12 @@ index, which keeps every matrix and report deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .exact import (
     EchelonBasis,
@@ -35,7 +36,6 @@ from .exact import (
 from .liealg import LieAlgebra
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotACocycleError(ValueError):
@@ -211,17 +211,58 @@ class CochainBasis:
     def size(self) -> int:
         return len(self.tuples) * self.dim
 
-    def pairs(self) -> Iterable[tuple[tuple[int, ...], int]]:
-        for t in self.tuples:
-            for k in range(self.dim):
-                yield (t, k)
+
+def _sparse_brackets(algebra: LieAlgebra):
+    """The nonzero structure constants, indexed for the differential.
+
+    by_output[k] lists (i, j, c_ij^k) with i < j; by_right[m] lists
+    (i, [(k, c)...]) for every nonzero [e_i, e_m] = sum_k c e_k.
+    """
+    by_output = [[] for _ in range(algebra.dim)]
+    by_right = [[] for _ in range(algebra.dim)]
+    for (i, j), vec in algebra.brackets.items():
+        w = [(k, c) for k, c in enumerate(vec) if c]
+        for k, c in w:
+            by_output[k].append((i, j, c))
+        by_right[j].append((i, w))
+        by_right[i].append((j, [(k, -c) for k, c in w]))
+    return by_output, by_right
+
+
+def _basis_image(brackets, key: tuple[int, ...], m: int):
+    """Terms (tau, k, coefficient) of d(e^key (x) e_m); a (tau, k) may repeat.
+
+    Pair term: c([g_s, g_t], rest') is nonzero only when {k} + rest' = key,
+    so for each k in key and rest = key minus k, every c_ij^k with i, j
+    outside rest adds at tau = rest + {i, j}.  The sign is (-1)^(s+t-1) with
+    1-based positions of i, j in tau, times (-1)^p for moving k from the
+    front to its position p in key.  Action term: each i outside key adds
+    (-1)^s [e_i, e_m] at tau = key + {i}, with i at 1-based position s.
+    """
+    by_output, by_right = brackets
+    for p, k in enumerate(key):
+        rest = key[:p] + key[p + 1 :]
+        for i, j, c in by_output[k]:
+            if i in rest or j in rest:
+                continue
+            s = bisect_left(rest, i)  # 0-based positions of i and j in tau
+            t = bisect_left(rest, j) + 1
+            tau = rest[:s] + (i,) + rest[s : t - 1] + (j,) + rest[t - 1 :]
+            yield tau, m, c if (s + t + 1 + p) % 2 == 0 else -c
+    for i, w in by_right[m]:
+        if i in key:
+            continue
+        s = bisect_left(key, i)
+        tau = key[:s] + (i,) + key[s:]
+        for k, c in w:
+            yield tau, k, c if s % 2 else -c
 
 
 def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     """The Chevalley-Eilenberg differential of c, with adjoint coefficients.
 
-    Works uniformly for rational and symbolic (PolyScalar) cochains since
-    the structure constants are always rational.
+    Sums x * d(e^key (x) e_m) over the nonzero entries x of c.  The basis
+    images are rational, so this works for symbolic (PolyScalar) cochains.
     """
     if c.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
@@ -229,72 +270,40 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     n = algebra.dim
     if q > n:
         raise ValueError(f"degree {q} exceeds dimension {n}")
-    out: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
-    for tau in _tuples(n, q + 1):
-        acc = list(vec_zero(n))
-        touched = False
-        # sum over s < t: (-1)^(s+t-1) c([g_s, g_t], rest), 1-based signs
-        for s in range(q + 1):
-            for t in range(s + 1, q + 1):
-                w = algebra.bracket_basis(tau[s], tau[t])
-                if vec_is_zero(w):
-                    continue
-                rest = tau[:s] + tau[s + 1 : t] + tau[t + 1 :]
-                sign = -1 if (s + t + 1) % 2 else 1
-                for k, wk in enumerate(w):
-                    if not wk:
-                        continue
-                    val = c.value((k,) + rest)
-                    if vec_is_zero(val):
-                        continue
-                    coeff = wk if sign == 1 else -wk
-                    touched = True
-                    for m, vm in enumerate(val):
-                        if vm:
-                            acc[m] = acc[m] + coeff * vm
-        # sum over s: (-1)^s [g_s, c(rest)], 1-based sign
-        for s in range(q + 1):
-            rest = tau[:s] + tau[s + 1 :]
-            val = c.value(rest)
-            if vec_is_zero(val):
+    brackets = _sparse_brackets(algebra)
+    out: dict[tuple[int, ...], list[Scalar]] = {}
+    for key, vec in c.entries.items():
+        for m, x in enumerate(vec):
+            if not x:
                 continue
-            sign = -1 if (s + 1) % 2 else 1
-            for k, vk in enumerate(val):
-                if not vk:
-                    continue
-                w = algebra.bracket_basis(tau[s], k)
-                for m, wm in enumerate(w):
-                    if wm:
-                        touched = True
-                        term = vk * wm
-                        acc[m] = acc[m] + (term if sign == 1 else -term)
-        if touched and not vec_is_zero(tuple(acc)):
-            out[tau] = tuple(acc)
+            for tau, k, coeff in _basis_image(brackets, key, m):
+                acc = out.get(tau)
+                if acc is None:
+                    acc = out[tau] = [_ZERO] * n
+                acc[k] += x * coeff
     return Cochain(q + 1, n, out)
 
 
 def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
     """Matrix of d_q : C^q -> C^(q+1) in CochainBasis coordinates.
 
-    Built fresh on every call; callers that need it repeatedly should keep
-    their own cache.
+    Column (key, m) is the image of e^key (x) e_m, assembled from the
+    nonzero structure constants only; the same basis images serve
+    apply_differential.
     """
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
-    src = CochainBasis(n, q)
-    dst = CochainBasis(n, q + 1) if q < n else None
-    nrows = dst.size if dst is not None else 0
-    columns = []
-    for key, target in src.pairs():
-        basis_cochain = Cochain(q, n, {key: _unit_vec(n, target)})
-        dc = apply_differential(algebra, basis_cochain)
-        columns.append(dc.coords() if nrows else ())
-    return ExactMatrix.from_columns(columns, nrows=nrows)
-
-
-def _unit_vec(n: int, k: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if i == k else _ZERO for i in range(n))
+    brackets = _sparse_brackets(algebra)
+    first_row = {tau: t * n for t, tau in enumerate(_tuples(n, q + 1))}
+    ncols = len(_tuples(n, q)) * n
+    rows = [[_ZERO] * ncols for _ in range(len(first_row) * n)]
+    for t, key in enumerate(_tuples(n, q)):
+        for m in range(n):
+            col = t * n + m
+            for tau, k, coeff in _basis_image(brackets, key, m):
+                rows[first_row[tau] + k][col] += coeff
+    return ExactMatrix(rows, ncols=ncols)
 
 
 def is_cocycle(algebra: LieAlgebra, c: Cochain) -> bool:

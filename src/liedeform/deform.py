@@ -33,6 +33,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class NonzeroDefectError(ValueError):
+    """A deformation has a nonzero defect at an order where it must vanish."""
+
+
 class Deformation:
     """Base algebra plus order-tagged 2-cochain terms (all rational)."""
 
@@ -227,7 +231,9 @@ def extend_step(D: Deformation) -> ExtendOutcome:
     n = D.top_order + 1
     for k in range(1, n):
         if not defect(D, k).is_zero:
-            raise ValueError(f"deformation already has a nonzero defect at order {k}")
+            raise NonzeroDefectError(
+                f"deformation already has a nonzero defect at order {k}"
+            )
     dim = D.base.dim
     partial = defect(D, n)
     d2 = differential(D.base, 2)
@@ -255,7 +261,7 @@ def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
     t = Fraction(t_value)
     for n in D.defect_orders():
         if not defect(D, n).is_zero:
-            raise ValueError(
+            raise NonzeroDefectError(
                 f"defect is nonzero at order {n}; refusing to emit a non-Lie table"
             )
     dim = D.base.dim

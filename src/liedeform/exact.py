@@ -345,13 +345,6 @@ class ExactMatrix:
             [tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)]
         )
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], nrows: int) -> "ExactMatrix":
-        return cls(
-            [tuple(col[i] for col in columns) for i in range(nrows)],
-            ncols=len(columns),
-        )
-
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._rows[i]
 

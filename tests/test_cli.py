@@ -8,9 +8,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liedeform
 from liedeform import catalog
 from liedeform.cli import main
 from liedeform.cohomology import Cochain
@@ -317,6 +319,18 @@ def test_cli_specialize_refuses_obstructed(tmp_path, capsys):
     assert main(["specialize", dpath, "--t", "1"]) == 1
 
 
+def test_cli_extend_with_a_nonzero_defect_is_a_negative(tmp_path, capsys):
+    terms = {1: catalog.phi("phi8", (0, 1, 0)), 2: Cochain.zero(2, 5)}
+    D = Deformation(catalog.heisenberg(2), terms)
+    dpath = write(tmp_path, "def8.json", deformation_to_dict(D))
+    assert main(["extend", dpath]) == 1
+    assert "nonzero defect at order 2" in capsys.readouterr().err
+    assert main(["specialize", dpath]) == 1
+    doc = deformation_to_dict(D)
+    doc["terms"][0]["order"] = 0
+    assert main(["extend", write(tmp_path, "bad.json", doc)]) == 2
+
+
 # -- isomorphisms -----------------------------------------------------------------
 
 
@@ -421,6 +435,7 @@ def test_module_entry_point(tmp_path):
     path = write(tmp_path, "h2.json", doc)
     proc = subprocess.run(
         [sys.executable, "-m", "liedeform", "cohomology", str(path), "2"],
+        cwd=Path(liedeform.__file__).resolve().parents[1],  # the package's own src/
         capture_output=True,
         text=True,
         check=False,

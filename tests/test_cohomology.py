@@ -3,8 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeform.catalog import h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
@@ -21,7 +24,8 @@ from liedeform.cohomology import (
     is_cocycle,
     span_in_cohomology,
 )
-from liedeform.exact import PolyScalar, is_rational_multiple
+from liedeform.deform import Deformation, specialize
+from liedeform.exact import ExactMatrix, PolyScalar, is_rational_multiple
 from liedeform.liealg import LieAlgebra
 
 from test_exact import naive_rank
@@ -35,6 +39,72 @@ def random_cochain(rng, degree, dim, lo=-3, hi=3):
     basis = CochainBasis(dim, degree)
     coords = [Fraction(rng.randint(lo, hi)) for _ in range(basis.size)]
     return Cochain.from_coords(degree, dim, coords)
+
+
+def reference_differential(A, c):
+    """dc evaluated from the defining formula, one increasing tuple at a time.
+
+    dc(g_1..g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c([g_s, g_t], ..^s..^t..)
+                     + sum_s (-1)^s [g_s, c(..^s..)]   (1-based s, t),
+    with c read through Cochain.value, which applies the permutation sign.
+    This is independent of the sparse kernel behind differential().
+    """
+    n, q = A.dim, c.degree
+    out = {}
+    for tau in combinations(range(n), q + 1):
+        acc = [Fraction(0)] * n
+        for s in range(q + 1):
+            for t in range(s + 1, q + 1):
+                sign = -1 if (s + t + 1) % 2 else 1
+                rest = tau[:s] + tau[s + 1 : t] + tau[t + 1 :]
+                for k, wk in enumerate(A.bracket_basis(tau[s], tau[t])):
+                    if wk:
+                        for m, vm in enumerate(c.value((k,) + rest)):
+                            acc[m] = acc[m] + sign * wk * vm
+        for s in range(q + 1):
+            sign = -1 if (s + 1) % 2 else 1
+            for k, vk in enumerate(c.value(tau[:s] + tau[s + 1 :])):
+                if vk:
+                    for m, wm in enumerate(A.bracket_basis(tau[s], k)):
+                        acc[m] = acc[m] + sign * vk * wm
+        out[tau] = acc
+    return Cochain(q + 1, n, out)
+
+
+def unit_cochain(n, q, j):
+    """The basis cochain at coordinate j of C^q."""
+    coords = [Fraction(0)] * CochainBasis(n, q).size
+    coords[j] = Fraction(1)
+    return Cochain.from_coords(q, n, coords)
+
+
+def member(family, params):
+    return specialize(Deformation(heisenberg(2), {1: phi(family, params)}), 1)
+
+
+# Non-Heisenberg tables: brackets land on several basis vectors, so the
+# sign of moving the output index k into the remaining arguments varies.
+SL2 = LieAlgebra(3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
+R2 = LieAlgebra(2, {(0, 1): [0, 1]})
+TEST_ALGEBRAS = {
+    "sl2": SL2,
+    "r2": R2,
+    "d5(0:0)": member("phi5", (0, 0)),
+    "d6(0:0)": member("phi6", (0, 0)),
+}
+
+
+def invertible(entries):
+    M = ExactMatrix([[Fraction(x) for x in entries[5 * i : 5 * i + 5]] for i in range(5)])
+    return M if M.rank() == 5 else None
+
+
+# Random invertible basis changes of h_2 (entries in -2..2).
+h2_bases = (
+    st.lists(st.integers(-2, 2), min_size=25, max_size=25)
+    .map(invertible)
+    .filter(lambda M: M is not None)
+)
 
 
 # -- cochain mechanics ---------------------------------------------------------
@@ -123,6 +193,61 @@ def test_apply_differential_matches_matrix():
         assert dc.coords() == differential(A, q).mul_vector(c.coords())
 
 
+def assert_columns_match_reference(A, q):
+    d = differential(A, q)
+    assert (d.nrows, d.ncols) == (
+        CochainBasis(A.dim, q + 1).size if q < A.dim else 0,
+        CochainBasis(A.dim, q).size,
+    )
+    for j in range(d.ncols):
+        expected = reference_differential(A, unit_cochain(A.dim, q, j)).coords()
+        assert d.column(j) == (expected if d.nrows else ())
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ALGEBRAS))
+def test_differential_columns_match_the_defining_formula(name):
+    A = TEST_ALGEBRAS[name]
+    for q in range(A.dim + 1):
+        assert_columns_match_reference(A, q)
+
+
+def test_differential_columns_match_the_defining_formula_heisenberg():
+    for n in (1, 2):
+        A = heisenberg(n)
+        for q in range(A.dim + 1):
+            assert_columns_match_reference(A, q)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ALGEBRAS))
+def test_apply_differential_matches_the_defining_formula(name):
+    rng = random.Random(37)
+    A = TEST_ALGEBRAS[name]
+    p, q_var = PolyScalar.variable("p"), PolyScalar.variable("q")
+    symbols = [Fraction(0), Fraction(0), Fraction(-2), p, p * q_var - Fraction(1, 3)]
+    for q in range(A.dim + 1):
+        size = CochainBasis(A.dim, q).size
+        rational = random_cochain(rng, q, A.dim)
+        symbolic = Cochain.from_coords(q, A.dim, [rng.choice(symbols) for _ in range(size)])
+        for c in (rational, symbolic):
+            assert apply_differential(A, c) == reference_differential(A, c)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ALGEBRAS))
+def test_d_compose_d_is_zero_non_heisenberg(name):
+    A = TEST_ALGEBRAS[name]
+    for q in range(A.dim):
+        assert (differential(A, q + 1) * differential(A, q)).is_zero()
+
+
+@settings(max_examples=10, deadline=None)
+@given(M=h2_bases, q=st.integers(0, 5))
+def test_differential_of_a_changed_h2_basis_matches_the_defining_formula(M, q):
+    A = heisenberg(2).change_basis(M)
+    assert_columns_match_reference(A, q)
+    if q < A.dim:
+        assert (differential(A, q + 1) * differential(A, q)).is_zero()
+
+
 # -- cocycles and coboundaries -----------------------------------------------------
 
 
@@ -185,6 +310,20 @@ def test_dim_h2_of_h1_and_h2():
     assert cohomology_dim(heisenberg(2), 2).dim_H == 20
 
 
+@pytest.mark.parametrize("A", [SL2, R2], ids=["sl2", "r2"])
+def test_adjoint_cohomology_of_sl2_and_r2_vanishes(A):
+    # sl2: Whitehead's theorem (the adjoint module is simple and nontrivial).
+    for q in range(A.dim + 1):
+        assert cohomology_dim(A, q).dim_H == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(M=h2_bases, q=st.integers(0, 5))
+def test_h2_cohomology_is_invariant_under_basis_change(M, q):
+    A = heisenberg(2).change_basis(M)
+    assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(2, q)
+
+
 def test_dim_h_abelian():
     A = abelian(3)
     for q in range(4):
@@ -221,10 +360,9 @@ def test_formula_examples_and_errors():
 
 
 def test_formula_matches_direct_computation_small():
-    # n = 3 is covered by the acceptance suite
-    for n in (1, 2):
+    for n, degrees in ((1, range(4)), (2, range(6)), (3, range(8)), (4, range(4))):
         A = heisenberg(n)
-        for p in range(0, 2 * n + 2):
+        for p in degrees:
             assert heisenberg_hp_formula(n, p) == cohomology_dim(A, p).dim_H
 
 

@@ -373,13 +373,15 @@ def cohomology_dim(
         raise ValueError(f"degree {q} out of range 0..{n}")
     d_q = differential(algebra, q)
     rank_d = d_q.rank()
-    if q == 0:
-        rank_prev = 0
-    else:
-        rank_prev = differential(algebra, q - 1).rank()
+    d_prev = differential(algebra, q - 1) if q else None
+    rank_prev = d_prev.rank() if q else 0
     reps: Optional[tuple[Cochain, ...]] = None
     if representatives:
-        reps = tuple(_representatives(algebra, q, d_q))
+        # Kernel vectors independent modulo the previous image, in nullspace order.
+        echelon = _image_echelon(d_prev)
+        reps = tuple(
+            Cochain.from_coords(q, n, v) for v in d_q.nullspace() if echelon.add(v)
+        )
     return CohomologyReport(
         degree=q,
         dim_cochain=CochainBasis(n, q).size,
@@ -389,20 +391,11 @@ def cohomology_dim(
     )
 
 
-def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
-    """Echelon basis of im d_(q-1) inside C^q (empty for q = 0)."""
-    if q == 0:
+def _image_echelon(d_prev: Optional[ExactMatrix]) -> EchelonBasis:
+    """Echelon basis of the image of d_(q-1) inside C^q (empty for q = 0)."""
+    if d_prev is None:
         return EchelonBasis()
-    d_prev = differential(algebra, q - 1)
     return EchelonBasis(d_prev.column(j) for j in range(d_prev.ncols))
-
-
-def _representatives(algebra: LieAlgebra, q: int, d_q: ExactMatrix) -> list[Cochain]:
-    """Kernel vectors independent modulo the previous image, in nullspace order."""
-    echelon = _image_echelon(algebra, q)
-    return [
-        Cochain.from_coords(q, algebra.dim, v) for v in d_q.nullspace() if echelon.add(v)
-    ]
 
 
 def class_eq(algebra: LieAlgebra, c1: Cochain, c2: Cochain) -> bool:
@@ -426,7 +419,7 @@ def span_in_cohomology(algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain])
             raise ValueError("span computation requires rational cochains")
         if not is_cocycle(algebra, c):
             raise NotACocycleError("span computation is defined on cocycles only")
-    echelon = _image_echelon(algebra, q)
+    echelon = _image_echelon(differential(algebra, q - 1) if q else None)
     image_rank = len(echelon)
     for c in cocycles:
         echelon.add(c.coords())

@@ -1,12 +1,17 @@
-"""Exact scalar arithmetic and dense exact linear algebra.
+"""Exact scalar arithmetic and exact linear algebra over the rationals.
 
 Scalars are either rational numbers (``fractions.Fraction``, re-exported as
 ``Rational``) or small multivariate polynomials in the formal parameters
 p, q, r with rational coefficients (``PolyScalar``).  All linear algebra
-(rank, nullspace, solve, inverse) is performed over the rationals with
-plain row reduction; exact arithmetic needs no pivoting heuristics, and the
-first nonzero entry in each column is always taken as the pivot so results
-are deterministic.
+(rank, nullspace, solve, inverse, EchelonBasis) runs on one fraction-free
+engine: each row is scaled to integers by the lcm of its denominators and
+kept sparse, and a row operation cancels an entry with integer multipliers
+(Bareiss, Math. Comp. 22, 1968), so no fraction is formed until a result is
+read.  Results do not depend on which row serves as a pivot: the rank, and
+the reduced row echelon form from which nullspace, solve (free variables
+zero) and inverse are read, are unique; an EchelonBasis reduces at fixed
+leading indices and keeps rows only up to a scale that is divided out when
+its basis is read.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
@@ -360,15 +366,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self._rows)
 
-    def is_rational(self) -> bool:
-        return all(isinstance(x, Fraction) for r in self._rows for x in r)
-
-    def _require_rational(self, op: str) -> None:
-        if not self.is_rational():
-            raise ValueError(
-                f"{op} requires rational entries; evaluate polynomial entries first"
-            )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -415,63 +412,60 @@ class ExactMatrix:
 
     # -- row reduction ------------------------------------------------------
 
-    def _mutable_rows(self, augment: Optional[Sequence[Sequence[Fraction]]] = None):
-        if augment is None:
-            return [list(r) for r in self._rows]
-        return [list(r) + list(extra) for r, extra in zip(self._rows, augment)]
-
     def rank(self) -> int:
-        self._require_rational("rank")
-        rows = self._mutable_rows()
-        return len(_forward_echelon(rows, self.ncols, self.ncols))
+        return len(_echelon(_integer_rows(self._rows, "rank"), self.ncols))
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, ordered by ascending free column."""
-        self._require_rational("nullspace")
-        rows = self._mutable_rows()
-        pivots = _rref(rows, self.ncols, self.ncols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = [_ZERO] * self.ncols
+        n = self.ncols
+        pivots = _echelon(_integer_rows(self._rows, "nullspace"), n)
+        _back_substitute(pivots)
+        basis = {free: [_ZERO] * n for free in range(n) if free not in pivots}
+        for free, v in basis.items():
             v[free] = _ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][free]
-            basis.append(tuple(v))
-        return basis
+        for c, row in pivots.items():
+            for j, x in row.items():
+                if j != c:
+                    basis[j][c] = Fraction(-x, row[c])
+        return [tuple(v) for v in basis.values()]
 
     def solve(self, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
         """A particular solution of m x = b, or None when inconsistent.
 
         Free variables are set to zero, so the result is deterministic.
         """
-        self._require_rational("solve")
+        n = self.ncols
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
-        rows = self._mutable_rows(augment=[[Fraction(x)] for x in b])
-        pivots = _rref(rows, self.ncols, self.ncols + 1)
-        for r in range(len(pivots), self.nrows):
-            if rows[r][self.ncols]:
-                return None
-        x = [_ZERO] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][self.ncols]
+        augmented = (row + (Fraction(x),) for row, x in zip(self._rows, b))
+        pivots = _echelon(_integer_rows(augmented, "solve"), n + 1)
+        if n in pivots:
+            return None
+        _back_substitute(pivots)
+        x = [_ZERO] * n
+        for c, row in pivots.items():
+            x[c] = Fraction(row.get(n, 0), row[c])
         return tuple(x)
 
     def inverse(self) -> "ExactMatrix":
-        self._require_rational("inverse")
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.nrows
-        rows = self._mutable_rows(
-            augment=[[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        augmented = (
+            row + tuple(_ONE if i == j else _ZERO for j in range(n))
+            for i, row in enumerate(self._rows)
         )
-        pivots = _rref(rows, n, 2 * n)
-        if len(pivots) < n:
+        pivots = _echelon(_integer_rows(augmented, "inverse"), 2 * n)
+        if any(c >= n for c in pivots):
             raise SingularMatrixError("matrix is singular")
-        return ExactMatrix([tuple(r[n:]) for r in rows], ncols=n)
+        _back_substitute(pivots)
+        return ExactMatrix(
+            [
+                tuple(Fraction(row.get(j, 0), row[c]) for j in range(n, 2 * n))
+                for c, row in pivots.items()
+            ],
+            ncols=n,
+        )
 
     def __str__(self) -> str:
         return "\n".join(
@@ -482,104 +476,128 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def _forward_echelon(rows: list[list[Fraction]], pivot_cols: int, width: int) -> list[int]:
-    """In-place forward elimination; returns the pivot column list.
+# ---------------------------------------------------------------------------
+# The elimination engine: fraction-free, on sparse integer rows {column: x}.
+# ---------------------------------------------------------------------------
 
-    Pivot choice is the first row with a nonzero entry in the current
-    column.  Row operations skip zero entries of the pivot row, which keeps
-    elimination fast on the sparse differentials this library produces.
+
+def _integer_rows(rows: Iterable[Sequence[Scalar]], op: str) -> list[dict[int, int]]:
+    """The nonzero entries of each row, scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        nz = {j: x for j, x in enumerate(row) if x}
+        if any(isinstance(x, PolyScalar) for x in nz.values()):
+            raise ValueError(
+                f"{op} requires rational entries; evaluate polynomial entries first"
+            )
+        den = lcm(*(x.denominator for x in nz.values()))
+        if den == 1:
+            out.append({j: x.numerator for j, x in nz.items()})
+        else:
+            out.append({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+    return out
+
+
+def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """(pv/g) row - (f/g) prow for pv = prow[c] and f = row[c].
+
+    g is gcd(pv, f) with the sign of pv, so pv/g > 0.  The result has no
+    entry in column c.  When the row was scaled by pv/g > 1 it is divided
+    by its content, which keeps the entries small.
     """
-    pivots: list[int] = []
-    nrows = len(rows)
-    r = 0
-    for c in range(pivot_cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        nz = [(j, prow[j]) for j in range(c + 1, width) if prow[j]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if not f:
-                continue
-            row = rows[i]
-            row[c] = _ZERO
-            t = f / pv
-            for j, v in nz:
-                row[j] -= t * v
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f) if pv > 0 else -gcd(pv, f)
+    a, b = pv // g, f // g
+    out = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
+    for j, x in prow.items():
+        y = out.get(j, 0) - b * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    if a > 1:
+        content = gcd(*out.values())
+        if content > 1:
+            out = {j: x // content for j, x in out.items()}
+    return out
+
+
+def _echelon(rows: list[dict[int, int]], width: int) -> dict[int, dict[int, int]]:
+    """Forward elimination; the pivot rows keyed by pivot column, ascending.
+
+    Rows are bucketed by leading column.  Once the columns before c are
+    done, every row left with an entry in column c leads there, so the
+    bucket of c holds all rows to eliminate and no column is scanned.  The
+    shortest row of the bucket is the pivot.
+    """
+    leads: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            leads.setdefault(min(row), []).append(row)
+    pivots: dict[int, dict[int, int]] = {}
+    for c in range(width):
+        if not leads:
             break
+        bucket = leads.pop(c, None)
+        if bucket is None:
+            continue
+        prow = pivots[c] = min(bucket, key=len)
+        for row in bucket:
+            if row is not prow:
+                row = _combine(row, prow, c)
+                if row:
+                    leads.setdefault(min(row), []).append(row)
     return pivots
 
 
-def _rref(rows: list[list[Fraction]], pivot_cols: int, width: int) -> list[int]:
-    """Reduced row echelon form (pivots normalized to 1, cleared above)."""
-    pivots = _forward_echelon(rows, pivot_cols, width)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            prow[c] = _ONE
-            for j in range(c + 1, width):
-                if prow[j]:
-                    prow[j] /= pv
-        nz = [(j, prow[j]) for j in range(c + 1, width) if prow[j]]
-        for i in range(r):
-            f = rows[i][c]
-            if not f:
-                continue
-            row = rows[i]
-            row[c] = _ZERO
-            for j, v in nz:
-                row[j] -= f * v
-    return pivots
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
+    """Clear each pivot column above its pivot: the RREF up to row scaling."""
+    cols = list(pivots)
+    for k in range(len(cols) - 1, 0, -1):
+        c = cols[k]
+        for above in cols[:k]:
+            if c in pivots[above]:
+                pivots[above] = _combine(pivots[above], pivots[c], c)
 
 
 class EchelonBasis:
     """Incremental echelon basis of a span of rational vectors.
 
-    add(v) reduces v against the rows kept so far; when a nonzero remainder
-    is left, it is kept with its leading entry normalized to 1, and the rows
-    stay sorted by leading index.  The result depends only on the order in
-    which vectors are added.
+    add(v) reduces v at each kept row's leading index, in increasing order;
+    when a nonzero remainder is left, it is kept, and the rows stay sorted
+    by leading index.  basis normalizes each leading entry to 1.  The result
+    depends only on the order in which vectors are added.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_width")
 
     def __init__(self, vectors: Iterable[Sequence[Fraction]] = ()):
-        self._rows: list[tuple[int, tuple[Fraction, ...]]] = []  # (lead, row)
+        self._rows: list[tuple[int, dict[int, int]]] = []  # (lead, integer row)
+        self._width = 0
         for v in vectors:
             self.add(v)
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Reduce v into the basis; True iff it extended the span."""
-        w = list(v)
+        (w,) = _integer_rows([v], "EchelonBasis.add")
+        self._width = len(v)
         for lead, row in self._rows:
-            c = w[lead]
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        w[k] -= c * x
-        lead = next((k for k, x in enumerate(w) if x), None)
-        if lead is None:
+            if lead in w:
+                w = _combine(w, row, lead)
+        if not w:
             return False
-        inv = _ONE / w[lead]
-        insort(self._rows, (lead, tuple(x * inv for x in w)))  # leads are distinct
+        insort(self._rows, (min(w), w))  # leads are distinct
         return True
 
     @property
     def basis(self) -> list[tuple[Fraction, ...]]:
-        return [row for _, row in self._rows]
+        out = []
+        for lead, row in self._rows:
+            v = [_ZERO] * self._width
+            for j, x in row.items():
+                v[j] = Fraction(x, row[lead])
+            out.append(tuple(v))
+        return out
 
     def __len__(self) -> int:
         return len(self._rows)

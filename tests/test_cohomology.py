@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedeform import cohomology
 from liedeform.catalog import h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
     Cochain,
@@ -324,6 +325,26 @@ def test_h2_cohomology_is_invariant_under_basis_change(M, q):
     assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(2, q)
 
 
+# A fixed dense basis of h_3 (entries in -1..2): all 147 structure constants
+# of the transported table are nonzero, so no d_q is sparse.
+DENSE_H3_BASIS = [
+    [1, 2, -1, 2, 1, -1, 0],
+    [1, 2, 0, 1, 2, 0, -1],
+    [-1, -1, 1, 1, 1, -1, 0],
+    [1, 1, 1, 1, 1, 2, 2],
+    [1, 1, 1, 2, 1, 1, -1],
+    [1, 2, 0, 0, 1, 2, 0],
+    [1, 1, 1, -1, 0, 2, 0],
+]
+
+
+def test_dense_h3_cohomology_matches_the_closed_form():
+    A = heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS))
+    assert all(all(vec) for vec in A.brackets.values()) and len(A.brackets) == 21
+    for q in range(4):
+        assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(3, q)
+
+
 def test_dim_h_abelian():
     A = abelian(3)
     for q in range(4):
@@ -344,6 +365,19 @@ def test_representatives_span_cohomology():
     assert len(reps) == report.dim_H == 5
     assert all(is_cocycle(h1, c) for c in reps)
     assert span_in_cohomology(h1, 2, list(reps)) == 5
+
+
+def test_representatives_build_each_differential_once(monkeypatch):
+    calls = []
+
+    def counting(algebra, q):
+        calls.append(q)
+        return differential(algebra, q)
+
+    monkeypatch.setattr(cohomology, "differential", counting)
+    report = cohomology_dim(heisenberg(3), 2, representatives=True)
+    assert len(report.representatives) == heisenberg_hp_formula(3, 2)
+    assert sorted(calls) == [1, 2]
 
 
 def test_formula_examples_and_errors():

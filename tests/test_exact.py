@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedeform.exact import (
     DegreeCapExceeded,
+    EchelonBasis,
     ExactMatrix,
     PolyScalar,
     SingularMatrixError,
@@ -258,3 +262,111 @@ def test_polynomial_entries_require_evaluation():
     m = ExactMatrix([[P, Q]])
     with pytest.raises(ValueError):
         m.rank()
+    square = ExactMatrix([[Fraction(1), P], [Q, Fraction(2)]])
+    for op, args in (
+        ("rank", ()),
+        ("nullspace", ()),
+        ("solve", ([Fraction(1), Fraction(0)],)),
+        ("inverse", ()),
+    ):
+        with pytest.raises(ValueError, match=f"^{op} requires rational entries"):
+            getattr(square, op)(*args)
+    with pytest.raises(ValueError, match="^EchelonBasis.add requires rational entries"):
+        EchelonBasis([(Fraction(1), Fraction(0)), (Fraction(0), R)])
+
+
+# -- sympy oracle for the elimination engine --------------------------------------
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 35])),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Tall, wide and 0-row shapes with mixed denominators.  Half are products
+    through a narrow inner dimension (low rank); up to two rows and two
+    columns are then zeroed."""
+    nrows = draw(st.integers(1 if square else 0, 7))
+    ncols = nrows if square else draw(st.integers(1, 7))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(nrows, ncols)))
+        left, right = block(nrows, inner), block(inner, ncols)
+        rows = [
+            [sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        rows = block(nrows, ncols)
+    for i in draw(st.sets(st.integers(0, 6), max_size=2)):
+        if i < nrows:
+            rows[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return ExactMatrix(rows, ncols=ncols)
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(
+        len(rows), ncols, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+    )
+
+
+def from_sympy(entries):
+    return tuple(Fraction(int(e.p), int(e.q)) for e in entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices())
+def test_rank_and_nullspace_match_sympy(m):
+    oracle = to_sympy(m.rows(), m.ncols)
+    assert m.rank() == oracle.rank()
+    assert m.nullspace() == [from_sympy(v) for v in oracle.nullspace()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices(), data=st.data())
+def test_solve_matches_the_sympy_rref(m, data):
+    n = m.ncols
+    if data.draw(st.booleans()):  # consistent by construction
+        b = list(m.mul_vector(data.draw(st.lists(rationals, min_size=n, max_size=n))))
+    else:
+        b = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
+    reduced, pivots = to_sympy([row + (x,) for row, x in zip(m.rows(), b)], n + 1).rref()
+    if n in pivots:
+        assert m.solve(b) is None
+    else:
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = from_sympy([reduced[r, n]])[0]
+        assert m.solve(b) == tuple(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=rational_matrices(square=True))
+def test_inverse_matches_sympy(m):
+    oracle = to_sympy(m.rows(), m.ncols)
+    if oracle.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        inv = oracle.inv()
+        assert m.inverse() == ExactMatrix([from_sympy(inv.row(i)) for i in range(m.nrows)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices())
+def test_echelon_basis_grows_exactly_with_the_sympy_rank(m):
+    rows, echelon = m.rows(), EchelonBasis()
+    for k, row in enumerate(rows):
+        grew = to_sympy(rows[: k + 1], m.ncols).rank() > to_sympy(rows[:k], m.ncols).rank()
+        assert echelon.add(row) is grew
+    basis = echelon.basis
+    assert len(basis) == len(echelon) == to_sympy(rows, m.ncols).rank()
+    assert all(next(x for x in v if x) == 1 for v in basis)

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .cohomology import (
     Cochain,
-    class_eq,
+    class_normal_forms,
     cohomology_dim,
     is_coboundary,
     is_cocycle,
-    span_in_cohomology,
 )
 from .deform import (
     Deformation,
@@ -28,7 +28,7 @@ from .deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from .exact import ExactMatrix, PolyScalar, Scalar
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar
 from .liealg import BasisChange, LieAlgebra
 
 _P = PolyScalar.variable("p")
@@ -270,10 +270,10 @@ class PaperRow:
 class IsomorphismFact:
     """A verified isomorphism between two specialized deformations at t=1."""
 
-    label_a: str
-    label_b: str
+    a: str
+    b: str
     method: str  # search class used, or "explicit_basis_change"
-    matrix_columns: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,8 @@ class ReproduceSummary:
     pairwise_class_distinct: bool
     equal_class_pairs: tuple[tuple[str, str], ...]
     distinct_classes: int
-    h2_dim: int
-    representative_span_in_h2: int
+    dim_H2: int
+    representative_span_in_H2: int
     phi8_000_equals_phi6_00: bool
     isomorphisms: tuple[IsomorphismFact, ...]
     nonisomorphic_nilpotent_generic_members: int
@@ -295,11 +295,9 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     """Recompute the full classification of infinitesimal deformations of h_2."""
     h2 = heisenberg(2)
     reps = paper_representatives()
+    cochains = [rep.cochain() for rep in reps]
     rows: list[PaperRow] = []
-    cochains: dict[str, Cochain] = {}
-    for rep in reps:
-        c = rep.cochain()
-        cochains[rep.label] = c
+    for rep, c in zip(reps, cochains):
         cocycle = is_cocycle(h2, c)
         D = Deformation(h2, {1: c})
         verdict = strict_extendability(D)
@@ -326,16 +324,12 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
             )
         )
 
-    labels = [r.label for r in reps]
-    equal_pairs = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            if class_eq(h2, cochains[labels[a]], cochains[labels[b]]):
-                equal_pairs.append((labels[a], labels[b]))
-    span = span_in_cohomology(h2, 2, [cochains[lbl] for lbl in labels])
-    distinct_classes = _iso_classes(labels, [
-        IsomorphismFact(a, b, "class_eq", ()) for a, b in equal_pairs
-    ])
+    forms = class_normal_forms(h2, 2, cochains)
+    equal_pairs = [
+        (x.label, y.label)
+        for (x, fx), (y, fy) in combinations(zip(reps, forms), 2)
+        if fx == fy
+    ]
 
     iso_facts = list(_generic_member_isomorphisms())
     nilpotent_members = [r.label for r in rows if r.nilpotent_at_t1]
@@ -347,9 +341,9 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         obstructed=sum(1 for r in rows if not r.strict_extendable),
         pairwise_class_distinct=not equal_pairs,
         equal_class_pairs=tuple(equal_pairs),
-        distinct_classes=distinct_classes,
-        h2_dim=cohomology_dim(h2, 2).dim_H,
-        representative_span_in_h2=span,
+        distinct_classes=len(set(forms)),
+        dim_H2=cohomology_dim(h2, 2).dim_H,
+        representative_span_in_H2=len(EchelonBasis(forms)),
         phi8_000_equals_phi6_00=phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0)),
         isomorphisms=tuple(iso_facts),
         nonisomorphic_nilpotent_generic_members=classes,
@@ -408,6 +402,6 @@ def _iso_classes(members: Sequence[str], facts: Sequence[IsomorphismFact]) -> in
         return x
 
     for f in facts:
-        if f.label_a in parent and f.label_b in parent:
-            parent[find(f.label_a)] = find(f.label_b)
+        if f.a in parent and f.b in parent:
+            parent[find(f.a)] = find(f.b)
     return len({find(m) for m in members})

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__, catalog
@@ -63,8 +65,14 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
 
 
+def _json_default(x):
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
 
 
 def _combo(vec, prefix: str = "e") -> str:
@@ -439,45 +447,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     rows, summary = catalog.reproduce()
-    doc = {
-        "version": __version__,
-        "rows": [
-            {
-                "label": r.label,
-                "fp2_alias": r.fp2_alias,
-                "is_cocycle": r.is_cocycle,
-                "strict_extendable": r.strict_extendable,
-                "obstructed_at": r.obstructed_at,
-                "obstruction_class_zero": r.obstruction_class_zero,
-                "nilpotent_at_t1": r.nilpotent_at_t1,
-                "solvable_at_t1": r.solvable_at_t1,
-            }
-            for r in rows
-        ],
-        "summary": {
-            "classes": summary.classes,
-            "extendable": summary.extendable,
-            "obstructed": summary.obstructed,
-            "pairwise_class_distinct": summary.pairwise_class_distinct,
-            "equal_class_pairs": [list(p) for p in summary.equal_class_pairs],
-            "distinct_classes": summary.distinct_classes,
-            "dim_H2": summary.h2_dim,
-            "representative_span_in_H2": summary.representative_span_in_h2,
-            "phi8_000_equals_phi6_00": summary.phi8_000_equals_phi6_00,
-            "nonisomorphic_nilpotent_generic_members": summary.nonisomorphic_nilpotent_generic_members,
-            "isomorphisms": [
-                {
-                    "a": f.label_a,
-                    "b": f.label_b,
-                    "method": f.method,
-                    "columns": [[str(x) for x in col] for col in f.matrix_columns],
-                }
-                for f in summary.isomorphisms
-            ],
-        },
-    }
     if args.json:
-        _emit_json(doc)
+        rows_doc = [asdict(r) for r in rows]
+        _emit_json({"version": __version__, "rows": rows_doc, "summary": asdict(summary)})
         return EXIT_OK
     print(f"{'label':12s} {'cocycle':8s} {'extendable':11s} {'nilpotent':10s} {'solvable':9s}")
     for r in rows:
@@ -497,9 +469,9 @@ def _cmd_reproduce(args) -> int:
             else ""
         )
     )
-    print(f"span of representatives in H^2: {summary.representative_span_in_h2}")
+    print(f"span of representatives in H^2: {summary.representative_span_in_H2}")
     for f in summary.isomorphisms:
-        print(f"isomorphism {f.label_a} ~ {f.label_b} via {f.method}")
+        print(f"isomorphism {f.a} ~ {f.b} via {f.method}")
     print(
         "non-isomorphic nilpotent generic members: "
         f"{summary.nonisomorphic_nilpotent_generic_members}"

@@ -334,6 +334,8 @@ def is_coboundary(algebra: LieAlgebra, c: Cochain) -> Optional[Cochain]:
         raise ValueError("coboundary test needs degree >= 1")
     if c.is_symbolic():
         raise ValueError("coboundary test requires rational entries")
+    if c.dim != algebra.dim:
+        raise ValueError("cochain dimension does not match the algebra")
     d_prev = differential(algebra, c.degree - 1)
     x = d_prev.solve(list(c.coords()))
     if x is None:
@@ -398,32 +400,34 @@ def _image_echelon(d_prev: Optional[ExactMatrix]) -> EchelonBasis:
     return EchelonBasis(d_prev.column(j) for j in range(d_prev.ncols))
 
 
+def class_normal_forms(
+    algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain]
+) -> list[tuple[Fraction, ...]]:
+    """Normal form of each cocycle's coordinates modulo the image of d_(q-1).
+
+    Two cocycles lie in the same class of H^q iff their normal forms are
+    equal, and the span of their classes in H^q is the rank of the forms.
+    """
+    for c in cocycles:
+        if c.degree != q:
+            raise ValueError(f"cohomology classes in degree {q} need {q}-cochains")
+        if c.is_symbolic():
+            raise ValueError("cohomology classes require rational cochains")
+        if not is_cocycle(algebra, c):
+            raise NotACocycleError("cohomology classes are defined on cocycles only")
+    echelon = _image_echelon(differential(algebra, q - 1) if q else None)
+    return [echelon.normal_form(c.coords()) for c in cocycles]
+
+
 def class_eq(algebra: LieAlgebra, c1: Cochain, c2: Cochain) -> bool:
     """True iff the cocycles c1 and c2 differ by a coboundary."""
-    if c1.degree != c2.degree:
-        raise ValueError("class comparison needs cocycles of equal degree")
-    if c1.is_symbolic() or c2.is_symbolic():
-        raise ValueError("class comparison on symbolic cochains is unsupported")
-    for c in (c1, c2):
-        if not is_cocycle(algebra, c):
-            raise NotACocycleError("class comparison is defined on cocycles only")
-    return is_coboundary(algebra, c1 - c2) is not None
+    a, b = class_normal_forms(algebra, c1.degree, [c1, c2])
+    return a == b
 
 
 def span_in_cohomology(algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain]) -> int:
     """Dimension of the span of the given cocycle classes inside H^q."""
-    for c in cocycles:
-        if c.degree != q:
-            raise ValueError("all cochains must have the requested degree")
-        if c.is_symbolic():
-            raise ValueError("span computation requires rational cochains")
-        if not is_cocycle(algebra, c):
-            raise NotACocycleError("span computation is defined on cocycles only")
-    echelon = _image_echelon(differential(algebra, q - 1) if q else None)
-    image_rank = len(echelon)
-    for c in cocycles:
-        echelon.add(c.coords())
-    return len(echelon) - image_rank
+    return len(EchelonBasis(class_normal_forms(algebra, q, cocycles)))
 
 
 def _comb(a: int, b: int) -> int:

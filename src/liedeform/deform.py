@@ -358,6 +358,8 @@ def search_isomorphism(
         raise ValueError(f"unknown search class {search_class!r}")
     n = A.dim
     scales = tuple(Fraction(c) for c in bound)
+    if not scales:
+        raise ValueError("bound needs at least one coefficient")
     if any(not c for c in scales):
         raise ValueError("bound coefficients must be nonzero")
 

@@ -566,7 +566,8 @@ class EchelonBasis:
     add(v) reduces v at each kept row's leading index, in increasing order;
     when a nonzero remainder is left, it is kept, and the rows stay sorted
     by leading index.  basis normalizes each leading entry to 1.  The result
-    depends only on the order in which vectors are added.
+    depends only on the order in which vectors are added.  normal_form(v) is
+    that remainder, unscaled: u and v share it iff u - v lies in the span.
     """
 
     __slots__ = ("_rows", "_width")
@@ -577,17 +578,30 @@ class EchelonBasis:
         for v in vectors:
             self.add(v)
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Reduce v into the basis; True iff it extended the span."""
-        (w,) = _integer_rows([v], "EchelonBasis.add")
-        self._width = len(v)
+    def _reduce(self, v: Sequence[Scalar], op: str) -> dict[int, int]:
+        """The integer row of v, reduced at every kept lead (up to scale)."""
+        (w,) = _integer_rows([v], op)
         for lead, row in self._rows:
             if lead in w:
                 w = _combine(w, row, lead)
+        return w
+
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Reduce v into the basis; True iff it extended the span."""
+        w = self._reduce(v, "EchelonBasis.add")
+        self._width = len(v)
         if not w:
             return False
         insort(self._rows, (min(w), w))  # leads are distinct
         return True
+
+    def normal_form(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """v reduced at every kept lead; unique, as the rows are in echelon form."""
+        n = len(v)
+        # The row operations scale v; a unit entry past the kept columns tracks it.
+        w = self._reduce((*v, 1), "EchelonBasis.normal_form")
+        scale = w.pop(n)
+        return tuple(Fraction(w.get(j, 0), scale) for j in range(n))
 
     @property
     def basis(self) -> list[tuple[Fraction, ...]]:

@@ -206,6 +206,12 @@ def test_cli_check_coboundary(h1_file, tmp_path, capsys):
     assert main(["check-coboundary", h1_file, zero]) == 0
 
 
+def test_cli_check_coboundary_of_another_dimension(h2_file, tmp_path, capsys):
+    c = write(tmp_path, "c.json", cochain_to_dict(catalog.h1_cocycles()[0]))
+    assert main(["check-coboundary", h2_file, c]) == 2
+    assert "input error: cochain dimension does not match the algebra" in capsys.readouterr().err
+
+
 def test_cli_class_eq(h2_file, h1_file, tmp_path, capsys):
     a = write(tmp_path, "a.json", cochain_to_dict(catalog.phi("phi8", (0, 0, 0))))
     b = write(tmp_path, "b.json", cochain_to_dict(catalog.phi("phi6", (0, 0))))
@@ -373,6 +379,16 @@ def test_cli_iso_search(tmp_path, capsys):
     assert "none" in capsys.readouterr().out
 
 
+def test_cli_iso_search_rejects_an_empty_bound(tmp_path, capsys):
+    # The identity maps d5(0:0) to itself, so "none" would be false.
+    a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
+    for bound in ("", ","):
+        assert main(["iso", "search", a, a, "--class", "monomial", "--bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert "none" not in captured.out
+        assert "bound needs at least one coefficient" in captured.err
+
+
 # -- catalog and reproduce -----------------------------------------------------------
 
 
@@ -428,6 +444,27 @@ def test_cli_reproduce_json_deterministic(capsys):
     by_label = {r["label"]: r for r in doc["rows"]}
     assert by_label["d3"]["strict_extendable"] is True
     assert by_label["d8(0:0:1)"]["strict_extendable"] is False
+
+
+def test_cli_reproduce_json_schema(capsys):
+    assert main(["reproduce", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"version", "rows", "summary"}
+    for row in doc["rows"]:
+        assert set(row) == {
+            "label", "fp2_alias", "is_cocycle", "strict_extendable", "obstructed_at",
+            "obstruction_class_zero", "nilpotent_at_t1", "solvable_at_t1",
+        }
+    summary = doc["summary"]
+    assert set(summary) == {
+        "classes", "extendable", "obstructed", "pairwise_class_distinct",
+        "equal_class_pairs", "distinct_classes", "dim_H2", "representative_span_in_H2",
+        "phi8_000_equals_phi6_00", "isomorphisms", "nonisomorphic_nilpotent_generic_members",
+    }
+    assert summary["isomorphisms"]
+    for fact in summary["isomorphisms"]:
+        assert set(fact) == {"a", "b", "method", "columns"}
+        assert all(isinstance(x, str) for col in fact["columns"] for x in col)
 
 
 def test_module_entry_point(tmp_path):

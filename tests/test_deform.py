@@ -338,6 +338,13 @@ def test_search_validates_inputs():
         search_isomorphism(h2, heisenberg(1), "monomial")
 
 
+def test_search_rejects_an_empty_bound():
+    # With no scales there are no candidates, and "none" would be a false negative.
+    A = specialize(single(phi("phi5", (0, 0))), 1)
+    with pytest.raises(ValueError, match="bound needs at least one coefficient"):
+        search_isomorphism(A, A, "monomial", bound=())
+
+
 def test_successful_search_implies_matching_invariants():
     A = specialize(single(phi("phi4", (0, 0))), 1)
     B = specialize(single(phi("phi7", (0, 0, 0))), 1)

@@ -273,6 +273,8 @@ def test_polynomial_entries_require_evaluation():
             getattr(square, op)(*args)
     with pytest.raises(ValueError, match="^EchelonBasis.add requires rational entries"):
         EchelonBasis([(Fraction(1), Fraction(0)), (Fraction(0), R)])
+    with pytest.raises(ValueError, match="^EchelonBasis.normal_form requires rational entries"):
+        EchelonBasis([(Fraction(1), Fraction(0))]).normal_form((Fraction(0), R))
 
 
 # -- sympy oracle for the elimination engine --------------------------------------
@@ -370,3 +372,28 @@ def test_echelon_basis_grows_exactly_with_the_sympy_rank(m):
     basis = echelon.basis
     assert len(basis) == len(echelon) == to_sympy(rows, m.ncols).rank()
     assert all(next(x for x in v if x) == 1 for v in basis)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices(), data=st.data())
+def test_normal_forms_are_equal_exactly_modulo_the_sympy_span(m, data):
+    rows, n = m.rows(), m.ncols
+    vector = st.lists(rationals, min_size=n, max_size=n)
+    u = data.draw(vector)
+    if data.draw(st.booleans()):  # v = u + an element of the span
+        coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        v = [
+            x + sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+            for j, x in enumerate(u)
+        ]
+    else:
+        v = data.draw(vector)
+    echelon = EchelonBasis(rows)
+    rank = to_sympy(rows, n).rank()
+
+    def in_span(w):
+        return to_sympy([*rows, w], n).rank() == rank
+
+    form = echelon.normal_form(u)
+    assert (form == echelon.normal_form(v)) is in_span([a - b for a, b in zip(u, v)])
+    assert in_span([a - b for a, b in zip(u, form)])

@@ -34,7 +34,7 @@ from .deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from .exact import PolyScalar, SingularMatrixError, format_scalar, parse_rational
+from .exact import PolyScalar, format_scalar, parse_rational
 from .jsonio import (
     SchemaError,
     algebra_from_dict,
@@ -63,6 +63,14 @@ def _load_json(path: str):
         raise SchemaError(path, f"cannot read file ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+
+
+def _option_rational(text: str, option: str) -> Fraction:
+    """A rational given on the command line; a bad one is located at its option."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(option, f"not a rational number: {text.strip()!r}") from None
 
 
 def _json_default(x):
@@ -198,9 +206,6 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     A = algebra_from_dict(_load_json(args.algebra))
-    if not (0 <= args.degree <= A.dim):
-        print(f"degree {args.degree} out of range 0..{A.dim}", file=sys.stderr)
-        return EXIT_INPUT
     report = cohomology_dim(A, args.degree, representatives=args.representatives)
     if args.json:
         _emit_json(cohomology_report_to_dict(report))
@@ -275,8 +280,7 @@ def _cmd_span(args) -> int:
     cochains = [cochain_from_dict(_load_json(p)) for p in args.cochains]
     degrees = {c.degree for c in cochains}
     if len(degrees) != 1:
-        print("all cochains must share one degree", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("all cochains must share one degree")
     q = degrees.pop()
     dim = span_in_cohomology(A, q, cochains)
     if args.json:
@@ -290,8 +294,7 @@ def _cmd_deform(args) -> int:
     A = algebra_from_dict(_load_json(args.algebra))
     mu1 = cochain_from_dict(_load_json(args.cochain))
     if mu1.degree != 2:
-        print("the infinitesimal term must be a 2-cochain", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("the infinitesimal term must be a 2-cochain")
     constraints = cocycle_constraints(A, mu1)
     if constraints:
         if args.json:
@@ -357,7 +360,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_specialize(args) -> int:
     D = deformation_from_dict(_load_json(args.deformation))
-    t = parse_rational(args.t)
+    t = _option_rational(args.t, "--t")
     try:
         member = specialize(D, t)
     except ValueError as exc:
@@ -374,19 +377,14 @@ def _cmd_iso(args) -> int:
     A = algebra_from_dict(_load_json(args.algebra_a))
     B = algebra_from_dict(_load_json(args.algebra_b))
     if args.iso_command == "verify":
-        m = matrix_from_dict(_load_json(args.map))
-        try:
-            T = BasisChange(m)
-        except SingularMatrixError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_INPUT
+        T = BasisChange(matrix_from_dict(_load_json(args.map)))
         ok = verify_isomorphism(A, B, T)
         if args.json:
             _emit_json({"isomorphic_via_map": ok})
         else:
             print("true" if ok else "false")
         return EXIT_OK if ok else EXIT_NEGATIVE
-    bound = [parse_rational(x) for x in args.bound.split(",") if x.strip()]
+    bound = [_option_rational(x, "--bound") for x in args.bound.split(",") if x.strip()]
     T = search_isomorphism(A, B, args.search_class, bound)
     if T is None:
         if args.json:
@@ -406,14 +404,14 @@ def _catalog_object(args):
     if name in catalog.FAMILIES:
         params = None
         if args.params:
-            params = [parse_rational(x) for x in args.params.split(",") if x.strip()]
+            params = [_option_rational(x, "--params") for x in args.params.split(",") if x.strip()]
         c = catalog.phi(name, params, symbolic=args.symbolic)
         if args.deformed:
             if c.is_symbolic():
                 raise SchemaError(name, "cannot specialize a symbolic cochain")
             base = catalog.heisenberg(2) if not name.startswith("h1_") else catalog.heisenberg(1)
             D = Deformation(base, {1: c})
-            return algebra_to_dict(specialize(D, parse_rational(args.t)))
+            return algebra_to_dict(specialize(D, _option_rational(args.t, "--t")))
         return cochain_to_dict(c)
     if name == "representatives":
         return {

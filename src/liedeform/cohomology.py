@@ -284,26 +284,39 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     return Cochain(q + 1, n, out)
 
 
-def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
-    """Matrix of d_q : C^q -> C^(q+1) in CochainBasis coordinates.
+def _columns(algebra: LieAlgebra, q: int):
+    """The columns of d_q in order, each as {row: coefficient} (cancelled terms read 0).
 
-    Column (key, m) is the image of e^key (x) e_m, assembled from the
-    nonzero structure constants only; the same basis images serve
-    apply_differential.
+    Column (key, m) is the image of e^key (x) e_m; row (tau, k) of C^(q+1)
+    has index (position of tau) * n + k.
     """
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
     brackets = _sparse_brackets(algebra)
     first_row = {tau: t * n for t, tau in enumerate(_tuples(n, q + 1))}
-    ncols = len(_tuples(n, q)) * n
-    rows = [[_ZERO] * ncols for _ in range(len(first_row) * n)]
-    for t, key in enumerate(_tuples(n, q)):
+    for key in _tuples(n, q):
         for m in range(n):
-            col = t * n + m
+            col: dict[int, Fraction] = {}
             for tau, k, coeff in _basis_image(brackets, key, m):
-                rows[first_row[tau] + k][col] += coeff
-    return ExactMatrix(rows, ncols=ncols)
+                r = first_row[tau] + k
+                col[r] = col[r] + coeff if r in col else coeff
+            yield col
+
+
+def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
+    """Sparse matrix of d_q : C^q -> C^(q+1) in CochainBasis coordinates.
+
+    Each basis image from _basis_image is added straight into the {column:
+    value} rows, so no zero entry is built; the same basis images serve
+    apply_differential and the image echelon of class questions.
+    """
+    n = algebra.dim
+    rows: list[dict[int, Fraction]] = [{} for _ in range(len(_tuples(n, q + 1)) * n)]
+    for j, col in enumerate(_columns(algebra, q)):
+        for r, x in col.items():
+            rows[r][j] = x
+    return ExactMatrix.from_sparse_rows(rows, len(_tuples(n, q)) * n)
 
 
 def is_cocycle(algebra: LieAlgebra, c: Cochain) -> bool:
@@ -375,12 +388,11 @@ def cohomology_dim(
         raise ValueError(f"degree {q} out of range 0..{n}")
     d_q = differential(algebra, q)
     rank_d = d_q.rank()
-    d_prev = differential(algebra, q - 1) if q else None
-    rank_prev = d_prev.rank() if q else 0
+    rank_prev = differential(algebra, q - 1).rank() if q else 0
     reps: Optional[tuple[Cochain, ...]] = None
     if representatives:
         # Kernel vectors independent modulo the previous image, in nullspace order.
-        echelon = _image_echelon(d_prev)
+        echelon = _image_echelon(algebra, q)
         reps = tuple(
             Cochain.from_coords(q, n, v) for v in d_q.nullspace() if echelon.add(v)
         )
@@ -393,11 +405,16 @@ def cohomology_dim(
     )
 
 
-def _image_echelon(d_prev: Optional[ExactMatrix]) -> EchelonBasis:
-    """Echelon basis of the image of d_(q-1) inside C^q (empty for q = 0)."""
-    if d_prev is None:
+def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
+    """Echelon basis of the image of d_(q-1) inside C^q (empty for q = 0).
+
+    Its vectors are the columns of d_(q-1), read sparse from _columns.
+    """
+    if not q:
         return EchelonBasis()
-    return EchelonBasis(d_prev.column(j) for j in range(d_prev.ncols))
+    return EchelonBasis.from_sparse_rows(
+        _columns(algebra, q - 1), CochainBasis(algebra.dim, q).size
+    )
 
 
 def class_normal_forms(
@@ -415,7 +432,7 @@ def class_normal_forms(
             raise ValueError("cohomology classes require rational cochains")
         if not is_cocycle(algebra, c):
             raise NotACocycleError("cohomology classes are defined on cocycles only")
-    echelon = _image_echelon(differential(algebra, q - 1) if q else None)
+    echelon = _image_echelon(algebra, q)
     return [echelon.normal_form(c.coords()) for c in cocycles]
 
 

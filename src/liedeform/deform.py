@@ -329,11 +329,11 @@ def _sparse_iso_check(
 
 
 def _columns_to_matrix(n: int, cols: Sequence[Sequence[tuple[int, Fraction]]]) -> ExactMatrix:
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for j, col in enumerate(cols):
         for i, v in col:
             rows[i][j] = v
-    return ExactMatrix(rows)
+    return ExactMatrix.from_sparse_rows(rows, n)
 
 
 SEARCH_CLASSES = ("diagonal_signs", "monomial", "monomial_plus_one_transvection")

@@ -262,22 +262,6 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
-def is_rational_multiple(poly: PolyScalar, generator: PolyScalar) -> bool:
-    """True iff poly = c * generator for some rational c (zero counts)."""
-    if poly.is_zero:
-        return True
-    if generator.is_zero:
-        return False
-    pt = poly.terms
-    gt = generator.terms
-    if len(pt) != len(gt):
-        return False
-    ratio = pt[0][1] / gt[0][1] if pt[0][0] == gt[0][0] else None
-    if ratio is None:
-        return False
-    return all(pe == ge and pc == ratio * gc for (pe, pc), (ge, gc) in zip(pt, gt))
-
-
 # ---------------------------------------------------------------------------
 # Vectors: plain tuples of scalars.
 # ---------------------------------------------------------------------------
@@ -304,7 +288,7 @@ def vec_is_zero(u: Sequence[Scalar]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices.
+# Sparse exact matrices: each row a {column: value} dict of its nonzeros.
 # ---------------------------------------------------------------------------
 
 
@@ -316,55 +300,84 @@ def _coerce_entry(x) -> Scalar:
     raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
 
 
-class ExactMatrix:
-    """Immutable dense matrix of exact scalars.
+def _nonzeros(v: Sequence[Scalar]) -> dict[int, Scalar]:
+    return {j: x for j, x in enumerate(v) if x}
 
-    Rational entries support the full linear-algebra surface; matrices with
-    polynomial entries may be stored and printed but must be evaluated to
-    rationals before rank/nullspace/solve.
+
+def _dense(row: Mapping[int, Scalar], n: int) -> tuple[Scalar, ...]:
+    out = [_ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+class ExactMatrix:
+    """Immutable sparse matrix of exact scalars.
+
+    Each row is stored as a {column: value} dict of its nonzero entries, so
+    products, comparisons and elimination touch nonzeros only; row, rows,
+    column and entry read dense values.  ExactMatrix(rows) takes dense rows,
+    from_sparse_rows takes {column: value} rows, and both coerce into the
+    same storage.  Polynomial entries may be stored and printed but must be
+    evaluated to rationals before rank, nullspace, solve and inverse.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None):
-        rows = [tuple(_coerce_entry(x) for x in row) for row in rows]
-        if rows:
-            ncols_found = len(rows[0])
-            if any(len(r) != ncols_found for r in rows):
-                raise ValueError("ragged rows in matrix")
-            if ncols is not None and ncols != ncols_found:
-                raise ValueError("ncols does not match row length")
-            ncols = ncols_found
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self._rows = tuple(rows)
-        self.nrows = len(rows)
+        rows = [tuple(row) for row in rows]
+        if ncols is None:
+            if not rows:
+                raise ValueError("empty matrix needs an explicit column count")
+            ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise ValueError(f"every row needs {ncols} entries")
+        self._store((dict(enumerate(row)) for row in rows), ncols)
+
+    @classmethod
+    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Scalar]], ncols: int) -> "ExactMatrix":
+        """The matrix whose row i has the entries {column: value} of rows[i]."""
+        m = cls.__new__(cls)
+        m._store(rows, ncols)
+        return m
+
+    def _store(self, rows: Iterable[Mapping[int, Scalar]], ncols: int) -> None:
+        stored = []
+        for row in rows:
+            entries = {}
+            for j, x in row.items():
+                if not 0 <= j < ncols:
+                    raise ValueError(f"column {j} out of range 0..{ncols - 1}")
+                x = _coerce_entry(x)
+                if x:
+                    entries[j] = x
+            stored.append(entries)
+        self._rows = tuple(stored)
+        self.nrows = len(stored)
         self.ncols = ncols
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([vec_zero(ncols) for _ in range(nrows)], ncols=ncols)
+        return cls.from_sparse_rows(({} for _ in range(nrows)), ncols)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)]
-        )
+        return cls.from_sparse_rows(({i: _ONE} for i in range(n)), n)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._rows[i]
+        return _dense(self._rows[i], self.ncols)
 
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._rows
+        return tuple(_dense(r, self.ncols) for r in self._rows)
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._rows[i][j]
+        return self._rows[i].get(j, _ZERO)
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r.get(j, _ZERO) for r in self._rows)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self._rows)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -376,7 +389,7 @@ class ExactMatrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self._rows))
+        return hash((self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -385,17 +398,14 @@ class ExactMatrix:
                     f"shape mismatch: {self.nrows}x{self.ncols} * "
                     f"{other.nrows}x{other.ncols}"
                 )
-            out = [[_ZERO] * other.ncols for _ in range(self.nrows)]
-            for i, row in enumerate(self._rows):
-                acc = out[i]
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    brow = other._rows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            return ExactMatrix(out, ncols=other.ncols)
+            out = []
+            for row in self._rows:
+                acc: dict[int, Scalar] = {}
+                for k, a in row.items():
+                    for j, b in other._rows[k].items():
+                        acc[j] = acc.get(j, _ZERO) + a * b
+                out.append(acc)
+            return ExactMatrix.from_sparse_rows(out, other.ncols)
         return NotImplemented
 
     def mul_vector(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -404,8 +414,9 @@ class ExactMatrix:
         out = []
         for row in self._rows:
             acc: Scalar = _ZERO
-            for a, b in zip(row, v):
-                if a and b:
+            for j, a in row.items():
+                b = v[j]
+                if b:
                     acc = acc + a * b
             out.append(acc)
         return tuple(out)
@@ -437,7 +448,7 @@ class ExactMatrix:
         n = self.ncols
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
-        augmented = (row + (Fraction(x),) for row, x in zip(self._rows, b))
+        augmented = ({**row, n: Fraction(x)} for row, x in zip(self._rows, b))
         pivots = _echelon(_integer_rows(augmented, "solve"), n + 1)
         if n in pivots:
             return None
@@ -451,25 +462,20 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.nrows
-        augmented = (
-            row + tuple(_ONE if i == j else _ZERO for j in range(n))
-            for i, row in enumerate(self._rows)
-        )
+        augmented = ({**row, n + i: _ONE} for i, row in enumerate(self._rows))
         pivots = _echelon(_integer_rows(augmented, "inverse"), 2 * n)
         if any(c >= n for c in pivots):
             raise SingularMatrixError("matrix is singular")
         _back_substitute(pivots)
-        return ExactMatrix(
-            [
-                tuple(Fraction(row.get(j, 0), row[c]) for j in range(n, 2 * n))
-                for c, row in pivots.items()
-            ],
-            ncols=n,
+        rows = (
+            {j - n: Fraction(x, row[c]) for j, x in row.items() if j >= n}
+            for c, row in pivots.items()
         )
+        return ExactMatrix.from_sparse_rows(rows, n)
 
     def __str__(self) -> str:
         return "\n".join(
-            "[" + "  ".join(format_scalar(x) for x in row) + "]" for row in self._rows
+            "[" + "  ".join(format_scalar(x) for x in row) + "]" for row in self.rows()
         )
 
     def __repr__(self) -> str:
@@ -481,20 +487,19 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(rows: Iterable[Sequence[Scalar]], op: str) -> list[dict[int, int]]:
-    """The nonzero entries of each row, scaled by the lcm of its denominators."""
+def _integer_rows(rows: Iterable[Mapping[int, Scalar]], op: str) -> list[dict[int, int]]:
+    """The nonzero entries of each {column: value} row, scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        nz = {j: x for j, x in enumerate(row) if x}
-        if any(isinstance(x, PolyScalar) for x in nz.values()):
+        if any(isinstance(x, PolyScalar) for x in row.values()):
             raise ValueError(
                 f"{op} requires rational entries; evaluate polynomial entries first"
             )
-        den = lcm(*(x.denominator for x in nz.values()))
+        den = lcm(*(x.denominator for x in row.values()))
         if den == 1:
-            out.append({j: x.numerator for j, x in nz.items()})
+            out.append({j: x.numerator for j, x in row.items() if x})
         else:
-            out.append({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+            out.append({j: x.numerator * (den // x.denominator) for j, x in row.items() if x})
     return out
 
 
@@ -568,6 +573,8 @@ class EchelonBasis:
     by leading index.  basis normalizes each leading entry to 1.  The result
     depends only on the order in which vectors are added.  normal_form(v) is
     that remainder, unscaled: u and v share it iff u - v lies in the span.
+    from_sparse_rows adds vectors given as {index: value} dicts of their
+    nonzeros, through the same reduction.
     """
 
     __slots__ = ("_rows", "_width")
@@ -578,40 +585,49 @@ class EchelonBasis:
         for v in vectors:
             self.add(v)
 
-    def _reduce(self, v: Sequence[Scalar], op: str) -> dict[int, int]:
-        """The integer row of v, reduced at every kept lead (up to scale)."""
-        (w,) = _integer_rows([v], op)
-        for lead, row in self._rows:
+    @classmethod
+    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Fraction]], width: int) -> "EchelonBasis":
+        """The echelon basis of vectors of length width, added in order; zeros are skipped."""
+        echelon = cls()
+        echelon._width = width
+        for row in rows:
+            echelon._add(row, "EchelonBasis.from_sparse_rows")
+        return echelon
+
+    def _reduce(self, row: Mapping[int, Scalar], op: str) -> dict[int, int]:
+        """The integer row of a sparse vector, reduced at every kept lead (up to scale)."""
+        (w,) = _integer_rows([row], op)
+        for lead, prow in self._rows:
             if lead in w:
-                w = _combine(w, row, lead)
+                w = _combine(w, prow, lead)
         return w
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Reduce v into the basis; True iff it extended the span."""
-        w = self._reduce(v, "EchelonBasis.add")
-        self._width = len(v)
+    def _add(self, row: Mapping[int, Scalar], op: str) -> bool:
+        w = self._reduce(row, op)
         if not w:
             return False
         insort(self._rows, (min(w), w))  # leads are distinct
         return True
 
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Reduce v into the basis; True iff it extended the span."""
+        self._width = len(v)
+        return self._add(_nonzeros(v), "EchelonBasis.add")
+
     def normal_form(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """v reduced at every kept lead; unique, as the rows are in echelon form."""
         n = len(v)
         # The row operations scale v; a unit entry past the kept columns tracks it.
-        w = self._reduce((*v, 1), "EchelonBasis.normal_form")
+        w = self._reduce({**_nonzeros(v), n: _ONE}, "EchelonBasis.normal_form")
         scale = w.pop(n)
         return tuple(Fraction(w.get(j, 0), scale) for j in range(n))
 
     @property
     def basis(self) -> list[tuple[Fraction, ...]]:
-        out = []
-        for lead, row in self._rows:
-            v = [_ZERO] * self._width
-            for j, x in row.items():
-                v[j] = Fraction(x, row[lead])
-            out.append(tuple(v))
-        return out
+        return [
+            _dense({j: Fraction(x, row[lead]) for j, x in row.items()}, self._width)
+            for lead, row in self._rows
+        ]
 
     def __len__(self) -> int:
         return len(self._rows)

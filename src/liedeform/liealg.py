@@ -19,7 +19,6 @@ from .exact import (
     SingularMatrixError,
     vec_add,
     vec_is_zero,
-    vec_sub,
     vec_zero,
 )
 
@@ -257,38 +256,3 @@ class BasisChange:
 
 def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if k == i else _ZERO for k in range(n))
-
-
-def heisenberg_matrix_rep(n: int) -> list[ExactMatrix]:
-    """The 2n+1 strictly upper-triangular (n+2)x(n+2) matrices for h_n.
-
-    e_i (i <= n) has its single 1 at row 1, column i+1; e_{n+i} at row i+1,
-    last column; e_{2n+1} in the top-right corner (1-based positions).
-    """
-    if n < 1:
-        raise ValueError("heisenberg rank must be at least 1")
-    size = n + 2
-    mats = []
-
-    def unit_matrix(r: int, c: int) -> ExactMatrix:
-        return ExactMatrix(
-            [
-                tuple(_ONE if (a, b) == (r, c) else _ZERO for b in range(size))
-                for a in range(size)
-            ]
-        )
-
-    for i in range(1, n + 1):
-        mats.append(unit_matrix(0, i))
-    for i in range(1, n + 1):
-        mats.append(unit_matrix(i, size - 1))
-    mats.append(unit_matrix(0, size - 1))
-    return mats
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    ab = a * b
-    ba = b * a
-    return ExactMatrix(
-        [vec_sub(ab.row(i), ba.row(i)) for i in range(ab.nrows)], ncols=ab.ncols
-    )

@@ -171,6 +171,26 @@ def test_cli_cohomology_out_of_range(h2_file, capsys):
     assert main(["cohomology", h2_file, "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", "{h2}", "9"], "degree 9 out of range 0..5"),
+        (["span", "{h2}", "{c1}", "{c2}"], "all cochains must share one degree"),
+        (["deform", "{h2}", "{c1}"], "the infinitesimal term must be a 2-cochain"),
+    ],
+)
+def test_cli_input_errors_share_the_prefixed_message(tmp_path, h2_file, capsys, argv, message):
+    files = {
+        "h2": h2_file,
+        "c1": write(tmp_path, "c1.json", cochain_to_dict(Cochain.zero(1, 5))),
+        "c2": phi_file(tmp_path, "phi3"),
+    }
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_cli_cohomology_representatives_json(h1_file, capsys):
     assert main(["cohomology", h1_file, "2", "--representatives", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -387,6 +407,35 @@ def test_cli_iso_search_rejects_an_empty_bound(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "none" not in captured.out
         assert "bound needs at least one coefficient" in captured.err
+
+
+def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
+    a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
+    singular = write(tmp_path, "sing.json", matrix_to_dict(ExactMatrix.zeros(5, 5)))
+    assert main(["iso", "verify", a, a, "--map", singular]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: basis change must be invertible\n"
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--bound", ["iso", "search", "{h2}", "{h2}", "--class", "monomial", "--bound", "1/0"]),
+        ("--bound", ["iso", "search", "{h2}", "{h2}", "--class", "monomial", "--bound", "1,x"]),
+        ("--params", ["catalog", "emit", "phi4", "--params", "1,x"]),
+        ("--params", ["catalog", "emit", "phi4", "--params", "1/0,0"]),
+        ("--t", ["catalog", "emit", "phi6", "--params", "0,0", "--deformed", "--t", "1/0"]),
+        ("--t", ["specialize", "{deformation}", "--t", "x"]),
+    ],
+)
+def test_cli_bad_option_rationals_name_the_option(tmp_path, h2_file, capsys, option, argv):
+    D = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi6", (0, 0))})
+    files = {"h2": h2_file, "deformation": write(tmp_path, "d.json", deformation_to_dict(D))}
+    assert main([arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {option}: not a rational number: ")
 
 
 # -- catalog and reproduce -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for exact scalars and dense exact linear algebra."""
+"""Tests for exact scalars and sparse exact linear algebra."""
 
 import random
 from fractions import Fraction
@@ -15,7 +15,6 @@ from liedeform.exact import (
     PolyScalar,
     SingularMatrixError,
     format_scalar,
-    is_rational_multiple,
     parse_rational,
     parse_scalar,
 )
@@ -160,6 +159,19 @@ def test_poly_evaluation_homomorphism_randomized():
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
         assert (a - b).evaluate(point) == a.evaluate(point) - b.evaluate(point)
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+
+
+def is_rational_multiple(poly, generator):
+    """True iff poly = c * generator for some rational c (zero counts)."""
+    if poly.is_zero:
+        return True
+    if generator.is_zero:
+        return False
+    pt, gt = poly.terms, generator.terms
+    if len(pt) != len(gt) or pt[0][0] != gt[0][0]:
+        return False
+    ratio = pt[0][1] / gt[0][1]
+    return all(pe == ge and pc == ratio * gc for (pe, pc), (ge, gc) in zip(pt, gt))
 
 
 def test_is_rational_multiple():
@@ -324,12 +336,25 @@ def from_sympy(entries):
     return tuple(Fraction(int(e.p), int(e.q)) for e in entries)
 
 
+def sparse_twin(m):
+    """m rebuilt from its sparse rows, keys in reverse order; checked equal to m."""
+    twin = ExactMatrix.from_sparse_rows(
+        [{j: x for j, x in reversed(list(enumerate(row))) if x} for row in m.rows()], m.ncols
+    )
+    assert twin == m and hash(twin) == hash(m)
+    assert ExactMatrix(twin.rows(), ncols=twin.ncols) == m
+    transpose = ExactMatrix([twin.column(j) for j in range(twin.ncols)], ncols=twin.nrows)
+    assert [transpose.column(i) for i in range(transpose.ncols)] == list(m.rows())
+    return twin
+
+
 @settings(max_examples=50, deadline=None)
 @given(m=rational_matrices())
 def test_rank_and_nullspace_match_sympy(m):
     oracle = to_sympy(m.rows(), m.ncols)
-    assert m.rank() == oracle.rank()
-    assert m.nullspace() == [from_sympy(v) for v in oracle.nullspace()]
+    twin = sparse_twin(m)
+    assert m.rank() == twin.rank() == oracle.rank()
+    assert m.nullspace() == twin.nullspace() == [from_sympy(v) for v in oracle.nullspace()]
 
 
 @settings(max_examples=50, deadline=None)
@@ -341,25 +366,31 @@ def test_solve_matches_the_sympy_rref(m, data):
     else:
         b = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
     reduced, pivots = to_sympy([row + (x,) for row, x in zip(m.rows(), b)], n + 1).rref()
+    twin = sparse_twin(m)
     if n in pivots:
         assert m.solve(b) is None
+        assert twin.solve(b) is None
     else:
         x = [Fraction(0)] * n
         for r, c in enumerate(pivots):
             x[c] = from_sympy([reduced[r, n]])[0]
-        assert m.solve(b) == tuple(x)
+        assert m.solve(b) == twin.solve(b) == tuple(x)
 
 
 @settings(max_examples=40, deadline=None)
 @given(m=rational_matrices(square=True))
 def test_inverse_matches_sympy(m):
     oracle = to_sympy(m.rows(), m.ncols)
+    twin = sparse_twin(m)
     if oracle.det() == 0:
         with pytest.raises(SingularMatrixError):
             m.inverse()
+        with pytest.raises(SingularMatrixError):
+            twin.inverse()
     else:
         inv = oracle.inv()
-        assert m.inverse() == ExactMatrix([from_sympy(inv.row(i)) for i in range(m.nrows)])
+        expected = ExactMatrix([from_sympy(inv.row(i)) for i in range(m.nrows)])
+        assert m.inverse() == twin.inverse() == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,13 +8,7 @@ import pytest
 from liedeform.catalog import heisenberg, phi
 from liedeform.deform import Deformation, specialize
 from liedeform.exact import ExactMatrix, SingularMatrixError
-from liedeform.liealg import (
-    BasisChange,
-    JacobiError,
-    LieAlgebra,
-    commutator,
-    heisenberg_matrix_rep,
-)
+from liedeform.liealg import BasisChange, JacobiError, LieAlgebra
 
 
 def abelian(n):
@@ -179,6 +173,33 @@ def test_change_basis_singular_rejected():
 
 
 # -- matrix representation --------------------------------------------------------
+
+
+def heisenberg_matrix_rep(n):
+    """The 2n+1 strictly upper-triangular (n+2)x(n+2) matrices for h_n.
+
+    e_i (i <= n) has its single 1 at row 1, column i+1; e_{n+i} at row i+1,
+    last column; e_{2n+1} in the top-right corner (1-based positions).
+    """
+    if n < 1:
+        raise ValueError("heisenberg rank must be at least 1")
+    size = n + 2
+
+    def unit_matrix(r, c):
+        return ExactMatrix.from_sparse_rows([{c: 1} if a == r else {} for a in range(size)], size)
+
+    return (
+        [unit_matrix(0, i) for i in range(1, n + 1)]
+        + [unit_matrix(i, size - 1) for i in range(1, n + 1)]
+        + [unit_matrix(0, size - 1)]
+    )
+
+
+def commutator(a, b):
+    ab, ba = a * b, b * a
+    return ExactMatrix(
+        [[x - y for x, y in zip(ab.row(i), ba.row(i))] for i in range(ab.nrows)], ncols=ab.ncols
+    )
 
 
 def test_matrix_rep_h1_commutator():

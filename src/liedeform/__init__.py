@@ -32,7 +32,6 @@ from .deform import (
     defect,
     defect_report,
     extend_step,
-    infinitesimal_class,
     search_isomorphism,
     specialize,
     strict_extendability,
@@ -69,7 +68,6 @@ __all__ = [
     "differential",
     "extend_step",
     "heisenberg_hp_formula",
-    "infinitesimal_class",
     "is_coboundary",
     "is_cocycle",
     "parse_scalar",

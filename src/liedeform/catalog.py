@@ -86,11 +86,10 @@ def h1_cocycles() -> list[Cochain]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named cochain family with its parameter count and cocycle constraint."""
+    """A named cochain family with its parameter count and optional alias."""
 
     name: str
     arity: int
-    constraint: Optional[PolyScalar] = None  # generator of the cocycle condition
     fp2_alias: Optional[str] = None
 
 
@@ -102,7 +101,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "phi5": FamilySpec("phi5", 2, fp2_alias="d14(p:q)"),
     "phi6": FamilySpec("phi6", 2, fp2_alias="d15(p:q)"),
     "phi7": FamilySpec("phi7", 3, fp2_alias="d12(p:q:r)"),
-    "phi8": FamilySpec("phi8", 3, constraint=_P * (_Q - _R), fp2_alias="d5(p:q:r)"),
+    "phi8": FamilySpec("phi8", 3, fp2_alias="d5(p:q:r)"),
     "h1_phi1": FamilySpec("h1_phi1", 0),
     "h1_phi2": FamilySpec("h1_phi2", 0),
     "h1_phi3": FamilySpec("h1_phi3", 0),

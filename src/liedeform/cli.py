@@ -568,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--class", dest="search_class", required=True,
                     choices=["diagonal_signs", "monomial", "monomial_plus_one_transvection"])
     ps.add_argument("--bound", default="1,-1",
-                    help="comma-separated nonzero coefficients (default 1,-1)")
+                    help="comma-separated nonzero scales and transvection coefficients "
+                    "(default 1,-1); diagonal_signs always uses the signs 1,-1")
     add_common(ps)
     ps.set_defaults(handler=_cmd_iso)
 

@@ -388,14 +388,17 @@ def cohomology_dim(
         raise ValueError(f"degree {q} out of range 0..{n}")
     d_q = differential(algebra, q)
     rank_d = d_q.rank()
-    rank_prev = differential(algebra, q - 1).rank() if q else 0
     reps: Optional[tuple[Cochain, ...]] = None
     if representatives:
-        # Kernel vectors independent modulo the previous image, in nullspace order.
+        # The echelon of im d_(q-1) gives its rank, so d_(q-1) is walked once.
         echelon = _image_echelon(algebra, q)
+        rank_prev = len(echelon)
+        # Kernel vectors independent modulo the previous image, in nullspace order.
         reps = tuple(
             Cochain.from_coords(q, n, v) for v in d_q.nullspace() if echelon.add(v)
         )
+    else:
+        rank_prev = differential(algebra, q - 1).rank() if q else 0
     return CohomologyReport(
         degree=q,
         dim_cochain=CochainBasis(n, q).size,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 from typing import Mapping, Optional, Sequence, Union
 
 from .cohomology import (
@@ -248,14 +247,6 @@ def extend_step(D: Deformation) -> ExtendOutcome:
     return ExtendOutcome(extended=extended, obstruction=None)
 
 
-def infinitesimal_class(D: Deformation) -> Cochain:
-    """The infinitesimal part mu_1, validated to be a cocycle."""
-    mu1 = D.term(1)
-    if not is_cocycle(D.base, mu1):
-        raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
-    return mu1
-
-
 def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
     """The member algebra at a rational t; refuses non-Lie tables."""
     t = Fraction(t_value)
@@ -299,43 +290,6 @@ def verify_isomorphism(
     return A.change_basis(transform).brackets == B.brackets
 
 
-def _sparse_iso_check(
-    A: LieAlgebra, B: LieAlgebra, cols: Sequence[Sequence[tuple[int, Fraction]]]
-) -> bool:
-    """Check [T e_i, T e_j]_A = T [e_i, e_j]_B for all i < j, sparse columns."""
-    n = A.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = [_ZERO] * n
-            for a, va in cols[i]:
-                for b, vb in cols[j]:
-                    w = A.bracket_basis(a, b)
-                    if vec_is_zero(w):
-                        continue
-                    coeff = va * vb
-                    for m, wm in enumerate(w):
-                        if wm:
-                            lhs[m] += coeff * wm
-            rhs = [_ZERO] * n
-            cb = B.bracket_basis(i, j)
-            for k, ck in enumerate(cb):
-                if not ck:
-                    continue
-                for m, vm in cols[k]:
-                    rhs[m] += ck * vm
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _columns_to_matrix(n: int, cols: Sequence[Sequence[tuple[int, Fraction]]]) -> ExactMatrix:
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, v in col:
-            rows[i][j] = v
-    return ExactMatrix.from_sparse_rows(rows, n)
-
-
 SEARCH_CLASSES = ("diagonal_signs", "monomial", "monomial_plus_one_transvection")
 
 
@@ -347,10 +301,15 @@ def search_isomorphism(
 ) -> Optional[BasisChange]:
     """First basis change in the class with verify_isomorphism(A, B, T) true.
 
-    Enumeration is deterministic: sign patterns and scale tuples vary the
-    last coordinate fastest, permutations in lexicographic order, and the
-    plain monomial is tried before its transvection compositions, so the
-    identity is found first whenever it works.
+    Every map of a class is T = M U.  M is monomial, column i being s_i
+    e_perm(i) with s_i in the bound (diagonal_signs: perm is the identity and
+    s_i is +-1, whatever the bound).  U is the identity, or for
+    monomial_plus_one_transvection also e_i0 -> e_i0 + c e_j0 with c in the
+    bound.  A maps to B under M U iff A maps under M to B transported by
+    U^-1, so U runs outside (identity first, then i0, j0 and c in order) and
+    M is built column by column, rows increasing and scales in bound order,
+    pruned at every structure constant whose indices are placed.  The
+    identity is found first whenever it works and the bound starts with 1.
     """
     if A.dim != B.dim:
         raise ValueError("algebras must have equal dimension")
@@ -362,48 +321,82 @@ def search_isomorphism(
         raise ValueError("bound needs at least one coefficient")
     if any(not c for c in scales):
         raise ValueError("bound coefficients must be nonzero")
-
-    def candidates():
-        if search_class == "diagonal_signs":
-            for signs in product((_ONE, Fraction(-1)), repeat=n):
-                yield tuple(((i, s),) for i, s in enumerate(signs))
-            return
-        for perm in permutations(range(n)):
-            for scale in product(scales, repeat=n):
-                mono = tuple(((perm[i], scale[i]),) for i in range(n))
-                yield mono
-                if search_class == "monomial":
-                    continue
-                for i0 in range(n):
-                    for j0 in range(n):
-                        if i0 == j0:
-                            continue
-                        for c in scales:
-                            cols = list(mono)
-                            extra = (perm[j0], c * scale[j0])
-                            cols[i0] = _merge_sparse(cols[i0], extra)
-                            yield tuple(cols)
-
-    for cols in candidates():
-        if _sparse_iso_check(A, B, cols):
-            T = BasisChange(_columns_to_matrix(n, cols))
-            if verify_isomorphism(A, B, T):  # slow-path confirmation
-                return T
+    rows: Sequence[Sequence[int]] = [range(n)] * n
+    if search_class == "diagonal_signs":
+        rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
+    shears = [BasisChange.identity(n)]
+    if search_class == "monomial_plus_one_transvection":
+        shears += [
+            BasisChange.transvection(n, i0, j0, c)
+            for i0 in range(n)
+            for j0 in range(n)
+            if i0 != j0
+            for c in scales
+        ]
+    source = _structure_constants(A)
+    for U in shears:
+        target = _structure_constants(B.change_basis(U.matrix.inverse()))
+        found = _monomial_map(source, target, rows, scales)
+        if found is None:
+            continue
+        perm, scale = found
+        M = ExactMatrix([[scale[j] if perm[j] == r else _ZERO for j in range(n)] for r in range(n)])
+        T = BasisChange(M * U.matrix)
+        if not verify_isomorphism(A, B, T):
+            raise RuntimeError("isomorphism search built a map that fails verification")
+        return T
     return None
 
 
-def _merge_sparse(
-    col: Sequence[tuple[int, Fraction]], extra: tuple[int, Fraction]
-) -> tuple[tuple[int, Fraction], ...]:
-    row, val = extra
-    out = []
-    merged = False
-    for r, v in col:
-        if r == row:
-            v = v + val
-            merged = True
-        if v:
-            out.append((r, v))
-    if not merged:
-        out.append((row, val))
-    return tuple(out)
+def _structure_constants(A: LieAlgebra) -> list[list[tuple[Fraction, ...]]]:
+    """c[a][b] = [e_a, e_b] for every ordered pair."""
+    return [[A.bracket_basis(a, b) for b in range(A.dim)] for a in range(A.dim)]
+
+
+def _monomial_map(
+    source: Sequence[Sequence[Sequence[Fraction]]],
+    target: Sequence[Sequence[Sequence[Fraction]]],
+    rows: Sequence[Sequence[int]],
+    scales: Sequence[Fraction],
+) -> Optional[tuple[list[int], list[Fraction]]]:
+    """First monomial map, as (perm, scale), carrying source to target.
+
+    Column i is s_i e_perm(i), with perm(i) in rows[i].  Under such a map the
+    constants match iff s_k target[a][b][k] = s_a s_b source[pa][pb][pk] for
+    all a < b and k; each triple is checked when its largest index is placed.
+    """
+    n = len(rows)
+    checks = [
+        [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n) if max(b, k) == i]
+        for i in range(n)
+    ]
+    perm = [0] * n
+    scale = [_ONE] * n
+    used = [False] * n
+
+    def consistent(i: int) -> bool:
+        for a, b, k in checks[i]:
+            t = target[a][b][k]
+            c = source[perm[a]][perm[b]][perm[k]]
+            if not t and not c:
+                continue
+            # The scales are nonzero, so a zero must meet a zero.
+            if not (t and c) or scale[k] * t != scale[a] * scale[b] * c:
+                return False
+        return True
+
+    def place(i: int) -> bool:
+        if i == n:
+            return True
+        for r in rows[i]:
+            if used[r]:
+                continue
+            used[r], perm[i] = True, r
+            for s in scales:
+                scale[i] = s
+                if consistent(i) and place(i + 1):
+                    return True
+            used[r] = False
+        return False
+
+    return (perm, scale) if place(0) else None

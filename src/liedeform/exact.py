@@ -357,10 +357,6 @@ class ExactMatrix:
         self.ncols = ncols
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls.from_sparse_rows(({} for _ in range(nrows)), ncols)
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls.from_sparse_rows(({i: _ONE} for i in range(n)), n)
 

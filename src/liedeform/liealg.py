@@ -197,9 +197,6 @@ class LieAlgebra:
 
     # -- structural equality ----------------------------------------------
 
-    def table(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        return dict(self.brackets)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented

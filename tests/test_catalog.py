@@ -1,5 +1,6 @@
 """Tests for the built-in catalog and the classification driver."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -25,7 +26,6 @@ from liedeform.cohomology import (
     span_in_cohomology,
 )
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
-from liedeform.exact import PolyScalar
 
 
 def test_heisenberg_tables():
@@ -112,11 +112,11 @@ def test_phi8_000_equals_phi6_00():
     assert phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0))
 
 
-def test_family_constraint_metadata():
-    assert FAMILIES["phi8"].constraint is not None
-    p, q, r = (PolyScalar.variable(v) for v in "pqr")
-    assert FAMILIES["phi8"].constraint == p * (q - r)
-    assert FAMILIES["phi4"].constraint is None
+def test_phi8_is_a_cocycle_exactly_where_p_times_q_minus_r_vanishes():
+    h2 = heisenberg(2)
+    for p, q, r in itertools.product((-1, 0, 2), repeat=3):
+        assert is_cocycle(h2, phi("phi8", (p, q, r))) == (p * (q - r) == 0)
+    assert is_cocycle(h2, phi("phi4", (2, -1)))
 
 
 def test_linear_combination_identities_at_random_points():

@@ -378,7 +378,8 @@ def test_cli_iso_verify(tmp_path, capsys):
     assert "true" in capsys.readouterr().out
     ident = write(tmp_path, "id.json", matrix_to_dict(ExactMatrix.identity(5)))
     assert main(["iso", "verify", a, b, "--map", ident]) == 1
-    singular = write(tmp_path, "sing.json", matrix_to_dict(ExactMatrix.zeros(5, 5)))
+    zero = ExactMatrix.from_sparse_rows([{}] * 5, 5)
+    singular = write(tmp_path, "sing.json", matrix_to_dict(zero))
     assert main(["iso", "verify", a, b, "--map", singular]) == 2
 
 
@@ -411,7 +412,8 @@ def test_cli_iso_search_rejects_an_empty_bound(tmp_path, capsys):
 
 def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
     a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
-    singular = write(tmp_path, "sing.json", matrix_to_dict(ExactMatrix.zeros(5, 5)))
+    zero = ExactMatrix.from_sparse_rows([{}] * 5, 5)
+    singular = write(tmp_path, "sing.json", matrix_to_dict(zero))
     assert main(["iso", "verify", a, a, "--map", singular]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -383,16 +383,27 @@ def test_image_echelon_spans_the_columns_of_the_previous_differential(name):
 
 
 def test_representatives_build_each_differential_once(monkeypatch):
-    calls = []
+    # d_q is built once; d_(q-1) is only walked, once, for the image echelon
+    # that also gives its rank.
+    plain = cohomology_dim(heisenberg(3), 2)
+    calls, walks = [], []
+    columns = cohomology._columns
 
     def counting(algebra, q):
         calls.append(q)
         return differential(algebra, q)
 
+    def counting_columns(algebra, q):
+        walks.append(q)
+        return columns(algebra, q)
+
     monkeypatch.setattr(cohomology, "differential", counting)
+    monkeypatch.setattr(cohomology, "_columns", counting_columns)
     report = cohomology_dim(heisenberg(3), 2, representatives=True)
     assert len(report.representatives) == heisenberg_hp_formula(3, 2)
-    assert sorted(calls) == [1, 2]
+    assert report.rank_d_prev == plain.rank_d_prev
+    assert calls == [2]
+    assert sorted(walks) == [1, 2]
 
 
 def test_formula_examples_and_errors():

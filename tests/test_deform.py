@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedeform import deform
 from liedeform.catalog import d5_d6_basis_change, h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
     Cochain,
@@ -23,7 +24,6 @@ from liedeform.deform import (
     defect,
     defect_report,
     extend_step,
-    infinitesimal_class,
     search_isomorphism,
     specialize,
     strict_extendability,
@@ -192,14 +192,6 @@ def test_extend_step_requires_clean_lower_orders():
         extend_step(D)  # order-2 defect is nonzero with mu_2 = 0 pinned
 
 
-def test_infinitesimal_class():
-    h2 = heisenberg(2)
-    c = phi("phi4", (1, 1))
-    assert infinitesimal_class(single(c)) == c
-    with pytest.raises(NotACocycleError):
-        infinitesimal_class(single(Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]})))
-
-
 def test_infinitesimal_class_combination_identities():
     # phi4(p:q) ~ phi4(p:0) + phi4(0:q) - phi4(0:0), and the phi7 analogue
     # with coefficient -2, hold entry-wise, hence also as classes.
@@ -210,7 +202,7 @@ def test_infinitesimal_class_combination_identities():
         q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         combo4 = phi("phi4", (p, 0)) + phi("phi4", (0, q)) - phi("phi4", (0, 0))
         assert phi("phi4", (p, q)) == combo4
-        assert class_eq(h2, infinitesimal_class(single(phi("phi4", (p, q)))), combo4)
+        assert class_eq(h2, phi("phi4", (p, q)), combo4)
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         combo7 = (
             phi("phi7", (p, 0, 0))
@@ -228,9 +220,7 @@ def test_class_unchanged_by_coboundary_perturbation_of_mu1():
     for _ in range(5):
         lam = random_cochain(rng, 1, 5)
         shifted = c + apply_differential(h2, lam)
-        assert class_eq(
-            h2, infinitesimal_class(single(c)), infinitesimal_class(single(shifted))
-        )
+        assert class_eq(h2, c, shifted)
 
 
 # -- specialization -------------------------------------------------------------------
@@ -287,7 +277,7 @@ def test_verify_isomorphism_false_for_distinct_tables():
 def test_verify_isomorphism_singular_map_rejected():
     h2 = heisenberg(2)
     with pytest.raises(SingularMatrixError):
-        verify_isomorphism(h2, h2, ExactMatrix.zeros(5, 5))
+        verify_isomorphism(h2, h2, ExactMatrix.from_sparse_rows([{}] * 5, 5))
 
 
 def test_single_transvection_does_not_carry_d5_to_d6():
@@ -326,6 +316,102 @@ def test_search_d5_d6_finds_nothing_in_declared_classes():
     A = specialize(single(phi("phi5", (0, 0))), 1)
     B = specialize(single(phi("phi6", (0, 0))), 1)
     assert search_isomorphism(A, B, "monomial_plus_one_transvection") is None
+
+
+def test_search_raises_when_a_built_map_fails_verification(monkeypatch):
+    # A map that passes the bracket checks but not the confirmation is a
+    # program fault, not a miss.
+    monkeypatch.setattr(deform, "verify_isomorphism", lambda A, B, T: False)
+    h2 = heisenberg(2)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        search_isomorphism(h2, h2, "monomial")
+
+
+# -- brute-force oracle over each search class ---------------------------------------
+
+
+def brute_force_class(n, search_class, bound):
+    """Every map of the class as sparse columns ((row, value), ...), one by one."""
+    if search_class == "diagonal_signs":
+        for signs in product((Fraction(1), Fraction(-1)), repeat=n):
+            yield tuple(((i, s),) for i, s in enumerate(signs))
+        return
+    scales = [Fraction(c) for c in bound]
+    for perm in permutations(range(n)):
+        for scale in product(scales, repeat=n):
+            mono = tuple(((perm[i], scale[i]),) for i in range(n))
+            yield mono
+            if search_class == "monomial":
+                continue
+            for i0, j0 in permutations(range(n), 2):
+                for c in scales:
+                    cols = list(mono)
+                    cols[i0] = mono[i0] + ((perm[j0], c * scale[j0]),)
+                    yield tuple(cols)
+
+
+def carries(A, B, cols):
+    """[T e_i, T e_j]_A = T [e_i, e_j]_B for all i < j, T given by sparse columns."""
+    n = A.dim
+    for i, j in combinations(range(n), 2):
+        lhs = [Fraction(0)] * n
+        for a, va in cols[i]:
+            for b, vb in cols[j]:
+                for m, w in enumerate(A.bracket_basis(a, b)):
+                    if w:
+                        lhs[m] += va * vb * w
+        rhs = [Fraction(0)] * n
+        for k, ck in enumerate(B.bracket_basis(i, j)):
+            for m, vm in cols[k] if ck else ():
+                rhs[m] += ck * vm
+        if lhs != rhs:
+            return False
+    return True
+
+
+def oracle_finds(A, B, search_class, bound):
+    return any(carries(A, B, cols) for cols in brute_force_class(A.dim, search_class, bound))
+
+
+H1_MEMBERS = {
+    name: specialize(single(phi(name), base=heisenberg(1)), 1)
+    for name in ("h1_phi1", "h1_phi2", "h1_phi3", "h1_phi4", "h1_phi5")
+}
+
+
+@pytest.mark.parametrize("klass", ["diagonal_signs", "monomial", "monomial_plus_one_transvection"])
+def test_search_agrees_with_the_brute_force_oracle_on_h1_members(klass):
+    bound = (1, -1, 2)
+    for A, B in product(H1_MEMBERS.values(), repeat=2):
+        T = search_isomorphism(A, B, klass, bound)
+        assert (T is not None) == oracle_finds(A, B, klass, bound)
+        assert T is None or verify_isomorphism(A, B, T)
+
+
+def test_search_agrees_with_the_brute_force_oracle_on_nilpotent_h2_members():
+    # d4(0:0), d5(0:0), d6(0:0) and d7(0:0:0): 3,840 oracle candidates per pair.
+    points = (("phi4", (0, 0)), ("phi5", (0, 0)), ("phi6", (0, 0)), ("phi7", (0, 0, 0)))
+    members = [specialize(single(phi(name, params)), 1) for name, params in points]
+    for A, B in product(members, repeat=2):
+        T = search_isomorphism(A, B, "monomial")
+        assert (T is not None) == oracle_finds(A, B, "monomial", (1, -1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    perm=st.permutations(range(5)),
+    signs=st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5),
+    shear=st.sampled_from(list(permutations(range(5), 2))),
+    c=st.sampled_from((1, -1)),
+)
+def test_search_finds_a_map_to_a_sheared_signed_permutation_of_d5(perm, signs, shear, c):
+    A = specialize(single(phi("phi5", (0, 0))), 1)
+    P = ExactMatrix.from_sparse_rows(
+        [{i: Fraction(signs[i]) for i in range(5) if perm[i] == r} for r in range(5)], 5
+    )
+    B = A.change_basis(BasisChange(P * BasisChange.transvection(5, *shear, c).matrix))
+    T = search_isomorphism(A, B, "monomial_plus_one_transvection")
+    assert T is not None and verify_isomorphism(A, B, T)
 
 
 def test_search_validates_inputs():

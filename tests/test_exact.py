@@ -188,7 +188,7 @@ def test_is_rational_multiple():
 
 def test_rank_examples():
     assert ExactMatrix.identity(3).rank() == 3
-    assert ExactMatrix.zeros(4, 5).rank() == 0
+    assert ExactMatrix.from_sparse_rows([{}] * 4, 5).rank() == 0
 
 
 def test_nullspace_examples():
@@ -204,7 +204,7 @@ def test_solve_examples():
     eye = ExactMatrix.identity(4)
     b = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(5)]
     assert eye.solve(b) == tuple(b)
-    zero = ExactMatrix.zeros(3, 3)
+    zero = ExactMatrix.from_sparse_rows([{}] * 3, 3)
     assert zero.solve([Fraction(1), Fraction(0), Fraction(0)]) is None
     assert zero.solve([Fraction(0)] * 3) == (Fraction(0),) * 3
 
@@ -264,7 +264,7 @@ def test_inverse():
 
 
 def test_zero_row_matrix():
-    m = ExactMatrix.zeros(0, 4)
+    m = ExactMatrix.from_sparse_rows([], 4)
     assert m.rank() == 0
     assert len(m.nullspace()) == 4
     assert m.solve([]) == (Fraction(0),) * 4

@@ -167,9 +167,9 @@ def test_change_basis_round_trip_and_jacobi():
 
 def test_change_basis_singular_rejected():
     with pytest.raises(SingularMatrixError):
-        heisenberg(2).change_basis(ExactMatrix.zeros(5, 5))
+        heisenberg(2).change_basis(ExactMatrix.from_sparse_rows([{}] * 5, 5))
     with pytest.raises(SingularMatrixError):
-        BasisChange(ExactMatrix.zeros(5, 5))
+        BasisChange(ExactMatrix.from_sparse_rows([{}] * 5, 5))
 
 
 # -- matrix representation --------------------------------------------------------
@@ -221,7 +221,7 @@ def test_matrix_rep_matches_structure_constants():
             for j in range(dim):
                 comm = commutator(mats[i], mats[j])
                 expected = alg.bracket_basis(i, j)
-                acc = ExactMatrix.zeros(n + 2, n + 2)
+                acc = ExactMatrix.from_sparse_rows([{}] * (n + 2), n + 2)
                 for k, c in enumerate(expected):
                     if c:
                         acc = ExactMatrix(

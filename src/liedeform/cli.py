@@ -34,7 +34,7 @@ from .deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from .exact import PolyScalar, format_scalar, parse_rational
+from .exact import PolyScalar, parse_rational
 from .jsonio import (
     SchemaError,
     algebra_from_dict,
@@ -90,7 +90,7 @@ def _combo(vec, prefix: str = "e") -> str:
         if not x:
             continue
         body = f"{prefix}{k + 1}"
-        text = format_scalar(x)
+        text = str(x)
         if text == "1":
             term = body
         elif text == "-1":
@@ -160,7 +160,7 @@ def _cmd_jacobi(args) -> int:
                 "violations": [
                     {
                         "triple": [i + 1, j + 1, k + 1],
-                        "defect": {str(m + 1): format_scalar(x) for m, x in enumerate(d) if x},
+                        "defect": {str(m + 1): str(x) for m, x in enumerate(d) if x},
                     }
                     for (i, j, k, d) in violations
                 ],
@@ -185,7 +185,7 @@ def _cmd_invariants(args) -> int:
     doc = {
         "dim": A.dim,
         "center_dim": len(center),
-        "center": [{str(k + 1): format_scalar(x) for k, x in enumerate(v) if x} for v in center],
+        "center": [{str(k + 1): str(x) for k, x in enumerate(v) if x} for v in center],
         "derived_series": A.series("derived"),
         "lower_central_series": A.series("lower_central"),
         "solvable": A.is_solvable(),

@@ -9,7 +9,10 @@ order-n defect is the coefficient of t^n in the deformed Jacobi expression,
 with mu_0 the base bracket.  When the top order is m, every pair i+j=n
 with n > 2m involves a missing term, so the defects above 2m vanish
 identically, and the deformed bracket is a Lie bracket iff the defects
-vanish for 1 <= n <= 2m.
+vanish for 1 <= n <= 2m.  Each defect is one call of liealg.jacobiator on
+the (mu_i, mu_j) pairs, every mu in the signed sparse table of
+liealg.signed_table; the Jacobi identity of an algebra is the same call
+with mu_0 in both slots.
 """
 
 from __future__ import annotations
@@ -18,15 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .cohomology import (
-    Cochain,
-    NotACocycleError,
-    differential,
-    is_coboundary,
-    is_cocycle,
-)
-from .exact import ExactMatrix, vec_is_zero, vec_zero
-from .liealg import BasisChange, LieAlgebra
+from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
+from .exact import ExactMatrix, vec_is_zero
+from .liealg import BasisChange, LieAlgebra, jacobiator, signed_table
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,60 +79,14 @@ class Deformation:
         return f"Deformation(base dim {self.base.dim}, orders {orders})"
 
 
-def _pair_value(D: Deformation, i: int, a: int, b: int) -> tuple[Fraction, ...]:
-    """mu_i(e_a, e_b); order 0 is the base bracket."""
-    if i == 0:
-        return D.base.bracket_basis(a, b)
-    c = D.terms.get(i)
-    if c is None:
-        return vec_zero(D.base.dim)
-    return c.value((a, b))
-
-
-def _pair_on_vector(D: Deformation, i: int, a: int, w: Sequence[Fraction]) -> list[Fraction]:
-    """mu_i(e_a, w) for a coefficient vector w."""
-    n = D.base.dim
-    acc = [_ZERO] * n
-    for k, wk in enumerate(w):
-        if not wk:
-            continue
-        v = _pair_value(D, i, a, k)
-        for m, vm in enumerate(v):
-            if vm:
-                acc[m] += wk * vm
-    return acc
-
-
 def defect(D: Deformation, n: int) -> Cochain:
     """The order-n defect as a 3-cochain (zero iff the t^n Jacobi terms cancel)."""
     if n < 1:
         raise ValueError("defect order must be >= 1")
-    dim = D.base.dim
-    present = {0, *D.terms}
-    pairs = [(i, n - i) for i in sorted(present) if (n - i) in present]
-    entries = {}
-    for tau in _increasing_triples(dim):
-        a, b, c = tau
-        acc = [_ZERO] * dim
-        for i, j in pairs:
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                w = _pair_value(D, j, y, z)
-                if vec_is_zero(w):
-                    continue
-                v = _pair_on_vector(D, i, x, w)
-                for m, vm in enumerate(v):
-                    if vm:
-                        acc[m] += vm
-        if not vec_is_zero(tuple(acc)):
-            entries[tau] = tuple(acc)
-    return Cochain(3, dim, entries)
-
-
-def _increasing_triples(n: int):
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                yield (a, b, c)
+    maps = {0: D.base.brackets, **{i: c.entries for i, c in D.terms.items()}}
+    tables = {i: signed_table(m) for i, m in maps.items() if n - i in maps}
+    pairs = [(tables[i], tables[n - i]) for i in sorted(tables)]
+    return Cochain(3, D.base.dim, jacobiator(pairs, D.base.dim))
 
 
 @dataclass(frozen=True)
@@ -193,17 +144,18 @@ class ExtendabilityVerdict:
 def strict_extendability(D: Deformation) -> ExtendabilityVerdict:
     """Exact-Lie-bracket verdict for a deformation with only mu_1.
 
-    Order 1 is the cocycle condition, checked first; the defect vanishes
-    identically above order 2, so order 2 decides the verdict.
+    d mu_1 = -defect_1, so a nonzero order 1 means mu_1 is not a cocycle and
+    raises NotACocycleError.  The defect vanishes identically above order
+    2, so order 2 decides the verdict.
     """
     if not D.is_single_term():
         raise ValueError("strict extendability applies to single-term deformations")
-    mu1 = D.term(1)
-    if not is_cocycle(D.base, mu1):
-        raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
-    for n in D.defect_orders()[1:]:
-        if not defect(D, n).is_zero:
-            return ExtendabilityVerdict(False, obstructed_at=n)
+    for n in D.defect_orders():
+        if defect(D, n).is_zero:
+            continue
+        if n == 1:
+            raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
+        return ExtendabilityVerdict(False, obstructed_at=n)
     return ExtendabilityVerdict(True)
 
 

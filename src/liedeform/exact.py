@@ -109,9 +109,6 @@ class PolyScalar:
             raise ValueError(f"polynomial {self} is not constant")
         return self._terms.get((0, 0, 0), _ZERO)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     @staticmethod
     def _coerce(other) -> Optional["PolyScalar"]:
         if isinstance(other, PolyScalar):
@@ -256,10 +253,6 @@ def parse_scalar(text: str) -> Scalar:
         e = (exps[0], exps[1], exps[2])
         terms[e] = terms.get(e, _ZERO) + coeff
     return PolyScalar(terms)
-
-
-def format_scalar(x: Scalar) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +464,7 @@ class ExactMatrix:
 
     def __str__(self) -> str:
         return "\n".join(
-            "[" + "  ".join(format_scalar(x) for x in row) + "]" for row in self.rows()
+            "[" + "  ".join(str(x) for x in row) + "]" for row in self.rows()
         )
 
     def __repr__(self) -> str:

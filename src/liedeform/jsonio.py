@@ -14,7 +14,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .catalog import named_algebra
 from .cohomology import Cochain, CohomologyReport
 from .deform import DefectReport, Deformation
-from .exact import ExactMatrix, PolyScalar, Scalar, format_scalar, parse_scalar
+from .exact import ExactMatrix, PolyScalar, Scalar, parse_scalar
 from .liealg import LieAlgebra
 
 
@@ -68,7 +68,7 @@ def _parse_coeff_vector(coeffs, dim: int, location: str) -> list[Scalar]:
 
 
 def _format_coeff_vector(vec: Sequence[Scalar]) -> dict[str, str]:
-    return {str(k + 1): format_scalar(x) for k, x in enumerate(vec) if x}
+    return {str(k + 1): str(x) for k, x in enumerate(vec) if x}
 
 
 # -- algebras ----------------------------------------------------------------
@@ -218,7 +218,7 @@ def deformation_from_dict(doc) -> Deformation:
 
 
 def matrix_to_dict(m: ExactMatrix) -> dict:
-    return {"rows": [[format_scalar(x) for x in m.row(i)] for i in range(m.nrows)]}
+    return {"rows": [[str(x) for x in m.row(i)] for i in range(m.nrows)]}
 
 
 def matrix_from_dict(doc) -> ExactMatrix:

@@ -6,6 +6,14 @@ match the usual e_1..e_n notation).  Brackets for j > i follow by
 skew-symmetry.  Construction validates the Jacobi identity unless the
 caller explicitly asks for an unchecked instance, which exists only so
 negative tests can build broken tables.
+
+Any skew bilinear map given as {(i, j): vector} for i < j (a bracket table,
+or the entries of a 2-cochain) is composed through one format:
+signed_table turns it into the sparse {(a, b): {k: c}} table holding both
+orders, and jacobiator sums the cyclic compositions
+outer(x, inner(y, z)) + outer(y, inner(z, x)) + outer(z, inner(x, y)) over
+pairs of such tables.  With the bracket in both slots this is the Jacobi
+identity; deform uses it for the defects of a formal deformation.
 """
 
 from __future__ import annotations
@@ -13,17 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import (
-    EchelonBasis,
-    ExactMatrix,
-    SingularMatrixError,
-    vec_add,
-    vec_is_zero,
-    vec_zero,
-)
+from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, vec_is_zero, vec_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b).
+Table = dict[tuple[int, int], dict[int, Fraction]]
 
 
 class JacobiError(ValueError):
@@ -34,6 +38,52 @@ class JacobiError(ValueError):
         triples = ", ".join(str(tuple(i + 1 for i in v[:3])) for v in violations[:5])
         more = "" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"
         super().__init__(f"Jacobi identity fails at triples {triples}{more}")
+
+
+def signed_table(pairs: Mapping[tuple[int, int], Sequence[Fraction]]) -> Table:
+    """The sparse table of a skew map given on pairs i < j, both orders signed.
+
+    A zero value is absent, so a lookup miss means zero (also for a = b).
+    """
+    table: Table = {}
+    for (i, j), vec in pairs.items():
+        col = {k: c for k, c in enumerate(vec) if c}
+        if col:
+            table[(i, j)] = col
+            table[(j, i)] = {k: -c for k, c in col.items()}
+    return table
+
+
+def jacobiator(
+    pairs: Sequence[tuple[Table, Table]], dim: int
+) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
+    """Sum over (outer, inner) of outer(x, inner(y, z)) + cyclic, per triple.
+
+    The value at a < b < c takes outer(x, inner(y, z)) for the three
+    rotations (x, y, z) of (a, b, c); the signed inner table holds the
+    reversed pair (c, a) too, so each entry of it feeds the one triple whose
+    rotation it completes, with no sign.  Only nonzero sums are kept, in
+    lexicographic triple order.
+    """
+    acc: dict[tuple[int, int, int], list[Fraction]] = {}
+    for outer, inner in pairs:
+        for (y, z), w in inner.items():
+            for x in range(dim):
+                if x < y < z:
+                    key = (x, y, z)
+                elif y < z < x:
+                    key = (y, z, x)
+                elif z < x < y:
+                    key = (z, x, y)
+                else:
+                    continue
+                for m, wm in w.items():
+                    col = outer.get((x, m))
+                    if col:
+                        vec = acc.setdefault(key, [_ZERO] * dim)
+                        for k, c in col.items():
+                            vec[k] += wm * c
+    return {key: tuple(v) for key, v in sorted(acc.items()) if any(v)}
 
 
 def _coerce_vector(v, dim: int) -> tuple[Fraction, ...]:
@@ -67,12 +117,7 @@ class LieAlgebra:
                 table[(i, j)] = vec
         self.brackets = dict(sorted(table.items()))
         self.name = name
-        # Signed lookup for both orders; zero pairs are simply absent.
-        full: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        for (i, j), vec in self.brackets.items():
-            full[(i, j)] = vec
-            full[(j, i)] = tuple(-x for x in vec)
-        self._table = full
+        self._table = signed_table(self.brackets)
         if check:
             violations = self.jacobi_violations()
             if violations:
@@ -82,8 +127,8 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector (any order; i = j gives zero)."""
-        v = self._table.get((i, j))
-        return v if v is not None else vec_zero(self.dim)
+        col = self._table.get((i, j), {})
+        return tuple(col.get(k, _ZERO) for k in range(self.dim))
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear, skew-symmetric evaluation through the structure constants."""
@@ -98,39 +143,12 @@ class LieAlgebra:
                         acc[k] += c * v
         return tuple(acc)
 
-    def _bracket_basis_vector(self, i: int, w: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """[e_i, w] for a coefficient vector w."""
-        acc = list(vec_zero(self.dim))
-        for k, wk in enumerate(w):
-            if not wk:
-                continue
-            v = self._table.get((i, k))
-            if v is None:
-                continue
-            for m, vm in enumerate(v):
-                if vm:
-                    acc[m] += wk * vm
-        return tuple(acc)
-
     # -- validation -------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
         """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero."""
-        out = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    d = vec_add(
-                        vec_add(
-                            self._bracket_basis_vector(i, self.bracket_basis(j, k)),
-                            self._bracket_basis_vector(j, self.bracket_basis(k, i)),
-                        ),
-                        self._bracket_basis_vector(k, self.bracket_basis(i, j)),
-                    )
-                    if not vec_is_zero(d):
-                        out.append((i, j, k, d))
-        return out
+        found = jacobiator([(self._table, self._table)], self.dim)
+        return [(i, j, k, d) for (i, j, k), d in found.items()]
 
     # -- invariants ---------------------------------------------------------
 
@@ -225,18 +243,6 @@ class BasisChange:
     @classmethod
     def identity(cls, n: int) -> "BasisChange":
         return cls(ExactMatrix.identity(n))
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[Union[Fraction, int]]) -> "BasisChange":
-        n = len(entries)
-        return cls(
-            ExactMatrix(
-                [
-                    tuple(Fraction(entries[i]) if i == j else _ZERO for j in range(n))
-                    for i in range(n)
-                ]
-            )
-        )
 
     @classmethod
     def transvection(cls, n: int, i: int, j: int, c: Union[Fraction, int]) -> "BasisChange":

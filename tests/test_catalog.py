@@ -205,6 +205,22 @@ def test_reproduce_builds_each_differential_a_few_times(monkeypatch):
     assert len(builds) <= 5
 
 
+def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(monkeypatch):
+    # The row loop checks each cochain; strict_extendability reads order 1
+    # from its defect, and the class normal forms trust the rows.
+    checks = []
+
+    def counting(algebra, c):
+        checks.append(c)
+        return is_cocycle(algebra, c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liedeform") and getattr(module, "is_cocycle", None) is is_cocycle:
+            monkeypatch.setattr(module, "is_cocycle", counting)
+    reproduce()
+    assert checks == [rep.cochain() for rep in paper_representatives()]
+
+
 def test_reproduce_structure_flags(reproduced):
     rows, _ = reproduced
     by_label = {r.label: r for r in rows}

@@ -32,7 +32,7 @@ from liedeform.deform import (
 from liedeform.exact import ExactMatrix, SingularMatrixError
 from liedeform.liealg import BasisChange, LieAlgebra
 
-from test_cohomology import random_cochain
+from test_cohomology import SL2, random_cochain
 
 
 def single(c, base=None):
@@ -55,18 +55,20 @@ def test_defect_of_obstructed_phi8_point():
 
 
 def test_defect_order1_iff_cocycle_randomized():
+    # The order-1 defect is -d(mu_1), which strict_extendability relies on.
     rng = random.Random(41)
-    h2 = heisenberg(2)
-    seen_noncocycle = False
-    for _ in range(20):
-        c = random_cochain(rng, 2, 5)
-        D = single(c)
-        assert defect(D, 1).is_zero == is_cocycle(h2, c)
-        seen_noncocycle = seen_noncocycle or not is_cocycle(h2, c)
-    assert seen_noncocycle  # the sample actually exercised both branches
-    # coboundaries are cocycles, so their order-1 defect vanishes
-    lam = random_cochain(rng, 1, 5)
-    assert defect(single(apply_differential(h2, lam)), 1).is_zero
+    for A in (heisenberg(2), SL2):
+        seen_noncocycle = False
+        for _ in range(20):
+            c = random_cochain(rng, 2, A.dim)
+            D = single(c, base=A)
+            assert defect(D, 1) == -apply_differential(A, c)
+            assert defect(D, 1).is_zero == is_cocycle(A, c)
+            seen_noncocycle = seen_noncocycle or not is_cocycle(A, c)
+        assert seen_noncocycle  # the sample actually exercised both branches
+        # coboundaries are cocycles, so their order-1 defect vanishes
+        lam = random_cochain(rng, 1, A.dim)
+        assert defect(single(apply_differential(A, lam), base=A), 1).is_zero
 
 
 def test_single_term_defect_vanishes_for_orders_three_and_four():
@@ -99,14 +101,95 @@ def _cochains(dim):
     )
 
 
+def _random_deformation(top, data):
+    """Random integer terms at order top and at a random set of lower orders."""
+    lower = data.draw(st.sets(st.integers(1, top - 1))) if top > 1 else set()
+    terms = {order: data.draw(_cochains(5)) for order in sorted(lower | {top})}
+    return Deformation(heisenberg(2), terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(top=st.integers(1, 2), data=st.data())
 def test_defects_vanish_above_twice_the_top_order(top, data):
-    lower = data.draw(st.sets(st.integers(1, top - 1))) if top > 1 else set()
-    terms = {order: data.draw(_cochains(5)) for order in sorted(lower | {top})}
-    D = Deformation(heisenberg(2), terms)
+    D = _random_deformation(top, data)
     assert defect(D, 2 * top + 1).is_zero
     assert defect(D, 2 * top + 2).is_zero
+
+
+# -- the reference Jacobiator: the defining sum, one triple at a time ---------------
+
+
+def _pair_value(D, i, a, b):
+    """mu_i(e_a, e_b); order 0 is the base bracket, read as a 2-cochain."""
+    c = Cochain(2, D.base.dim, D.base.brackets) if i == 0 else D.term(i)
+    return c.value((a, b))
+
+
+def _pair_on_vector(D, i, a, w):
+    """mu_i(e_a, w) for a coefficient vector w."""
+    acc = [Fraction(0)] * D.base.dim
+    for k, wk in enumerate(w):
+        for m, vm in enumerate(_pair_value(D, i, a, k)):
+            acc[m] += wk * vm
+    return acc
+
+
+def reference_defect(D, n):
+    """Sum over i + j = n of mu_i(x, mu_j(y, z)) + cyclic on every a < b < c.
+
+    Order 0 pairs the base bracket with itself: the Jacobi sum of the base.
+    """
+    present = {0, *D.terms}
+    pairs = [(i, n - i) for i in sorted(present) if n - i in present]
+    entries = {}
+    for tau in combinations(range(D.base.dim), 3):
+        a, b, c = tau
+        acc = [Fraction(0)] * D.base.dim
+        for i, j in pairs:
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for m, vm in enumerate(_pair_on_vector(D, i, x, _pair_value(D, j, y, z))):
+                    acc[m] += vm
+        entries[tau] = acc
+    return Cochain(3, D.base.dim, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(top=st.integers(1, 2), data=st.data())
+def test_defects_match_the_reference_jacobiator(top, data):
+    D = _random_deformation(top, data)
+    for n in D.defect_orders():
+        assert defect(D, n) == reference_defect(D, n)
+
+
+def test_defects_of_extended_d8_match_the_reference_jacobiator():
+    # d8(0:0:1) extends through mu_4; every step's partial defect is checked too.
+    D = single(phi("phi8", (0, 0, 1)))
+    nonzero = 0
+    while True:
+        for n in D.defect_orders():
+            d = defect(D, n)
+            assert d == reference_defect(D, n)
+            nonzero += not d.is_zero
+        if D.top_order == 4:
+            break
+        D = extend_step(D).extended
+    assert D.defect_orders() == range(1, 9)
+    assert nonzero  # the kernel met nonzero defects, not only zeros
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_jacobi_violations_match_the_reference_jacobiator(dim):
+    rng = random.Random(dim)
+    keys = list(combinations(range(dim), 2))
+    violations = 0
+    for _ in range(20):
+        table = {k: [rng.randint(-2, 2) for _ in range(dim)] for k in keys if rng.random() < 0.4}
+        A = LieAlgebra(dim, table, check=False)
+        found = A.jacobi_violations()
+        expected = reference_defect(Deformation(A), 0)
+        assert [((i, j, k), d) for i, j, k, d in found] == list(expected.entries.items())
+        violations += len(found)
+    assert violations  # the sample holds broken tables
 
 
 def test_defect_report_statuses():
@@ -264,7 +347,10 @@ def test_verify_isomorphism_identity():
 def test_verify_isomorphism_d4_d7_sign_diagonal():
     A = specialize(single(phi("phi4", (0, 0))), 1)
     B = specialize(single(phi("phi7", (0, 0, 0))), 1)
-    T = BasisChange.diagonal([-1, 1, 1, -1, -1])
+    signs = [-1, 1, 1, -1, -1]
+    T = BasisChange(
+        ExactMatrix([[s if i == j else 0 for j in range(5)] for i, s in enumerate(signs)])
+    )
     assert verify_isomorphism(A, B, T)
 
 

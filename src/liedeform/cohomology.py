@@ -9,7 +9,12 @@ and repeated arguments give zero.  The differential follows the convention
 
 with 1-based positions s, t; no alternative sign conventions are supported.
 Coordinates on C^q are ordered by tuple (lexicographic), then target basis
-index, which keeps every matrix and report deterministic.
+index, which keeps every matrix and report deterministic.  The basis images
+d(e^key (x) e_m) are read from the algebra's signed integer table (the one
+its Jacobi check uses), as ints over the table's denominator D: d_q turns
+each distinct int into a Fraction over D once, apply_differential divides
+by D at the end, and the image echelon of d_(q-1) takes the integer
+columns as they are, since scaling does not change a span.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Union
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 from .exact import (
     EchelonBasis,
@@ -33,7 +38,7 @@ from .exact import (
     vec_sub,
     vec_zero,
 )
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, Table
 
 _ZERO = Fraction(0)
 
@@ -169,11 +174,18 @@ class Cochain:
         basis = CochainBasis(dim, degree)
         if len(coords) != basis.size:
             raise ValueError(f"expected {basis.size} coordinates, got {len(coords)}")
-        entries = {}
-        for t_index, key in enumerate(basis.tuples):
-            vec = tuple(coords[t_index * dim : (t_index + 1) * dim])
-            if not vec_is_zero(vec):
-                entries[key] = vec
+        return cls.from_sparse_coords(degree, dim, {i: x for i, x in enumerate(coords) if x})
+
+    @classmethod
+    def from_sparse_coords(
+        cls, degree: int, dim: int, coords: Mapping[int, Scalar]
+    ) -> "Cochain":
+        """The cochain with the given {coordinate: value} entries, all others zero."""
+        tuples = _tuples(dim, degree)
+        entries: dict[tuple[int, ...], list[Scalar]] = {}
+        for i, x in coords.items():
+            t, k = divmod(i, dim)
+            entries.setdefault(tuples[t], [_ZERO] * dim)[k] = x
         return cls(degree, dim, entries)
 
     def __eq__(self, other) -> bool:
@@ -212,57 +224,53 @@ class CochainBasis:
         return len(self.tuples) * self.dim
 
 
-def _sparse_brackets(algebra: LieAlgebra):
-    """The nonzero structure constants, indexed for the differential.
+def _basis_images(table: Table, key: tuple[int, ...], targets: Collection[int]):
+    """Terms (m, tau, k, coefficient) of d(e^key (x) e_m) for each m in targets.
 
-    by_output[k] lists (i, j, c_ij^k) with i < j; by_right[m] lists
-    (i, [(k, c)...]) for every nonzero [e_i, e_m] = sum_k c e_k.
+    table is the algebra's signed integer table, so coefficients are ints
+    over its denominator; a (tau, k) may repeat.  Pair term:
+    c([g_s, g_t], rest') is nonzero only when {k} + rest' = key, so for each
+    k in key and rest = key minus k, every c_ij^k with i, j outside rest adds
+    at (tau, m) for tau = rest + {i, j}, whatever m is; these terms are found
+    once per key.  The sign is (-1)^(s+t-1) with 1-based positions of i, j in
+    tau, times (-1)^p for moving k from the front to its position p in key.
+    Action term: each i outside key adds (-1)^s [e_i, e_m] at tau = key + {i},
+    with i at 1-based position s.
     """
-    by_output = [[] for _ in range(algebra.dim)]
-    by_right = [[] for _ in range(algebra.dim)]
-    for (i, j), vec in algebra.brackets.items():
-        w = [(k, c) for k, c in enumerate(vec) if c]
-        for k, c in w:
-            by_output[k].append((i, j, c))
-        by_right[j].append((i, w))
-        by_right[i].append((j, [(k, -c) for k, c in w]))
-    return by_output, by_right
-
-
-def _basis_image(brackets, key: tuple[int, ...], m: int):
-    """Terms (tau, k, coefficient) of d(e^key (x) e_m); a (tau, k) may repeat.
-
-    Pair term: c([g_s, g_t], rest') is nonzero only when {k} + rest' = key,
-    so for each k in key and rest = key minus k, every c_ij^k with i, j
-    outside rest adds at tau = rest + {i, j}.  The sign is (-1)^(s+t-1) with
-    1-based positions of i, j in tau, times (-1)^p for moving k from the
-    front to its position p in key.  Action term: each i outside key adds
-    (-1)^s [e_i, e_m] at tau = key + {i}, with i at 1-based position s.
-    """
-    by_output, by_right = brackets
-    for p, k in enumerate(key):
-        rest = key[:p] + key[p + 1 :]
-        for i, j, c in by_output[k]:
+    pair_terms = []
+    for (i, j), col in table.items():
+        if i > j:
+            continue
+        for p, k in enumerate(key):
+            c = col.get(k)
+            if c is None:
+                continue
+            rest = key[:p] + key[p + 1 :]
             if i in rest or j in rest:
                 continue
             s = bisect_left(rest, i)  # 0-based positions of i and j in tau
             t = bisect_left(rest, j) + 1
             tau = rest[:s] + (i,) + rest[s : t - 1] + (j,) + rest[t - 1 :]
-            yield tau, m, c if (s + t + 1 + p) % 2 == 0 else -c
-    for i, w in by_right[m]:
-        if i in key:
+            pair_terms.append((tau, c if (s + t + 1 + p) % 2 == 0 else -c))
+    for m in targets:
+        for tau, c in pair_terms:
+            yield m, tau, m, c
+    for (i, m), col in table.items():
+        if m not in targets or i in key:
             continue
         s = bisect_left(key, i)
         tau = key[:s] + (i,) + key[s:]
-        for k, c in w:
-            yield tau, k, c if s % 2 else -c
+        for k, c in col.items():
+            yield m, tau, k, c if s % 2 else -c
 
 
 def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     """The Chevalley-Eilenberg differential of c, with adjoint coefficients.
 
-    Sums x * d(e^key (x) e_m) over the nonzero entries x of c.  The basis
-    images are rational, so this works for symbolic (PolyScalar) cochains.
+    Sums x * d(e^key (x) e_m) over the nonzero entries x of c, with the
+    integer basis images, and divides by the table's denominator at the end.
+    The basis images are rational, so this works for symbolic (PolyScalar)
+    cochains.
     """
     if c.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
@@ -270,22 +278,23 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     n = algebra.dim
     if q > n:
         raise ValueError(f"degree {q} exceeds dimension {n}")
-    brackets = _sparse_brackets(algebra)
     out: dict[tuple[int, ...], list[Scalar]] = {}
     for key, vec in c.entries.items():
-        for m, x in enumerate(vec):
-            if not x:
-                continue
-            for tau, k, coeff in _basis_image(brackets, key, m):
-                acc = out.get(tau)
-                if acc is None:
-                    acc = out[tau] = [_ZERO] * n
-                acc[k] += x * coeff
+        targets = {m for m, x in enumerate(vec) if x}
+        for m, tau, k, coeff in _basis_images(algebra._table, key, targets):
+            acc = out.get(tau)
+            if acc is None:
+                acc = out[tau] = [_ZERO] * n
+            acc[k] += vec[m] * coeff
+    if algebra._den > 1:
+        scale = Fraction(1, algebra._den)
+        out = {tau: vec_scale(scale, acc) for tau, acc in out.items()}
     return Cochain(q + 1, n, out)
 
 
 def _columns(algebra: LieAlgebra, q: int):
-    """The columns of d_q in order, each as {row: coefficient} (cancelled terms read 0).
+    """The columns of d_q in order, each as {row: int coefficient} over the
+    algebra's denominator (cancelled terms read 0).
 
     Column (key, m) is the image of e^key (x) e_m; row (tau, k) of C^(q+1)
     has index (position of tau) * n + k.
@@ -293,29 +302,35 @@ def _columns(algebra: LieAlgebra, q: int):
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
-    brackets = _sparse_brackets(algebra)
     first_row = {tau: t * n for t, tau in enumerate(_tuples(n, q + 1))}
     for key in _tuples(n, q):
-        for m in range(n):
-            col: dict[int, Fraction] = {}
-            for tau, k, coeff in _basis_image(brackets, key, m):
-                r = first_row[tau] + k
-                col[r] = col[r] + coeff if r in col else coeff
-            yield col
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        for m, tau, k, coeff in _basis_images(algebra._table, key, range(n)):
+            col = cols[m]
+            r = first_row[tau] + k
+            col[r] = col.get(r, 0) + coeff
+        yield from cols
 
 
 def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
     """Sparse matrix of d_q : C^q -> C^(q+1) in CochainBasis coordinates.
 
-    Each basis image from _basis_image is added straight into the {column:
-    value} rows, so no zero entry is built; the same basis images serve
-    apply_differential and the image echelon of class questions.
+    Each integer basis image from _columns is added straight into the
+    {column: value} rows, so no zero entry is built, and each distinct
+    integer becomes a Fraction over the algebra's denominator once; the
+    same basis images serve apply_differential and the image echelon of
+    class questions.
     """
     n = algebra.dim
+    den = algebra._den
+    values: dict[int, Fraction] = {}
     rows: list[dict[int, Fraction]] = [{} for _ in range(len(_tuples(n, q + 1)) * n)]
     for j, col in enumerate(_columns(algebra, q)):
         for r, x in col.items():
-            rows[r][j] = x
+            value = values.get(x)
+            if value is None:
+                value = values[x] = Fraction(x, den)
+            rows[r][j] = value
     return ExactMatrix.from_sparse_rows(rows, len(_tuples(n, q)) * n)
 
 
@@ -387,21 +402,25 @@ def cohomology_dim(
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
     d_q = differential(algebra, q)
-    rank_d = d_q.rank()
+    size = CochainBasis(n, q).size
     reps: Optional[tuple[Cochain, ...]] = None
     if representatives:
-        # The echelon of im d_(q-1) gives its rank, so d_(q-1) is walked once.
+        # d_q is eliminated once, for its kernel; the echelon of im d_(q-1)
+        # gives its rank, so d_(q-1) is walked once.
+        kernel = d_q.kernel_rows()
+        rank_d = size - len(kernel)
         echelon = _image_echelon(algebra, q)
         rank_prev = len(echelon)
         # Kernel vectors independent modulo the previous image, in nullspace order.
         reps = tuple(
-            Cochain.from_coords(q, n, v) for v in d_q.nullspace() if echelon.add(v)
+            Cochain.from_sparse_coords(q, n, v) for v in kernel if echelon.add_sparse(v)
         )
     else:
+        rank_d = d_q.rank()
         rank_prev = differential(algebra, q - 1).rank() if q else 0
     return CohomologyReport(
         degree=q,
-        dim_cochain=CochainBasis(n, q).size,
+        dim_cochain=size,
         rank_d=rank_d,
         rank_d_prev=rank_prev,
         representatives=reps,

@@ -10,9 +10,10 @@ with mu_0 the base bracket.  When the top order is m, every pair i+j=n
 with n > 2m involves a missing term, so the defects above 2m vanish
 identically, and the deformed bracket is a Lie bracket iff the defects
 vanish for 1 <= n <= 2m.  Each defect is one call of liealg.jacobiator on
-the (mu_i, mu_j) pairs, every mu in the signed sparse table of
-liealg.signed_table; the Jacobi identity of an algebra is the same call
-with mu_0 in both slots.
+the (mu_i, mu_j) pairs.  liealg.signed_tables scales every mu of the
+pairs to an integer table over one common denominator D, so every pair is
+over D² and the defect is read over D² once.  The Jacobi identity of an
+algebra is the same call with mu_0 in both slots.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, vec_is_zero
-from .liealg import BasisChange, LieAlgebra, jacobiator, signed_table
+from .liealg import BasisChange, LieAlgebra, jacobiator, signed_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -84,9 +85,13 @@ def defect(D: Deformation, n: int) -> Cochain:
     if n < 1:
         raise ValueError("defect order must be >= 1")
     maps = {0: D.base.brackets, **{i: c.entries for i, c in D.terms.items()}}
-    tables = {i: signed_table(m) for i, m in maps.items() if n - i in maps}
-    pairs = [(tables[i], tables[n - i]) for i in sorted(tables)]
-    return Cochain(3, D.base.dim, jacobiator(pairs, D.base.dim))
+    orders = sorted(i for i in maps if n - i in maps)
+    tables, den = signed_tables([maps[i] for i in orders])
+    table = dict(zip(orders, tables))
+    found = jacobiator([(table[i], table[n - i]) for i in orders], D.base.dim)
+    scale = den**2
+    entries = {key: [Fraction(x, scale) for x in v] for key, v in found.items()}
+    return Cochain(3, D.base.dim, entries)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ p, q, r with rational coefficients (``PolyScalar``).  All linear algebra
 engine: each row is scaled to integers by the lcm of its denominators and
 kept sparse, and a row operation cancels an entry with integer multipliers
 (Bareiss, Math. Comp. 22, 1968), so no fraction is formed until a result is
-read.  Results do not depend on which row serves as a pivot: the rank, and
-the reduced row echelon form from which nullspace, solve (free variables
-zero) and inverse are read, are unique; an EchelonBasis reduces at fixed
-leading indices and keeps rows only up to a scale that is divided out when
-its basis is read.
+read.  The pivot of a column is the shortest row leading there, and among
+those the one with the smallest |entry|, so a unit pivot cancels without
+scaling the other rows.  rank eliminates the rows, or the columns when the
+matrix has more rows than columns.  Results do not depend on which row
+serves as a pivot: the rank, and the reduced row echelon form from which
+nullspace, solve (free variables zero) and inverse are read, are unique; an
+EchelonBasis reduces at fixed leading indices and keeps rows only up to a
+scale that is divided out when its basis is read.
 """
 
 from __future__ import annotations
@@ -413,21 +416,31 @@ class ExactMatrix:
     # -- row reduction ------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(_integer_rows(self._rows, "rank"), self.ncols))
+        """The rank, eliminated on the shorter side: the transpose when nrows > ncols."""
+        rows = _integer_rows(self._rows, "rank")
+        if self.nrows <= self.ncols:
+            return len(_echelon(rows, self.ncols))
+        # Scaling a row scales a column entry of the transpose; no rank changes.
+        cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return len(_echelon(cols, self.nrows))
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, ordered by ascending free column."""
-        n = self.ncols
-        pivots = _echelon(_integer_rows(self._rows, "nullspace"), n)
+        return [_dense(v, self.ncols) for v in self.kernel_rows()]
+
+    def kernel_rows(self) -> list[dict[int, Fraction]]:
+        """The nullspace basis, each vector as a {column: value} dict of its nonzeros."""
+        pivots = _echelon(_integer_rows(self._rows, "nullspace"), self.ncols)
         _back_substitute(pivots)
-        basis = {free: [_ZERO] * n for free in range(n) if free not in pivots}
-        for free, v in basis.items():
-            v[free] = _ONE
+        basis = {free: {free: _ONE} for free in range(self.ncols) if free not in pivots}
         for c, row in pivots.items():
             for j, x in row.items():
                 if j != c:
                     basis[j][c] = Fraction(-x, row[c])
-        return [tuple(v) for v in basis.values()]
+        return list(basis.values())
 
     def solve(self, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
         """A particular solution of m x = b, or None when inconsistent.
@@ -522,7 +535,9 @@ def _echelon(rows: list[dict[int, int]], width: int) -> dict[int, dict[int, int]
     Rows are bucketed by leading column.  Once the columns before c are
     done, every row left with an entry in column c leads there, so the
     bucket of c holds all rows to eliminate and no column is scanned.  The
-    shortest row of the bucket is the pivot.
+    pivot is the shortest row of the bucket, and among those the one with
+    the smallest |entry| in column c: a unit pivot gives each combined row
+    the multiplier 1, so no row is scaled and no content is divided out.
     """
     leads: dict[int, list[dict[int, int]]] = {}
     for row in rows:
@@ -535,7 +550,7 @@ def _echelon(rows: list[dict[int, int]], width: int) -> dict[int, dict[int, int]
         bucket = leads.pop(c, None)
         if bucket is None:
             continue
-        prow = pivots[c] = min(bucket, key=len)
+        prow = pivots[c] = min(bucket, key=lambda row: (len(row), abs(row[c])))
         for row in bucket:
             if row is not prow:
                 row = _combine(row, prow, c)
@@ -582,6 +597,10 @@ class EchelonBasis:
         for row in rows:
             echelon._add(row, "EchelonBasis.from_sparse_rows")
         return echelon
+
+    def add_sparse(self, row: Mapping[int, Fraction]) -> bool:
+        """add for a vector of the basis's width given as {index: value} nonzeros."""
+        return self._add(row, "EchelonBasis.add_sparse")
 
     def _reduce(self, row: Mapping[int, Scalar], op: str) -> dict[int, int]:
         """The integer row of a sparse vector, reduced at every kept lead (up to scale)."""

@@ -9,16 +9,20 @@ negative tests can build broken tables.
 
 Any skew bilinear map given as {(i, j): vector} for i < j (a bracket table,
 or the entries of a 2-cochain) is composed through one format:
-signed_table turns it into the sparse {(a, b): {k: c}} table holding both
-orders, and jacobiator sums the cyclic compositions
+signed_tables scales a list of such maps by one common denominator D to
+Python ints and turns each into the sparse {(a, b): {k: c}} table holding
+both orders.  jacobiator sums the cyclic compositions
 outer(x, inner(y, z)) + outer(y, inner(z, x)) + outer(z, inner(x, y)) over
-pairs of such tables.  With the bracket in both slots this is the Jacobi
-identity; deform uses it for the defects of a formal deformation.
+pairs of such tables with int arithmetic only; every pair is scaled by D²,
+so its values are read over D² once, at the end.  With the bracket in both
+slots this is the Jacobi identity; deform uses it for the defects of a
+formal deformation, and cohomology builds d_q from the same integer table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, vec_is_zero, vec_zero
@@ -26,8 +30,9 @@ from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, vec_is_zero, 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b).
-Table = dict[tuple[int, int], dict[int, Fraction]]
+# {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b),
+# as integers over the table's denominator.
+Table = dict[tuple[int, int], dict[int, int]]
 
 
 class JacobiError(ValueError):
@@ -40,32 +45,41 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails at triples {triples}{more}")
 
 
-def signed_table(pairs: Mapping[tuple[int, int], Sequence[Fraction]]) -> Table:
-    """The sparse table of a skew map given on pairs i < j, both orders signed.
+def signed_tables(
+    maps: Sequence[Mapping[tuple[int, int], Sequence[Fraction]]]
+) -> tuple[list[Table], int]:
+    """The integer tables of skew maps given on pairs i < j, and their denominator D.
 
-    A zero value is absent, so a lookup miss means zero (also for a = b).
+    D is the lcm of every denominator in the maps, and each table holds D
+    times its map in both orders, signed.  A zero value is absent, so a
+    lookup miss means zero (also for a = b).
     """
-    table: Table = {}
-    for (i, j), vec in pairs.items():
-        col = {k: c for k, c in enumerate(vec) if c}
-        if col:
-            table[(i, j)] = col
-            table[(j, i)] = {k: -c for k, c in col.items()}
-    return table
+    den = lcm(1, *(x.denominator for pairs in maps for vec in pairs.values() for x in vec))
+    tables = []
+    for pairs in maps:
+        table: Table = {}
+        for (i, j), vec in pairs.items():
+            col = {k: c.numerator * (den // c.denominator) for k, c in enumerate(vec) if c}
+            if col:
+                table[(i, j)] = col
+                table[(j, i)] = {k: -c for k, c in col.items()}
+        tables.append(table)
+    return tables, den
 
 
 def jacobiator(
     pairs: Sequence[tuple[Table, Table]], dim: int
-) -> dict[tuple[int, int, int], tuple[Fraction, ...]]:
+) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Sum over (outer, inner) of outer(x, inner(y, z)) + cyclic, per triple.
 
     The value at a < b < c takes outer(x, inner(y, z)) for the three
     rotations (x, y, z) of (a, b, c); the signed inner table holds the
     reversed pair (c, a) too, so each entry of it feeds the one triple whose
-    rotation it completes, with no sign.  Only nonzero sums are kept, in
-    lexicographic triple order.
+    rotation it completes, with no sign.  The sums are ints over D² when
+    every table is over D.  Only nonzero sums are kept, in lexicographic
+    triple order.
     """
-    acc: dict[tuple[int, int, int], list[Fraction]] = {}
+    acc: dict[tuple[int, int, int], list[int]] = {}
     for outer, inner in pairs:
         for (y, z), w in inner.items():
             for x in range(dim):
@@ -80,7 +94,7 @@ def jacobiator(
                 for m, wm in w.items():
                     col = outer.get((x, m))
                     if col:
-                        vec = acc.setdefault(key, [_ZERO] * dim)
+                        vec = acc.setdefault(key, [0] * dim)
                         for k, c in col.items():
                             vec[k] += wm * c
     return {key: tuple(v) for key, v in sorted(acc.items()) if any(v)}
@@ -94,9 +108,13 @@ def _coerce_vector(v, dim: int) -> tuple[Fraction, ...]:
 
 
 class LieAlgebra:
-    """A finite-dimensional Lie algebra over the rationals."""
+    """A finite-dimensional Lie algebra over the rationals.
 
-    __slots__ = ("dim", "brackets", "name", "_table")
+    _table is the signed integer table of the brackets over the denominator
+    _den (see signed_tables); the Jacobi check and d_q read it.
+    """
+
+    __slots__ = ("dim", "brackets", "name", "_table", "_den")
 
     def __init__(
         self,
@@ -117,7 +135,7 @@ class LieAlgebra:
                 table[(i, j)] = vec
         self.brackets = dict(sorted(table.items()))
         self.name = name
-        self._table = signed_table(self.brackets)
+        (self._table,), self._den = signed_tables([self.brackets])
         if check:
             violations = self.jacobi_violations()
             if violations:
@@ -127,8 +145,10 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector (any order; i = j gives zero)."""
-        col = self._table.get((i, j), {})
-        return tuple(col.get(k, _ZERO) for k in range(self.dim))
+        if i < j:
+            return self.brackets.get((i, j), vec_zero(self.dim))
+        vec = self.brackets.get((j, i))
+        return tuple(-x for x in vec) if vec else vec_zero(self.dim)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear, skew-symmetric evaluation through the structure constants."""
@@ -148,7 +168,8 @@ class LieAlgebra:
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
         """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero."""
         found = jacobiator([(self._table, self._table)], self.dim)
-        return [(i, j, k, d) for (i, j, k), d in found.items()]
+        scale = self._den**2
+        return [(i, j, k, tuple(Fraction(x, scale) for x in d)) for (i, j, k), d in found.items()]
 
     # -- invariants ---------------------------------------------------------
 

@@ -406,6 +406,19 @@ def test_representatives_build_each_differential_once(monkeypatch):
     assert sorted(walks) == [1, 2]
 
 
+@pytest.mark.parametrize("q", [0, 2, 3, 7])
+def test_representatives_make_no_rank_call(monkeypatch, q):
+    # rank d_q is dim C^q minus the kernel's length, and rank d_(q-1) is the
+    # image echelon's length, so representatives mode computes no rank.
+    plain = cohomology_dim(heisenberg(3), q)
+    ranks = []
+    monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranks.append(m) or 0)
+    report = cohomology_dim(heisenberg(3), q, representatives=True)
+    assert ranks == []
+    assert (report.rank_d, report.rank_d_prev) == (plain.rank_d, plain.rank_d_prev)
+    assert len(report.representatives) == report.dim_H == heisenberg_hp_formula(3, q)
+
+
 def test_formula_examples_and_errors():
     assert heisenberg_hp_formula(1, 2) == 5
     assert heisenberg_hp_formula(2, 2) == 20

@@ -93,18 +93,30 @@ def test_defect_range_is_derived_from_the_top_order():
         specialize(D, 1)
 
 
-def _cochains(dim):
+# Entries with mixed denominators; kernels that scale to integers over a
+# common denominator D must read their sums back over the right power of D.
+MIXED = (0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+
+
+def _cochains(dim, entries):
     keys = list(combinations(range(dim), 2))
-    vector = st.lists(st.integers(-2, 2).map(Fraction), min_size=dim, max_size=dim)
+    vector = st.lists(entries, min_size=dim, max_size=dim)
     return st.lists(vector, min_size=len(keys), max_size=len(keys)).map(
         lambda vecs: Cochain(2, dim, dict(zip(keys, vecs)))
     )
 
 
 def _random_deformation(top, data):
-    """Random integer terms at order top and at a random set of lower orders."""
+    """Random terms at order top and at a random set of lower orders.
+
+    The entries of order k are drawn from MIXED divided by k, so different
+    orders have different denominators.
+    """
     lower = data.draw(st.sets(st.integers(1, top - 1))) if top > 1 else set()
-    terms = {order: data.draw(_cochains(5)) for order in sorted(lower | {top})}
+    terms = {}
+    for order in sorted(lower | {top}):
+        entries = st.sampled_from(MIXED).map(lambda x, k=order: Fraction(x, k))
+        terms[order] = data.draw(_cochains(5, entries))
     return Deformation(heisenberg(2), terms)
 
 
@@ -181,15 +193,17 @@ def test_defects_of_extended_d8_match_the_reference_jacobiator():
 def test_jacobi_violations_match_the_reference_jacobiator(dim):
     rng = random.Random(dim)
     keys = list(combinations(range(dim), 2))
-    violations = 0
+    violations = fractional = 0
     for _ in range(20):
-        table = {k: [rng.randint(-2, 2) for _ in range(dim)] for k in keys if rng.random() < 0.4}
+        table = {k: [rng.choice(MIXED) for _ in range(dim)] for k in keys if rng.random() < 0.4}
         A = LieAlgebra(dim, table, check=False)
         found = A.jacobi_violations()
         expected = reference_defect(Deformation(A), 0)
         assert [((i, j, k), d) for i, j, k, d in found] == list(expected.entries.items())
         violations += len(found)
+        fractional += any(x.denominator > 1 for *_, d in found for x in d)
     assert violations  # the sample holds broken tables
+    assert fractional  # and non-integer Jacobi sums
 
 
 def test_defect_report_statuses():

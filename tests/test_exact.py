@@ -297,12 +297,16 @@ rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, square=False):
-    """Tall, wide and 0-row shapes with mixed denominators.  Half are products
-    through a narrow inner dimension (low rank); up to two rows and two
-    columns are then zeroed."""
-    nrows = draw(st.integers(1 if square else 0, 7))
-    ncols = nrows if square else draw(st.integers(1, 7))
+def rational_matrices(draw, square=False, tall=False):
+    """Tall, wide and 0-row shapes with mixed denominators (tall: more rows than
+    columns, up to 12x6).  Half are products through a narrow inner dimension
+    (low rank); up to two rows and two columns are then zeroed."""
+    if tall:
+        ncols = draw(st.integers(1, 6))
+        nrows = draw(st.integers(ncols + 1, 12))
+    else:
+        nrows = draw(st.integers(1 if square else 0, 7))
+        ncols = nrows if square else draw(st.integers(1, 7))
 
     def block(r, c):
         return draw(st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r))
@@ -354,6 +358,17 @@ def test_rank_and_nullspace_match_sympy(m):
     twin = sparse_twin(m)
     assert m.rank() == twin.rank() == oracle.rank()
     assert m.nullspace() == twin.nullspace() == [from_sympy(v) for v in oracle.nullspace()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices(tall=True))
+def test_rank_of_tall_matrices_matches_sympy(m):
+    # With more rows than columns, rank eliminates the transposed rows; the
+    # explicit transpose is wide, so its rank takes the untransposed path.
+    assert m.nrows > m.ncols
+    transpose = ExactMatrix([m.column(j) for j in range(m.ncols)], ncols=m.nrows)
+    rank = to_sympy(m.rows(), m.ncols).rank()
+    assert m.rank() == sparse_twin(m).rank() == transpose.rank() == rank
 
 
 @settings(max_examples=50, deadline=None)

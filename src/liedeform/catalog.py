@@ -296,13 +296,14 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     reps = paper_representatives()
     cochains = [rep.cochain() for rep in reps]
     rows: list[PaperRow] = []
+    members: dict[str, LieAlgebra] = {}  # the t = 1 member of each extendable row
     for rep, c in zip(reps, cochains):
         cocycle = is_cocycle(h2, c)
         D = Deformation(h2, {1: c})
         verdict = strict_extendability(D)
         if verdict.exact_lie_bracket:
             obstruction_zero = True
-            member = specialize(D, 1)
+            member = members[rep.label] = specialize(D, 1)
             nilp: Optional[bool] = member.is_nilpotent()
             solv: Optional[bool] = member.is_solvable()
         else:
@@ -333,7 +334,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         if fx == fy
     ]
 
-    iso_facts = list(_generic_member_isomorphisms())
+    iso_facts = list(_generic_member_isomorphisms(members))
     nilpotent_members = [r.label for r in rows if r.nilpotent_at_t1]
     classes = _iso_classes(nilpotent_members, iso_facts)
 
@@ -353,10 +354,6 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     return rows, summary
 
 
-def _specialized(family: str, params: tuple[int, ...]) -> LieAlgebra:
-    return specialize(Deformation(heisenberg(2), {1: phi(family, params)}), 1)
-
-
 def d5_d6_basis_change() -> BasisChange:
     """The change of basis carrying mu_t(d5)(0:0) to mu_t(d6)(0:0) at t=1.
 
@@ -370,25 +367,22 @@ def d5_d6_basis_change() -> BasisChange:
     return BasisChange(ExactMatrix(rows))
 
 
-def _generic_member_isomorphisms():
-    """Verified isomorphisms among the nilpotent generic members at t=1.
+def _generic_member_isomorphisms(members: Mapping[str, LieAlgebra]):
+    """Verified isomorphisms among the nilpotent generic members at t=1,
+    read from `members` by label.
 
     d4(0:0) ~ d7(0:0:0) is found by the 32-case sign-diagonal search.  The
     d5(0:0) ~ d6(0:0) map is verified explicitly; no member of the
     monomial-plus-one-transvection class works there (exhausted over
     coefficients +-1), since the true map needs two transvections.
     """
-    A4 = _specialized("phi4", (0, 0))
-    B7 = _specialized("phi7", (0, 0, 0))
-    T = search_isomorphism(A4, B7, "diagonal_signs")
+    T = search_isomorphism(members["d4(0:0)"], members["d7(0:0:0)"], "diagonal_signs")
     if T is not None:
         cols = tuple(T.matrix.column(j) for j in range(T.matrix.ncols))
         yield IsomorphismFact("d4(0:0)", "d7(0:0:0)", "diagonal_signs", cols)
 
-    A5 = _specialized("phi5", (0, 0))
-    B6 = _specialized("phi6", (0, 0))
     T56 = d5_d6_basis_change()
-    if verify_isomorphism(A5, B6, T56):
+    if verify_isomorphism(members["d5(0:0)"], members["d6(0:0)"], T56):
         cols = tuple(T56.matrix.column(j) for j in range(T56.matrix.ncols))
         yield IsomorphismFact("d5(0:0)", "d6(0:0)", "explicit_basis_change", cols)
 

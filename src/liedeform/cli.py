@@ -4,6 +4,10 @@ Exit codes are uniform across subcommands: 0 for success or a true verdict,
 1 for a mathematical negative (Jacobi violation, non-cocycle, obstruction,
 failed isomorphism), 2 for input errors (unreadable files, schema
 violations, out-of-range arguments).
+
+`main` registers only the subcommand named by its first argument: each job
+is a fresh process, and building all 17 subparsers cost more than a small
+job's mathematics. Help, --version and unknown commands get the full parser.
 """
 
 from __future__ import annotations
@@ -477,91 +481,43 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liedeform",
-        description="Exact workbench for Lie algebra cohomology and deformations.",
-    )
-    parser.add_argument("--version", action="version", version=f"liedeform {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, t: bool = False) -> None:
+    p.add_argument("--json", action="store_true", help="emit a JSON document")
+    if t:
+        p.add_argument("--t", default="1", metavar="VALUE",
+                       help="rational deformation parameter (default 1)")
 
-    def add_common(p, t=False):
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if t:
-            p.add_argument("--t", default="1", metavar="VALUE",
-                           help="rational deformation parameter (default 1)")
 
-    p = sub.add_parser("jacobi", help="validate the Jacobi identity of an algebra file")
-    p.add_argument("algebra")
-    add_common(p)
-    p.set_defaults(handler=_cmd_jacobi)
+def _positionals(*positionals: str, t: bool = False):
+    """Adds the arguments of a command that takes positionals, --json and maybe --t."""
+    def add(p) -> None:
+        for name in positionals:
+            p.add_argument(name)
+        _add_common(p, t)
+    return add
 
-    p = sub.add_parser("invariants", help="center, series, solvability, nilpotency")
-    p.add_argument("algebra")
-    add_common(p)
-    p.set_defaults(handler=_cmd_invariants)
 
-    p = sub.add_parser("cohomology", help="dim H^q by exact rank computation")
+def _cohomology_arguments(p) -> None:
     p.add_argument("algebra")
     p.add_argument("degree", type=int)
     p.add_argument("--representatives", action="store_true",
                    help="emit representative cocycles")
-    add_common(p)
-    p.set_defaults(handler=_cmd_cohomology)
+    _add_common(p)
 
-    p = sub.add_parser("check-cocycle", help="is d(c) = 0 (symbolic aware)")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_common(p)
-    p.set_defaults(handler=_cmd_check_cocycle)
 
-    p = sub.add_parser("check-coboundary", help="find b with d(b) = c, if any")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_common(p)
-    p.set_defaults(handler=_cmd_check_coboundary)
-
-    p = sub.add_parser("class-eq", help="do two cocycles differ by a coboundary")
-    p.add_argument("algebra")
-    p.add_argument("cochain1")
-    p.add_argument("cochain2")
-    add_common(p)
-    p.set_defaults(handler=_cmd_class_eq)
-
-    p = sub.add_parser("span", help="dimension of cocycle span inside H^q")
+def _span_arguments(p) -> None:
     p.add_argument("algebra")
     p.add_argument("cochains", nargs="+")
-    add_common(p)
-    p.set_defaults(handler=_cmd_span)
+    _add_common(p)
 
-    p = sub.add_parser(
-        "deform", help="defects at orders 1..2 and the extendability verdict"
-    )
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_common(p)
-    p.set_defaults(handler=_cmd_deform)
 
-    p = sub.add_parser("extend", help="one order-by-order extension step")
-    p.add_argument("deformation")
-    add_common(p)
-    p.set_defaults(handler=_cmd_extend)
-
-    p = sub.add_parser(
-        "specialize", help="member algebra at a rational t, if defects 1..2m vanish"
-    )
-    p.add_argument("deformation")
-    add_common(p, t=True)
-    p.set_defaults(handler=_cmd_specialize)
-
-    p = sub.add_parser("iso", help="verify or search basis-change isomorphisms")
+def _iso_arguments(p) -> None:
     iso_sub = p.add_subparsers(dest="iso_command", required=True)
     pv = iso_sub.add_parser("verify", help="check a supplied basis change")
     pv.add_argument("algebra_a")
     pv.add_argument("algebra_b")
     pv.add_argument("--map", required=True, help="matrix file with the basis change")
-    add_common(pv)
-    pv.set_defaults(handler=_cmd_iso)
+    _add_common(pv)
     ps = iso_sub.add_parser("search", help="enumerate a finite class of basis changes")
     ps.add_argument("algebra_a")
     ps.add_argument("algebra_b")
@@ -570,32 +526,80 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--bound", default="1,-1",
                     help="comma-separated nonzero scales and transvection coefficients "
                     "(default 1,-1); diagonal_signs always uses the signs 1,-1")
-    add_common(ps)
-    ps.set_defaults(handler=_cmd_iso)
+    _add_common(ps)
 
-    p = sub.add_parser("catalog", help="emit built-in objects as JSON")
+
+def _catalog_arguments(p) -> None:
     cat_sub = p.add_subparsers(dest="catalog_command", required=True)
-    pl = cat_sub.add_parser("list", help="list catalog object names")
-    pl.set_defaults(handler=_cmd_catalog)
+    cat_sub.add_parser("list", help="list catalog object names")
     pe = cat_sub.add_parser("emit", help="emit one catalog object")
     pe.add_argument("name", help="hN, phi1..phi8, h1_phi1..h1_phi5, representatives")
     pe.add_argument("--params", help="comma-separated rational parameters")
     pe.add_argument("--symbolic", action="store_true", help="keep p, q, r symbolic")
     pe.add_argument("--deformed", action="store_true",
                     help="emit the deformed algebra at --t instead of the cochain")
-    add_common(pe, t=True)
-    pe.set_defaults(handler=_cmd_catalog)
+    _add_common(pe, t=True)
 
-    p = sub.add_parser("reproduce", help="recompute the full classification table")
-    add_common(p)
-    p.set_defaults(handler=_cmd_reproduce)
 
+# name: (help line, handler, adds the arguments), in the order of the help.
+COMMANDS = {
+    "jacobi": (
+        "validate the Jacobi identity of an algebra file", _cmd_jacobi, _positionals("algebra")
+    ),
+    "invariants": (
+        "center, series, solvability, nilpotency", _cmd_invariants, _positionals("algebra")
+    ),
+    "cohomology": ("dim H^q by exact rank computation", _cmd_cohomology, _cohomology_arguments),
+    "check-cocycle": (
+        "is d(c) = 0 (symbolic aware)", _cmd_check_cocycle, _positionals("algebra", "cochain")
+    ),
+    "check-coboundary": (
+        "find b with d(b) = c, if any", _cmd_check_coboundary, _positionals("algebra", "cochain")
+    ),
+    "class-eq": (
+        "do two cocycles differ by a coboundary", _cmd_class_eq,
+        _positionals("algebra", "cochain1", "cochain2"),
+    ),
+    "span": ("dimension of cocycle span inside H^q", _cmd_span, _span_arguments),
+    "deform": (
+        "defects at orders 1..2 and the extendability verdict", _cmd_deform,
+        _positionals("algebra", "cochain"),
+    ),
+    "extend": ("one order-by-order extension step", _cmd_extend, _positionals("deformation")),
+    "specialize": (
+        "member algebra at a rational t, if defects 1..2m vanish", _cmd_specialize,
+        _positionals("deformation", t=True),
+    ),
+    "iso": ("verify or search basis-change isomorphisms", _cmd_iso, _iso_arguments),
+    "catalog": ("emit built-in objects as JSON", _cmd_catalog, _catalog_arguments),
+    "reproduce": ("recompute the full classification table", _cmd_reproduce, _positionals()),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only `command` (a key of COMMANDS)."""
+    parser = argparse.ArgumentParser(
+        prog="liedeform",
+        description="Exact workbench for Lie algebra cohomology and deformations.",
+    )
+    parser.add_argument("--version", action="version", version=f"liedeform {__version__}")
+    # One registered command would shorten the usage line to that command, so
+    # it names them all; the full build keeps argparse's default, whose errors
+    # say "argument command".
+    names = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **names)
+    for name, (help_text, handler, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     # SchemaError, NotACocycleError and SingularMatrixError are ValueErrors.

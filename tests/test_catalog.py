@@ -221,6 +221,24 @@ def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(mon
     assert checks == [rep.cochain() for rep in paper_representatives()]
 
 
+def test_reproduce_specializes_each_extendable_row_once(monkeypatch):
+    # The isomorphism facts reuse the row loop's t = 1 members of d4(0:0),
+    # d7(0:0:0), d5(0:0) and d6(0:0) instead of building them again.
+    members = []
+
+    def counting(D, t):
+        members.append(D.term(1))
+        return specialize(D, t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liedeform") and getattr(module, "specialize", None) is specialize:
+            monkeypatch.setattr(module, "specialize", counting)
+    rows, _ = reproduce()
+    assert len(members) == 18
+    extendable = {r.label for r in rows if r.strict_extendable}
+    assert members == [rep.cochain() for rep in paper_representatives() if rep.label in extendable]
+
+
 def test_reproduce_structure_flags(reproduced):
     rows, _ = reproduced
     by_label = {r.label: r for r in rows}

@@ -4,6 +4,7 @@ Most invocations call main() in process for speed; one subprocess test
 covers the `python -m liedeform` entry point end to end.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import liedeform
 from liedeform import catalog
-from liedeform.cli import main
+from liedeform.cli import COMMANDS, build_parser, main
 from liedeform.cohomology import Cochain
 from liedeform.deform import Deformation
 from liedeform.exact import ExactMatrix
@@ -530,3 +531,93 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "dim H^2 = 20" in proc.stdout
+
+
+# -- parser construction ---------------------------------------------------------
+
+
+def _exit_of(run, argv, capsys):
+    """(stdout, stderr, exit code) of a run that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+def test_main_builds_only_the_invoked_subcommand(h1_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["cohomology", h1_file, "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_H"] == 1
+    assert len(built) == 2  # the top-level parser and the cohomology parser
+
+    iso = build_parser("iso")
+    verify = iso.parse_args(["iso", "verify", "a.json", "b.json", "--map", "m.json"])
+    assert (verify.iso_command, verify.map) == ("verify", "m.json")
+    search = iso.parse_args(["iso", "search", "a.json", "b.json", "--class", "monomial"])
+    assert (search.iso_command, search.search_class) == ("search", "monomial")
+    assert verify.handler is search.handler is COMMANDS["iso"][1]
+
+
+_PARSER_OUTPUT_ARGVS = [[name, "-h"] for name in COMMANDS] + [
+    ["iso", "verify", "-h"],
+    ["iso", "search", "-h"],
+    ["catalog", "list", "-h"],
+    ["catalog", "emit", "-h"],
+    ["cohomology"],
+    ["cohomology", "h.json", "0", "extra"],
+    ["cohomology", "h.json", "x"],
+    ["iso", "search", "a", "b", "--class", "bogus"],
+    ["reproduce", "--max-order", "1"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _PARSER_OUTPUT_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments"
+)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    expected = _exit_of(build_parser().parse_args, argv, capsys)
+    assert _exit_of(main, argv, capsys) == expected
+
+
+def test_top_level_help_version_and_errors(capsys):
+    usage = "usage: liedeform [-h] [--version] {" + ",".join(COMMANDS) + "} ..."
+
+    out, err, code = _exit_of(main, ["-h"], capsys)
+    assert (err, code) == ("", 0)
+    text = " ".join(out.split())
+    assert text.startswith(usage + " Exact workbench")
+    for name, (help_text, _, _) in COMMANDS.items():
+        assert f" {name} {help_text} " in text
+
+    assert _exit_of(main, ["--version"], capsys) == (f"liedeform {liedeform.__version__}\n", "", 0)
+
+    out, err, code = _exit_of(main, [], capsys)
+    assert (out, code) == ("", 2)
+    assert " ".join(err.split()).startswith(usage)
+    assert err.endswith("liedeform: error: the following arguments are required: command\n")
+
+    out, err, code = _exit_of(main, ["bogus"], capsys)
+    assert (out, code) == ("", 2)
+    assert " ".join(err.split()).startswith(usage)
+    assert "liedeform: error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_console_script_entry_reads_sys_argv(h1_file, monkeypatch, capsys):
+    # The [project.scripts] entry point calls main() without arguments.
+    monkeypatch.setattr(sys, "argv", ["liedeform", "cohomology", h1_file, "0", "--json"])
+    assert main() == 0
+    from_sys_argv = capsys.readouterr().out
+    assert main(["cohomology", h1_file, "0", "--json"]) == 0
+    assert from_sys_argv == capsys.readouterr().out
+    assert json.loads(from_sys_argv)["dim_H"] == 1

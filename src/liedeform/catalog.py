@@ -22,7 +22,6 @@ from .cohomology import (
 )
 from .deform import (
     Deformation,
-    defect,
     search_isomorphism,
     specialize,
     strict_extendability,
@@ -307,7 +306,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
             nilp: Optional[bool] = member.is_nilpotent()
             solv: Optional[bool] = member.is_solvable()
         else:
-            d = defect(D, verdict.obstructed_at)
+            d = D.defect(verdict.obstructed_at)
             obstruction_zero = is_coboundary(h2, d) is not None
             nilp = None
             solv = None
@@ -328,10 +327,12 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     # read from one echelon of im d_1 without checking the cocycles again.
     echelon = _image_echelon(h2, 2)
     forms = [echelon.normal_form(c.coords()) for c in cochains]
+    classes_of: dict[tuple[Fraction, ...], list[int]] = {}
+    for k, form in enumerate(forms):
+        classes_of.setdefault(form, []).append(k)
     equal_pairs = [
-        (x.label, y.label)
-        for (x, fx), (y, fy) in combinations(zip(reps, forms), 2)
-        if fx == fy
+        (reps[a].label, reps[b].label)
+        for a, b in sorted(pair for ks in classes_of.values() for pair in combinations(ks, 2))
     ]
 
     iso_facts = list(_generic_member_isomorphisms(members))
@@ -344,7 +345,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         obstructed=sum(1 for r in rows if not r.strict_extendable),
         pairwise_class_distinct=not equal_pairs,
         equal_class_pairs=tuple(equal_pairs),
-        distinct_classes=len(set(forms)),
+        distinct_classes=len(classes_of),
         dim_H2=cohomology_dim(h2, 2).dim_H,
         representative_span_in_H2=len(EchelonBasis(forms)),
         phi8_000_equals_phi6_00=phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0)),

@@ -434,9 +434,7 @@ def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
     """
     if not q:
         return EchelonBasis()
-    return EchelonBasis.from_sparse_rows(
-        _columns(algebra, q - 1), CochainBasis(algebra.dim, q).size
-    )
+    return EchelonBasis.from_sparse_rows(_columns(algebra, q - 1))
 
 
 def class_normal_forms(

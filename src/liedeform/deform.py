@@ -13,7 +13,8 @@ vanish for 1 <= n <= 2m.  Each defect is one call of liealg.jacobiator on
 the (mu_i, mu_j) pairs.  liealg.signed_tables scales every mu of the
 pairs to an integer table over one common denominator D, so every pair is
 over D² and the defect is read over D² once.  The Jacobi identity of an
-algebra is the same call with mu_0 in both slots.
+algebra is the same call with mu_0 in both slots.  A Deformation does not
+change, so D.defect(n) computes each order once, for every check below.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
-from .exact import ExactMatrix, vec_is_zero
+from .exact import ExactMatrix
 from .liealg import BasisChange, LieAlgebra, jacobiator, signed_tables
 
 _ZERO = Fraction(0)
@@ -37,7 +38,7 @@ class NonzeroDefectError(ValueError):
 class Deformation:
     """Base algebra plus order-tagged 2-cochain terms (all rational)."""
 
-    __slots__ = ("base", "terms")
+    __slots__ = ("base", "terms", "_defects")
 
     def __init__(self, base: LieAlgebra, terms: Mapping[int, Cochain] = ()):
         self.base = base
@@ -54,6 +55,7 @@ class Deformation:
                 )
             clean[order] = c
         self.terms = dict(sorted(clean.items()))
+        self._defects: dict[int, Cochain] = {}
 
     def term(self, order: int) -> Cochain:
         c = self.terms.get(order)
@@ -62,6 +64,13 @@ class Deformation:
     @property
     def top_order(self) -> int:
         return max(self.terms, default=0)
+
+    def defect(self, n: int) -> Cochain:
+        """The module function defect(self, n), computed on first use and kept."""
+        found = self._defects.get(n)
+        if found is None:
+            found = self._defects[n] = defect(self, n)
+        return found
 
     def defect_orders(self) -> range:
         """1..2m for top order m: the only orders whose defect can be nonzero."""
@@ -124,7 +133,7 @@ def defect_report(D: Deformation) -> DefectReport:
     """Per-order defect statuses for orders 1..2m (m the top order)."""
     statuses = []
     for n in D.defect_orders():
-        d = defect(D, n)
+        d = D.defect(n)
         if d.is_zero:
             statuses.append(OrderStatus(n, d, True, True, None))
         else:
@@ -156,7 +165,7 @@ def strict_extendability(D: Deformation) -> ExtendabilityVerdict:
     if not D.is_single_term():
         raise ValueError("strict extendability applies to single-term deformations")
     for n in D.defect_orders():
-        if defect(D, n).is_zero:
+        if D.defect(n).is_zero:
             continue
         if n == 1:
             raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
@@ -186,19 +195,19 @@ def extend_step(D: Deformation) -> ExtendOutcome:
     """
     n = D.top_order + 1
     for k in range(1, n):
-        if not defect(D, k).is_zero:
+        if not D.defect(k).is_zero:
             raise NonzeroDefectError(
                 f"deformation already has a nonzero defect at order {k}"
             )
     dim = D.base.dim
-    partial = defect(D, n)
+    partial = D.defect(n)
     d2 = differential(D.base, 2)
     x = d2.solve(list(partial.coords()))
     if x is None:
         return ExtendOutcome(extended=None, obstruction=partial)
     mu_n = Cochain.from_coords(2, dim, x)
     extended = D.with_term(n, mu_n)
-    residual = defect(extended, n)
+    residual = extended.defect(n)
     if not residual.is_zero:
         raise RuntimeError(f"extension left a nonzero defect at order {n}")
     return ExtendOutcome(extended=extended, obstruction=None)
@@ -208,28 +217,19 @@ def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
     """The member algebra at a rational t; refuses non-Lie tables."""
     t = Fraction(t_value)
     for n in D.defect_orders():
-        if not defect(D, n).is_zero:
+        if not D.defect(n).is_zero:
             raise NonzeroDefectError(
                 f"defect is nonzero at order {n}; refusing to emit a non-Lie table"
             )
     dim = D.base.dim
-    brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vec = list(D.base.bracket_basis(i, j))
-            for order, c in D.terms.items():
-                tn = t**order
-                if not tn:
-                    continue
-                v = c.value((i, j))
-                for k, vk in enumerate(v):
-                    if vk:
-                        vec[k] += tn * vk
-            if not vec_is_zero(tuple(vec)):
-                brackets[(i, j)] = tuple(vec)
-    name = None
-    if D.base.name:
-        name = f"{D.base.name} deformed at t={t}"
+    brackets = {key: list(vec) for key, vec in D.base.brackets.items()}
+    for order, c in D.terms.items():
+        tn = t**order
+        for key, v in c.entries.items():
+            vec = brackets.setdefault(key, [_ZERO] * dim)
+            for k, vk in enumerate(v):
+                vec[k] += tn * vk
+    name = f"{D.base.name} deformed at t={t}" if D.base.name else None
     return LieAlgebra(dim, brackets, check=True, name=name)
 
 

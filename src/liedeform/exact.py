@@ -13,8 +13,8 @@ scaling the other rows.  rank eliminates the rows, or the columns when the
 matrix has more rows than columns.  Results do not depend on which row
 serves as a pivot: the rank, and the reduced row echelon form from which
 nullspace, solve (free variables zero) and inverse are read, are unique; an
-EchelonBasis reduces at fixed leading indices and keeps rows only up to a
-scale that is divided out when its basis is read.
+EchelonBasis reduces at fixed leading indices and keeps integer rows, each
+only up to a scale.
 """
 
 from __future__ import annotations
@@ -493,11 +493,12 @@ def _integer_rows(rows: Iterable[Mapping[int, Scalar]], op: str) -> list[dict[in
     """The nonzero entries of each {column: value} row, scaled by the lcm of its denominators."""
     out = []
     for row in rows:
-        if any(isinstance(x, PolyScalar) for x in row.values()):
+        try:
+            den = lcm(*(x.denominator for x in row.values()))
+        except AttributeError:  # a PolyScalar has no denominator
             raise ValueError(
                 f"{op} requires rational entries; evaluate polynomial entries first"
-            )
-        den = lcm(*(x.denominator for x in row.values()))
+            ) from None
         if den == 1:
             out.append({j: x.numerator for j, x in row.items() if x})
         else:
@@ -574,26 +575,24 @@ class EchelonBasis:
 
     add(v) reduces v at each kept row's leading index, in increasing order;
     when a nonzero remainder is left, it is kept, and the rows stay sorted
-    by leading index.  basis normalizes each leading entry to 1.  The result
+    by leading index as integer rows, each up to a scale.  The result
     depends only on the order in which vectors are added.  normal_form(v) is
     that remainder, unscaled: u and v share it iff u - v lies in the span.
     from_sparse_rows adds vectors given as {index: value} dicts of their
     nonzeros, through the same reduction.
     """
 
-    __slots__ = ("_rows", "_width")
+    __slots__ = ("_rows",)
 
     def __init__(self, vectors: Iterable[Sequence[Fraction]] = ()):
         self._rows: list[tuple[int, dict[int, int]]] = []  # (lead, integer row)
-        self._width = 0
         for v in vectors:
             self.add(v)
 
     @classmethod
-    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Fraction]], width: int) -> "EchelonBasis":
-        """The echelon basis of vectors of length width, added in order; zeros are skipped."""
+    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Fraction]]) -> "EchelonBasis":
+        """The echelon basis of {index: value} vectors, added in order; zeros are skipped."""
         echelon = cls()
-        echelon._width = width
         for row in rows:
             echelon._add(row, "EchelonBasis.from_sparse_rows")
         return echelon
@@ -619,7 +618,6 @@ class EchelonBasis:
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Reduce v into the basis; True iff it extended the span."""
-        self._width = len(v)
         return self._add(_nonzeros(v), "EchelonBasis.add")
 
     def normal_form(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -631,11 +629,9 @@ class EchelonBasis:
         return tuple(Fraction(w.get(j, 0), scale) for j in range(n))
 
     @property
-    def basis(self) -> list[tuple[Fraction, ...]]:
-        return [
-            _dense({j: Fraction(x, row[lead]) for j, x in row.items()}, self._width)
-            for lead, row in self._rows
-        ]
+    def integer_rows(self) -> list[dict[int, int]]:
+        """The kept rows by leading index, as {index: value} integer nonzeros."""
+        return [row for _, row in self._rows]
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -17,15 +17,18 @@ pairs of such tables with int arithmetic only; every pair is scaled by D²,
 so its values are read over D² once, at the end.  With the bracket in both
 slots this is the Jacobi identity; deform uses it for the defects of a
 formal deformation, and cohomology builds d_q from the same integer table.
+bracket, series, center and change_basis read it too: [x, y] is the sum of
+x_a y_b [e_a, e_b] over the nonzero entries of x and y, over D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, vec_is_zero, vec_zero
+from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _nonzeros, vec_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,6 +36,7 @@ _ONE = Fraction(1)
 # {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b),
 # as integers over the table's denominator.
 Table = dict[tuple[int, int], dict[int, int]]
+Coeff = Union[Fraction, int]  # a value of a sparse {index: value} vector
 
 
 class JacobiError(ValueError):
@@ -100,18 +104,13 @@ def jacobiator(
     return {key: tuple(v) for key, v in sorted(acc.items()) if any(v)}
 
 
-def _coerce_vector(v, dim: int) -> tuple[Fraction, ...]:
-    vec = tuple(Fraction(x) for x in v)
-    if len(vec) != dim:
-        raise ValueError(f"coefficient vector has length {len(vec)}, expected {dim}")
-    return vec
-
-
 class LieAlgebra:
     """A finite-dimensional Lie algebra over the rationals.
 
     _table is the signed integer table of the brackets over the denominator
-    _den (see signed_tables); the Jacobi check and d_q read it.
+    _den (see signed_tables).  The Jacobi check, d_q, bracket, the series,
+    the center and basis changes all read it; brackets is the public
+    {(i, j): vector} view of the same constants.
     """
 
     __slots__ = ("dim", "brackets", "name", "_table", "_den")
@@ -130,8 +129,10 @@ class LieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            vec = _coerce_vector(coeffs, dim)
-            if not vec_is_zero(vec):
+            vec = tuple(Fraction(x) for x in coeffs)
+            if len(vec) != dim:
+                raise ValueError(f"coefficient vector has length {len(vec)}, expected {dim}")
+            if any(vec):
                 table[(i, j)] = vec
         self.brackets = dict(sorted(table.items()))
         self.name = name
@@ -154,14 +155,20 @@ class LieAlgebra:
         """Bilinear, skew-symmetric evaluation through the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vectors must have length equal to the algebra dimension")
-        acc = list(vec_zero(self.dim))
-        for (i, j), vec in self.brackets.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, v in enumerate(vec):
-                    if v:
-                        acc[k] += c * v
-        return tuple(acc)
+        acc = self._product(_nonzeros(x), _nonzeros(y))
+        return tuple(Fraction(acc.get(k, 0), self._den) for k in range(self.dim))
+
+    def _product(self, x: Mapping[int, Coeff], y: Mapping[int, Coeff]) -> dict[int, Coeff]:
+        """_den times [x, y] for {index: value} vectors, as {k: c} nonzeros (ints for ints)."""
+        acc: dict[int, Coeff] = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                col = self._table.get((a, b))
+                if col:
+                    f = xa * yb
+                    for k, c in col.items():
+                        acc[k] = acc.get(k, 0) + f * c
+        return {k: c for k, c in acc.items() if c}
 
     # -- validation -------------------------------------------------------
 
@@ -174,30 +181,31 @@ class LieAlgebra:
     # -- invariants ---------------------------------------------------------
 
     def center(self) -> list[tuple[Fraction, ...]]:
-        """Basis of {x : [x, e_i] = 0 for all i}, via one nullspace."""
-        n = self.dim
-        rows = []
-        for i in range(n):
-            # row block for the map x -> [x, e_i]; entry (k, j) is ([e_j, e_i])_k
-            cols = [self.bracket_basis(j, i) for j in range(n)]
-            for k in range(n):
-                rows.append(tuple(cols[j][k] for j in range(n)))
-        return ExactMatrix(rows, ncols=n).nullspace()
+        """Basis of {x : [x, e_i] = 0 for all i}: the nullspace of rows (i, k) holding
+        ([e_j, e_i])_k at column j, times _den (scaling rows keeps the nullspace)."""
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for (j, i), col in self._table.items():
+            for k, c in col.items():
+                rows.setdefault((i, k), {})[j] = c
+        return ExactMatrix.from_sparse_rows(rows.values(), self.dim).nullspace()
 
     def series(self, kind: str) -> list[int]:
         """Dimension sequence of the derived or lower central series.
 
         The list starts at dim(A) and stops at the first 0 or at the first
-        repeated value (a nonzero repeat marks stabilization).
+        repeated value (a nonzero repeat marks stabilization).  A term is spanned
+        by [u, v] over integer basis rows: u in the algebra and v in the term
+        (lower central), or u before v in the term (derived; [v, u] = -[u, v]).
         """
         if kind not in ("derived", "lower_central"):
             raise ValueError(f"unknown series kind {kind!r}")
-        full = [_unit(self.dim, i) for i in range(self.dim)]  # already in echelon form
+        full = [{i: 1} for i in range(self.dim)]  # already in echelon form
         current = full
         dims = [len(current)]
         while True:
-            left = full if kind == "lower_central" else current
-            nxt = self._product_space(left, current)
+            pairs = product(full, current) if kind == "lower_central" else combinations(current, 2)
+            products = (self._product(u, v) for u, v in pairs)
+            nxt = EchelonBasis.from_sparse_rows(products).integer_rows
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
@@ -209,14 +217,6 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         return self.series("lower_central")[-1] == 0
 
-    def _product_space(
-        self,
-        left: Sequence[tuple[Fraction, ...]],
-        right: Sequence[tuple[Fraction, ...]],
-    ) -> list[tuple[Fraction, ...]]:
-        """Echelon basis of span{[u, v]} over basis pairs in lexicographic order."""
-        return EchelonBasis(self.bracket(u, v) for u in left for v in right).basis
-
     # -- basis change ---------------------------------------------------------
 
     def change_basis(self, transform: Union["BasisChange", ExactMatrix]) -> "LieAlgebra":
@@ -225,13 +225,14 @@ class LieAlgebra:
         if T.nrows != self.dim or T.ncols != self.dim:
             raise ValueError("basis-change matrix has wrong shape")
         Tinv = T.inverse()  # raises SingularMatrixError when not invertible
-        cols = [T.column(i) for i in range(self.dim)]
+        cols = [_nonzeros(T.column(i)) for i in range(self.dim)]
         new_brackets = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                w = Tinv.mul_vector(self.bracket(cols[i], cols[j]))
-                if not vec_is_zero(w):
-                    new_brackets[(i, j)] = w
+                acc = self._product(cols[i], cols[j])
+                if acc:
+                    w = Tinv.mul_vector([acc.get(k, 0) for k in range(self.dim)])
+                    new_brackets[(i, j)] = [x / self._den for x in w]
         return LieAlgebra(self.dim, new_brackets, check=True, name=None)
 
     # -- structural equality ----------------------------------------------
@@ -276,7 +277,3 @@ class BasisChange:
 
     def __repr__(self):
         return f"BasisChange({self.matrix.nrows}x{self.matrix.ncols})"
-
-
-def _unit(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if k == i else _ZERO for k in range(n))

@@ -25,7 +25,9 @@ from liedeform.cohomology import (
     is_cocycle,
     span_in_cohomology,
 )
+from liedeform import deform
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
+from liedeform.liealg import jacobiator
 
 
 def test_heisenberg_tables():
@@ -219,6 +221,20 @@ def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(mon
             monkeypatch.setattr(module, "is_cocycle", counting)
     reproduce()
     assert checks == [rep.cochain() for rep in paper_representatives()]
+
+
+def test_reproduce_computes_each_defect_once(monkeypatch):
+    # 20 rows x orders 1..2, all computed by strict_extendability; specialize
+    # and the obstruction check read the defects the deformation keeps.
+    calls = []
+
+    def counting(pairs, dim):
+        calls.append(pairs)
+        return jacobiator(pairs, dim)
+
+    monkeypatch.setattr(deform, "jacobiator", counting)
+    reproduce()
+    assert len(calls) == 40
 
 
 def test_reproduce_specializes_each_extendable_row_once(monkeypatch):

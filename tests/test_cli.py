@@ -498,6 +498,76 @@ def test_cli_reproduce_json_deterministic(capsys):
     assert by_label["d8(0:0:1)"]["strict_extendable"] is False
 
 
+EXPECTED_PATH = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+
+
+def first_mismatch(expected, actual, where="$"):
+    """Where actual first differs from expected: extra keys are allowed, changed values not."""
+    if isinstance(expected, dict):
+        if not isinstance(actual, dict):
+            return where
+        for key, value in expected.items():
+            if key not in actual:
+                return f"{where}.{key}"
+            found = first_mismatch(value, actual[key], f"{where}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(expected, list):
+        if not isinstance(actual, list) or len(actual) != len(expected):
+            return where
+        for k, (e, a) in enumerate(zip(expected, actual)):
+            found = first_mismatch(e, a, f"{where}[{k}]")
+            if found:
+                return found
+        return None
+    return None if expected == actual and type(expected) is type(actual) else where
+
+
+def test_cli_reproduce_json_matches_the_recorded_values(capsys):
+    expected = json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))["reproduce"]
+    assert main(["reproduce", "--json"]) == 0
+    assert first_mismatch(expected, json.loads(capsys.readouterr().out)) is None
+
+
+def test_first_mismatch_allows_extra_keys_only():
+    assert first_mismatch({"a": [1, {"b": True}]}, {"a": [1, {"b": True, "c": 0}], "d": 2}) is None
+    assert first_mismatch({"a": [1]}, {"a": [1, 2]}) == "$.a"
+    assert first_mismatch({"a": {"b": True}}, {"a": {"b": 1}}) == "$.a.b"
+    assert first_mismatch({"a": 1}, {}) == "$.a"
+
+
+# The t = 1 members of d3 (trivial center) and d6(0:1) (center e5 - 2 e1).
+MEMBER_INVARIANTS = {
+    ("phi3", ()): {
+        "center": [],
+        "center_dim": 0,
+        "derived_series": [5, 4, 1, 0],
+        "dim": 5,
+        "lower_central_series": [5, 4, 4],
+        "nilpotent": False,
+        "solvable": True,
+    },
+    ("phi6", (0, 1)): {
+        "center": [{"1": "-2", "5": "1"}],
+        "center_dim": 1,
+        "derived_series": [5, 3, 1, 0],
+        "dim": 5,
+        "lower_central_series": [5, 3, 3],
+        "nilpotent": False,
+        "solvable": True,
+    },
+}
+
+
+@pytest.mark.parametrize("family, params", list(MEMBER_INVARIANTS))
+def test_cli_invariants_json_of_members(tmp_path, capsys, family, params):
+    path = deformed_file(tmp_path, family, family, params, "member.json")
+    assert main(["invariants", path, "--json"]) == 0
+    expected = MEMBER_INVARIANTS[(family, params)]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_reproduce_json_schema(capsys):
     assert main(["reproduce", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -165,6 +165,19 @@ def reference_defect(D, n):
     return Cochain(3, D.base.dim, entries)
 
 
+def test_a_deformation_computes_each_defect_once(monkeypatch):
+    D = single(phi("phi8", (0, 1, 0)))
+    first = [D.defect(n) for n in D.defect_orders()]
+    monkeypatch.setattr(deform, "defect", None)  # a second computation would fail
+    assert [D.defect(n) for n in D.defect_orders()] == first
+    assert strict_extendability(D).obstructed_at == 2
+    with pytest.raises(deform.NonzeroDefectError):
+        specialize(D, 1)
+    monkeypatch.undo()
+    assert first == [defect(D, n) for n in D.defect_orders()]
+    assert not first[1].is_zero
+
+
 @settings(max_examples=40, deadline=None)
 @given(top=st.integers(1, 2), data=st.data())
 def test_defects_match_the_reference_jacobiator(top, data):

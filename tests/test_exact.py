@@ -414,9 +414,11 @@ def test_echelon_basis_grows_exactly_with_the_sympy_rank(m):
     for k, row in enumerate(rows):
         grew = to_sympy(rows[: k + 1], m.ncols).rank() > to_sympy(rows[:k], m.ncols).rank()
         assert echelon.add(row) is grew
-    basis = echelon.basis
-    assert len(basis) == len(echelon) == to_sympy(rows, m.ncols).rank()
-    assert all(next(x for x in v if x) == 1 for v in basis)
+    kept = echelon.integer_rows
+    assert len(kept) == len(echelon) == to_sympy(rows, m.ncols).rank()
+    leads = [min(row) for row in kept]
+    assert leads == sorted(set(leads))
+    assert all(type(x) is int and x for row in kept for x in row.values())
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,13 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liedeform.catalog import heisenberg, phi
-from liedeform.deform import Deformation, specialize
+from liedeform.catalog import heisenberg, paper_representatives, phi
+from liedeform.deform import Deformation, specialize, strict_extendability
 from liedeform.exact import ExactMatrix, SingularMatrixError
 from liedeform.liealg import BasisChange, JacobiError, LieAlgebra
+
+from test_exact import naive_rank
 
 
 def abelian(n):
@@ -277,3 +283,139 @@ def test_matrix_rep_commutator_formula_random_pairs():
             assert alg.bracket(a, b) == tuple(
                 [Fraction(0)] * (dim - 1) + [scalar]
             )
+
+
+# -- the dense reference: every evaluation through the Fraction brackets -----------
+
+
+def reference_bracket(A, x, y):
+    """sum over i < j of (x_i y_j - x_j y_i) [e_i, e_j], one dense vector at a time."""
+    acc = [Fraction(0)] * A.dim
+    for (i, j), vec in A.brackets.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in enumerate(vec):
+                if v:
+                    acc[k] += c * v
+    return tuple(acc)
+
+
+def reference_series(A, kind):
+    """Each term spanned by the dense brackets of all pairs, kept where they raise the rank."""
+    full = [unit(A.dim, i) for i in range(A.dim)]
+    current = full
+    dims = [len(current)]
+    while True:
+        left = full if kind == "lower_central" else current
+        nxt = []
+        for u in left:
+            for v in current:
+                w = reference_bracket(A, u, v)
+                if naive_rank(nxt + [w]) > len(nxt):
+                    nxt.append(w)
+        dims.append(len(nxt))
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return dims
+        current = nxt
+
+
+def reference_center(A):
+    """The nullspace of the stacked maps x -> [x, e_i], built from dense rows."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        cols = [A.bracket_basis(j, i) for j in range(n)]
+        for k in range(n):
+            rows.append(tuple(cols[j][k] for j in range(n)))
+    return ExactMatrix(rows, ncols=n).nullspace()
+
+
+def reference_change_basis(A, T):
+    Tinv = T.inverse()
+    cols = [T.column(i) for i in range(A.dim)]
+    new = {}
+    for i, j in combinations(range(A.dim), 2):
+        w = Tinv.mul_vector(reference_bracket(A, cols[i], cols[j]))
+        if any(w):
+            new[(i, j)] = w
+    return LieAlgebra(A.dim, new, check=True)
+
+
+MIXED = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+
+
+@st.composite
+def skew_tables(draw):
+    """Unchecked tables of dim 1..5: no brackets, every constant nonzero, or a sparse mix."""
+    dim = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("zero", "dense", "mixed")))
+    values = st.sampled_from(MIXED[1:] if shape == "dense" else MIXED)
+    table = {
+        pair: draw(st.lists(values, min_size=dim, max_size=dim))
+        for pair in combinations(range(dim), 2)
+        if shape == "dense" or (shape == "mixed" and draw(st.booleans()))
+    }
+    return LieAlgebra(dim, table, check=False)
+
+
+def vectors(dim):
+    return st.lists(st.sampled_from(MIXED), min_size=dim, max_size=dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(A=skew_tables(), data=st.data())
+def test_bracket_series_and_center_match_the_dense_reference(A, data):
+    x, y = data.draw(vectors(A.dim)), data.draw(vectors(A.dim))
+    value = A.bracket(x, y)
+    assert value == reference_bracket(A, x, y)
+    assert all(type(c) is Fraction for c in value)
+    for kind in ("derived", "lower_central"):
+        assert A.series(kind) == reference_series(A, kind)
+    assert A.center() == reference_center(A)
+
+
+def test_series_and_center_of_a_fractional_table_match_the_dense_reference():
+    # Mixed denominators over _den; the lower central series stops above zero.
+    table = {(0, 1): [Fraction(1, 2), 0, Fraction(-2, 3)], (1, 2): [0, 0, 1]}
+    A = LieAlgebra(3, table, check=False)
+    assert A.series("lower_central") == reference_series(A, "lower_central") == [3, 2, 2]
+    assert A.center() == reference_center(A) == []
+    assert abelian(3).center() == reference_center(abelian(3))
+
+
+@cache
+def catalog_algebras():
+    """h_1..h_3 and the t = 1 member of every row with a Lie bracket at t = 1."""
+    algebras = [heisenberg(n) for n in (1, 2, 3)]
+    for rep in paper_representatives():
+        D = Deformation(heisenberg(2), {1: rep.cochain()})
+        if strict_extendability(D).exact_lie_bracket:
+            algebras.append(specialize(D, 1))
+    return algebras
+
+
+def test_catalog_algebras_cover_the_members():
+    assert len(catalog_algebras()) == 3 + 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_change_basis_matches_the_dense_reference(data):
+    A = data.draw(st.sampled_from(catalog_algebras()))
+    n = A.dim
+    entries = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
+    row = st.lists(entries, min_size=n, max_size=n)
+    T = ExactMatrix(data.draw(st.lists(row, min_size=n, max_size=n)))
+    if T.rank() == n:
+        assert A.change_basis(T).brackets == reference_change_basis(A, T).brackets
+    else:
+        with pytest.raises(SingularMatrixError):
+            A.change_basis(T)
+    # A repeated column makes any T singular.
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rows = [list(T.row(r)) for r in range(n)]
+    for row in rows:
+        row[j] = row[i]
+    for transport in (A.change_basis, lambda S: reference_change_basis(A, S)):
+        with pytest.raises(SingularMatrixError):
+            transport(ExactMatrix(rows))

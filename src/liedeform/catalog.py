@@ -347,7 +347,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         equal_class_pairs=tuple(equal_pairs),
         distinct_classes=len(classes_of),
         dim_H2=cohomology_dim(h2, 2).dim_H,
-        representative_span_in_H2=len(EchelonBasis(forms)),
+        representative_span_in_H2=len(EchelonBasis(dict(enumerate(f)) for f in forms)),
         phi8_000_equals_phi6_00=phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0)),
         isomorphisms=tuple(iso_facts),
         nonisomorphic_nilpotent_generic_members=classes,

@@ -186,14 +186,16 @@ def _cmd_invariants(args) -> int:
         print("not a Lie algebra: Jacobi identity fails", file=sys.stderr)
         return EXIT_NEGATIVE
     center = A.center()
+    derived, lower_central = A.series("derived"), A.series("lower_central")
     doc = {
         "dim": A.dim,
         "center_dim": len(center),
         "center": [{str(k + 1): str(x) for k, x in enumerate(v) if x} for v in center],
-        "derived_series": A.series("derived"),
-        "lower_central_series": A.series("lower_central"),
-        "solvable": A.is_solvable(),
-        "nilpotent": A.is_nilpotent(),
+        "derived_series": derived,
+        "lower_central_series": lower_central,
+        # is_solvable and is_nilpotent read the same last entries.
+        "solvable": derived[-1] == 0,
+        "nilpotent": lower_central[-1] == 0,
     }
     if args.json:
         _emit_json(doc)

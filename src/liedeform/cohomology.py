@@ -413,7 +413,7 @@ def cohomology_dim(
         rank_prev = len(echelon)
         # Kernel vectors independent modulo the previous image, in nullspace order.
         reps = tuple(
-            Cochain.from_sparse_coords(q, n, v) for v in kernel if echelon.add_sparse(v)
+            Cochain.from_sparse_coords(q, n, v) for v in kernel if echelon.add(v)
         )
     else:
         rank_d = d_q.rank()
@@ -434,7 +434,7 @@ def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
     """
     if not q:
         return EchelonBasis()
-    return EchelonBasis.from_sparse_rows(_columns(algebra, q - 1))
+    return EchelonBasis(_columns(algebra, q - 1))
 
 
 def class_normal_forms(
@@ -464,7 +464,7 @@ def class_eq(algebra: LieAlgebra, c1: Cochain, c2: Cochain) -> bool:
 
 def span_in_cohomology(algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain]) -> int:
     """Dimension of the span of the given cocycle classes inside H^q."""
-    return len(EchelonBasis(class_normal_forms(algebra, q, cocycles)))
+    return len(EchelonBasis(dict(enumerate(f)) for f in class_normal_forms(algebra, q, cocycles)))
 
 
 def _comb(a: int, b: int) -> int:

@@ -7,14 +7,16 @@ p, q, r with rational coefficients (``PolyScalar``).  All linear algebra
 engine: each row is scaled to integers by the lcm of its denominators and
 kept sparse, and a row operation cancels an entry with integer multipliers
 (Bareiss, Math. Comp. 22, 1968), so no fraction is formed until a result is
-read.  The pivot of a column is the shortest row leading there, and among
-those the one with the smallest |entry|, so a unit pivot cancels without
-scaling the other rows.  rank eliminates the rows, or the columns when the
-matrix has more rows than columns.  Results do not depend on which row
-serves as a pivot: the rank, and the reduced row echelon form from which
-nullspace, solve (free variables zero) and inverse are read, are unique; an
-EchelonBasis reduces at fixed leading indices and keeps integer rows, each
-only up to a scale.
+read.  One forward-elimination loop, _echelon, reduces every batch of rows.
+The pivot of a column is the shortest row leading there, and among those
+the one with the smallest |entry|, so a unit pivot cancels without scaling
+the other rows.  rank eliminates the rows, or the columns when the matrix
+has more rows than columns.  An EchelonBasis keeps the pivot rows of its
+batch and reduces each vector added later, or asked for its normal form, at
+the kept leads.  Results do not depend on which row serves as a pivot: the
+rank, the reduced row echelon form from which nullspace, solve (free
+variables zero) and inverse are read, the set of leading indices of a span
+and the normal form of a vector modulo it are all unique.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -419,13 +422,13 @@ class ExactMatrix:
         """The rank, eliminated on the shorter side: the transpose when nrows > ncols."""
         rows = _integer_rows(self._rows, "rank")
         if self.nrows <= self.ncols:
-            return len(_echelon(rows, self.ncols))
+            return len(_echelon(rows))
         # Scaling a row scales a column entry of the transpose; no rank changes.
         cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(rows):
             for j, x in row.items():
                 cols[j][i] = x
-        return len(_echelon(cols, self.nrows))
+        return len(_echelon(cols))
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, ordered by ascending free column."""
@@ -433,7 +436,7 @@ class ExactMatrix:
 
     def kernel_rows(self) -> list[dict[int, Fraction]]:
         """The nullspace basis, each vector as a {column: value} dict of its nonzeros."""
-        pivots = _echelon(_integer_rows(self._rows, "nullspace"), self.ncols)
+        pivots = _echelon(_integer_rows(self._rows, "nullspace"))
         _back_substitute(pivots)
         basis = {free: {free: _ONE} for free in range(self.ncols) if free not in pivots}
         for c, row in pivots.items():
@@ -451,7 +454,7 @@ class ExactMatrix:
         if len(b) != self.nrows:
             raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
         augmented = ({**row, n: Fraction(x)} for row, x in zip(self._rows, b))
-        pivots = _echelon(_integer_rows(augmented, "solve"), n + 1)
+        pivots = _echelon(_integer_rows(augmented, "solve"))
         if n in pivots:
             return None
         _back_substitute(pivots)
@@ -465,7 +468,7 @@ class ExactMatrix:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.nrows
         augmented = ({**row, n + i: _ONE} for i, row in enumerate(self._rows))
-        pivots = _echelon(_integer_rows(augmented, "inverse"), 2 * n)
+        pivots = _echelon(_integer_rows(augmented, "inverse"))
         if any(c >= n for c in pivots):
             raise SingularMatrixError("matrix is singular")
         _back_substitute(pivots)
@@ -530,22 +533,23 @@ def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int
     return out
 
 
-def _echelon(rows: list[dict[int, int]], width: int) -> dict[int, dict[int, int]]:
+def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward elimination; the pivot rows keyed by pivot column, ascending.
 
     Rows are bucketed by leading column.  Once the columns before c are
     done, every row left with an entry in column c leads there, so the
-    bucket of c holds all rows to eliminate and no column is scanned.  The
-    pivot is the shortest row of the bucket, and among those the one with
-    the smallest |entry| in column c: a unit pivot gives each combined row
-    the multiplier 1, so no row is scaled and no content is divided out.
+    bucket of c holds all rows to eliminate and no column is scanned; the
+    loop ends when no bucket is left.  The pivot is the shortest row of the
+    bucket, and among those the one with the smallest |entry| in column c:
+    a unit pivot gives each combined row the multiplier 1, so no row is
+    scaled and no content is divided out.
     """
     leads: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
             leads.setdefault(min(row), []).append(row)
     pivots: dict[int, dict[int, int]] = {}
-    for c in range(width):
+    for c in count():
         if not leads:
             break
         bucket = leads.pop(c, None)
@@ -571,35 +575,24 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
 
 
 class EchelonBasis:
-    """Incremental echelon basis of a span of rational vectors.
+    """Echelon basis of a span of rational vectors, each given as an
+    {index: value} dict of its nonzeros.
 
-    add(v) reduces v at each kept row's leading index, in increasing order;
-    when a nonzero remainder is left, it is kept, and the rows stay sorted
-    by leading index as integer rows, each up to a scale.  The result
-    depends only on the order in which vectors are added.  normal_form(v) is
-    that remainder, unscaled: u and v share it iff u - v lies in the span.
-    from_sparse_rows adds vectors given as {index: value} dicts of their
-    nonzeros, through the same reduction.
+    EchelonBasis(rows) keeps the pivot rows that _echelon finds for the
+    whole batch, sorted by leading index, as integer rows each up to a
+    scale.  add(row) grows the basis by one vector: it reduces the row at
+    each kept lead, in increasing order, and keeps a nonzero remainder.
+    normal_form(v) is that remainder for a dense v, unscaled.  Which rows
+    serve as pivots depends on how the basis was built, but the set of
+    leads, the normal form and whether a vector lies in the span do not: u
+    and v share a normal form iff u - v lies in the span.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, vectors: Iterable[Sequence[Fraction]] = ()):
-        self._rows: list[tuple[int, dict[int, int]]] = []  # (lead, integer row)
-        for v in vectors:
-            self.add(v)
-
-    @classmethod
-    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Fraction]]) -> "EchelonBasis":
-        """The echelon basis of {index: value} vectors, added in order; zeros are skipped."""
-        echelon = cls()
-        for row in rows:
-            echelon._add(row, "EchelonBasis.from_sparse_rows")
-        return echelon
-
-    def add_sparse(self, row: Mapping[int, Fraction]) -> bool:
-        """add for a vector of the basis's width given as {index: value} nonzeros."""
-        return self._add(row, "EchelonBasis.add_sparse")
+    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()):
+        pivots = _echelon(_integer_rows(rows, "EchelonBasis"))
+        self._rows: list[tuple[int, dict[int, int]]] = list(pivots.items())  # (lead, row)
 
     def _reduce(self, row: Mapping[int, Scalar], op: str) -> dict[int, int]:
         """The integer row of a sparse vector, reduced at every kept lead (up to scale)."""
@@ -609,16 +602,13 @@ class EchelonBasis:
                 w = _combine(w, prow, lead)
         return w
 
-    def _add(self, row: Mapping[int, Scalar], op: str) -> bool:
-        w = self._reduce(row, op)
+    def add(self, row: Mapping[int, Fraction]) -> bool:
+        """Reduce an {index: value} vector into the basis; True iff it extended the span."""
+        w = self._reduce(row, "EchelonBasis.add")
         if not w:
             return False
         insort(self._rows, (min(w), w))  # leads are distinct
         return True
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Reduce v into the basis; True iff it extended the span."""
-        return self._add(_nonzeros(v), "EchelonBasis.add")
 
     def normal_form(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """v reduced at every kept lead; unique, as the rows are in echelon form."""

@@ -9,7 +9,7 @@ maps to exit code 2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Sequence
 
 from .catalog import named_algebra
 from .cohomology import Cochain, CohomologyReport
@@ -102,6 +102,8 @@ def algebra_from_dict(doc, check: bool = True) -> LieAlgebra:
             raise SchemaError(loc, f"indices must lie in 1..{dim}")
         if j <= i:
             raise SchemaError(f"{loc}.j", f"need i < j, got i={i}, j={j}")
+        if (i - 1, j - 1) in brackets:
+            raise SchemaError(loc, f"duplicate bracket ({i}, {j})")
         vec = _parse_coeff_vector(entry.get("coeffs", {}), dim, f"{loc}.coeffs")
         if any(isinstance(x, PolyScalar) for x in vec):
             raise SchemaError(f"{loc}.coeffs", "algebra tables must be rational")
@@ -115,8 +117,8 @@ def algebra_from_dict(doc, check: bool = True) -> LieAlgebra:
 # -- cochains ----------------------------------------------------------------
 
 
-def cochain_to_dict(c: Cochain, params: Optional[Mapping[str, Fraction]] = None) -> dict:
-    doc: dict[str, Any] = {
+def cochain_to_dict(c: Cochain) -> dict:
+    return {
         "q": c.degree,
         "dim": c.dim,
         "entries": [
@@ -124,9 +126,6 @@ def cochain_to_dict(c: Cochain, params: Optional[Mapping[str, Fraction]] = None)
             for key, vec in sorted(c.entries.items())
         ],
     }
-    if params:
-        doc["params"] = {k: str(v) for k, v in sorted(params.items())}
-    return doc
 
 
 def cochain_from_dict(doc) -> Cochain:
@@ -148,11 +147,13 @@ def cochain_from_dict(doc) -> Cochain:
             raise SchemaError(f"{loc}.args", f"indices must lie in 1..{dim}")
         if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
             raise SchemaError(f"{loc}.args", "indices must be strictly increasing")
-        entries[tuple(a - 1 for a in key)] = _parse_coeff_vector(
+        if key in entries:
+            raise SchemaError(f"{loc}.args", f"duplicate args {list(key)}")
+        entries[key] = _parse_coeff_vector(
             entry.get("coeffs", {}), dim, f"{loc}.coeffs"
         )
     try:
-        c = Cochain(q, dim, entries)
+        c = Cochain(q, dim, {tuple(a - 1 for a in key): vec for key, vec in entries.items()})
     except ValueError as exc:
         raise SchemaError("entries", str(exc)) from None
     params_doc = doc.get("params")
@@ -202,6 +203,8 @@ def deformation_from_dict(doc) -> Deformation:
         order = _expect_int(entry.get("order"), f"{loc}.order")
         if order < 1:
             raise SchemaError(f"{loc}.order", "orders start at 1")
+        if order in terms:
+            raise SchemaError(f"{loc}.order", f"duplicate order {order}")
         c = cochain_from_dict(entry.get("cochain"))
         if c.is_symbolic():
             raise SchemaError(

@@ -205,7 +205,7 @@ class LieAlgebra:
         while True:
             pairs = product(full, current) if kind == "lower_central" else combinations(current, 2)
             products = (self._product(u, v) for u, v in pairs)
-            nxt = EchelonBasis.from_sparse_rows(products).integer_rows
+            nxt = EchelonBasis(products).integer_rows
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims

@@ -30,6 +30,7 @@ from liedeform.jsonio import (
     matrix_from_dict,
     matrix_to_dict,
 )
+from liedeform.liealg import LieAlgebra
 
 
 def write(tmp_path, name, doc):
@@ -148,6 +149,60 @@ def test_cli_invariants(h2_file, capsys):
     assert doc["center_dim"] == 1
     assert doc["lower_central_series"] == [5, 1, 0]
     assert doc["solvable"] and doc["nilpotent"]
+
+
+def test_cli_invariants_computes_each_series_once(h2_file, capsys, monkeypatch):
+    calls = []
+    series = LieAlgebra.series
+    monkeypatch.setattr(
+        LieAlgebra, "series", lambda A, kind: calls.append(kind) or series(A, kind)
+    )
+    assert main(["invariants", h2_file, "--json"]) == 0
+    assert sorted(calls) == ["derived", "lower_central"]
+
+
+PHI3_DEFORMATION = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi3")})
+
+
+def duplicated(doc, key, position):
+    """doc with its list doc[key] extended by a copy of entry `position`."""
+    return {**doc, key: [*doc[key], doc[key][position]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, location",
+    [
+        (
+            "invariants",
+            {
+                "dim": 3,
+                "brackets": [
+                    {"i": 1, "j": 2, "coeffs": {"3": "1"}},
+                    {"i": 1, "j": 2, "coeffs": {"3": "2"}},
+                ],
+            },
+            "brackets[1]: duplicate bracket (1, 2)",
+        ),
+        (
+            "check-cocycle",
+            duplicated(cochain_to_dict(catalog.phi("phi3")), "entries", 0),
+            "entries[4].args: duplicate args [1, 4]",
+        ),
+        (
+            "specialize",
+            duplicated(deformation_to_dict(PHI3_DEFORMATION), "terms", 0),
+            "terms[1].order: duplicate order 1",
+        ),
+    ],
+    ids=["bracket", "cochain args", "deformation order"],
+)
+def test_cli_duplicate_entries_are_input_errors(tmp_path, h2_file, capsys, command, doc, location):
+    path = write(tmp_path, "dup.json", doc)
+    argv = [command, h2_file, path] if command == "check-cocycle" else [command, path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {location}\n"
 
 
 # -- cohomology -------------------------------------------------------------------

@@ -345,6 +345,41 @@ def test_dense_h3_cohomology_matches_the_closed_form():
         assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(3, q)
 
 
+# A fixed dense basis of h_2: all 50 transported structure constants are nonzero.
+DENSE_H2_BASIS = [
+    [1, -1, 1, 1, 1],
+    [2, 1, 0, 2, 2],
+    [0, -1, 1, -1, 1],
+    [2, -1, 2, 1, 2],
+    [-1, 2, -1, 0, 0],
+]
+
+
+def assert_both_paths_agree(A, q):
+    """cohomology_dim of a basis of h_2 gives the same ranks with and without
+    representatives, and as many representatives as the closed form."""
+    plain, reps = cohomology_dim(A, q), cohomology_dim(A, q, representatives=True)
+    assert (plain.rank_d, plain.rank_d_prev, plain.dim_H) == (
+        reps.rank_d,
+        reps.rank_d_prev,
+        reps.dim_H,
+    )
+    assert len(reps.representatives) == reps.dim_H == heisenberg_hp_formula(2, q)
+
+
+def test_representatives_path_agrees_on_a_dense_h2():
+    A = heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS))
+    assert all(all(vec) for vec in A.brackets.values()) and len(A.brackets) == 10
+    for q in range(6):
+        assert_both_paths_agree(A, q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(M=h2_bases, q=st.integers(0, 5))
+def test_representatives_path_agrees_under_basis_change(M, q):
+    assert_both_paths_agree(heisenberg(2).change_basis(M), q)
+
+
 def test_dim_h_abelian():
     A = abelian(3)
     for q in range(4):

@@ -282,10 +282,12 @@ def test_polynomial_entries_require_evaluation():
     ):
         with pytest.raises(ValueError, match=f"^{op} requires rational entries"):
             getattr(square, op)(*args)
+    with pytest.raises(ValueError, match="^EchelonBasis requires rational entries"):
+        EchelonBasis([{0: Fraction(1)}, {1: R}])
     with pytest.raises(ValueError, match="^EchelonBasis.add requires rational entries"):
-        EchelonBasis([(Fraction(1), Fraction(0)), (Fraction(0), R)])
+        EchelonBasis([{0: Fraction(1)}]).add({1: R})
     with pytest.raises(ValueError, match="^EchelonBasis.normal_form requires rational entries"):
-        EchelonBasis([(Fraction(1), Fraction(0))]).normal_form((Fraction(0), R))
+        EchelonBasis([{0: Fraction(1)}]).normal_form((Fraction(0), R))
 
 
 # -- sympy oracle for the elimination engine --------------------------------------
@@ -337,6 +339,11 @@ def to_sympy(rows, ncols):
 
 def from_sympy(entries):
     return tuple(Fraction(int(e.p), int(e.q)) for e in entries)
+
+
+def sparse(row):
+    """The {index: value} nonzeros of a dense row."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def sparse_twin(m):
@@ -413,12 +420,14 @@ def test_echelon_basis_grows_exactly_with_the_sympy_rank(m):
     rows, echelon = m.rows(), EchelonBasis()
     for k, row in enumerate(rows):
         grew = to_sympy(rows[: k + 1], m.ncols).rank() > to_sympy(rows[:k], m.ncols).rank()
-        assert echelon.add(row) is grew
-    kept = echelon.integer_rows
-    assert len(kept) == len(echelon) == to_sympy(rows, m.ncols).rank()
-    leads = [min(row) for row in kept]
-    assert leads == sorted(set(leads))
-    assert all(type(x) is int and x for row in kept for x in row.values())
+        assert echelon.add(sparse(row)) is grew
+    rank = to_sympy(rows, m.ncols).rank()
+    for built in (echelon, EchelonBasis(sparse(row) for row in rows)):
+        kept = built.integer_rows
+        assert len(kept) == len(built) == rank
+        leads = [min(row) for row in kept]
+        assert leads == sorted(set(leads))
+        assert all(type(x) is int and x for row in kept for x in row.values())
 
 
 @settings(max_examples=50, deadline=None)
@@ -435,7 +444,7 @@ def test_normal_forms_are_equal_exactly_modulo_the_sympy_span(m, data):
         ]
     else:
         v = data.draw(vector)
-    echelon = EchelonBasis(rows)
+    echelon = EchelonBasis(sparse(row) for row in rows)
     rank = to_sympy(rows, n).rank()
 
     def in_span(w):
@@ -444,3 +453,20 @@ def test_normal_forms_are_equal_exactly_modulo_the_sympy_span(m, data):
     form = echelon.normal_form(u)
     assert (form == echelon.normal_form(v)) is in_span([a - b for a, b in zip(u, v)])
     assert in_span([a - b for a, b in zip(u, form)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=rational_matrices(), data=st.data())
+def test_batch_and_row_by_row_echelon_bases_agree(m, data):
+    # The batch takes _echelon's pivots, add keeps each row's remainder as it
+    # arrives: the kept rows may differ, but not the leads, the length or the
+    # normal forms.
+    rows, n = m.rows(), m.ncols
+    batch, grown = EchelonBasis(sparse(row) for row in rows), EchelonBasis()
+    for row in rows:
+        grown.add(sparse(row))
+    assert len(batch) == len(grown)
+    assert {min(row) for row in batch.integer_rows} == {min(row) for row in grown.integer_rows}
+    vectors = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4))
+    for v in [*rows, *vectors]:
+        assert batch.normal_form(v) == grown.normal_form(v)

@@ -1,0 +1,221 @@
+"""Byte identity of CLI output: the exit code and the sha256 of stdout of
+each command below, recorded from the program and pinned here.
+
+The commands cover `reproduce`, the cohomology of h_1..h_3 with
+representatives at every degree, and the class, extension, deformation,
+specialization, invariants and isomorphism commands on catalog cochains of
+h_2 and on the t = 1 members of their deformations.  Every input is written
+by `catalog emit` (a deformation file wraps an emitted cochain as its
+order-1 term), so the test reads no file of its own.  A change that alters
+one of these outputs on purpose records the new digest here and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from liedeform.cli import main
+
+# name: (catalog object, --params), for the cochains of h_2.
+POINTS = {
+    "phi3": ("phi3", None),
+    "phi6_10": ("phi6", "1,0"),
+    "phi8_010": ("phi8", "0,1,0"),
+    "phi8_100": ("phi8", "1,0,0"),
+    "phi6_00": ("phi6", "0,0"),
+}
+# name: (family, --params) of the member at t = 1.
+MEMBERS = {
+    "d4": ("phi4", "0,0"),
+    "d5": ("phi5", "0,0"),
+    "d6": ("phi6", "0,0"),
+    "d7": ("phi7", "0,0,0"),
+}
+EXTENDED = ("phi3", "phi8_010")  # points whose first extension step succeeds
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def emit(path, argv):
+    rc, text = run(["catalog", "emit", *argv])
+    assert rc == 0
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """{name: path} of every input file, written through the CLI."""
+    d = tmp_path_factory.mktemp("digest_inputs")
+    paths = {}
+
+    def add(name, argv):
+        paths[name] = str(d / f"{name}.json")
+        emit(d / f"{name}.json", argv)
+
+    for n in (1, 2, 3):
+        add(f"h{n}", [f"h{n}"])
+    for name, (obj, params) in POINTS.items():
+        add(name, [obj] + (["--params", params] if params else []))
+        term = {"order": 1, "cochain": json.loads((d / f"{name}.json").read_text())}
+        paths[f"def_{name}"] = str(d / f"def_{name}.json")
+        (d / f"def_{name}.json").write_text(json.dumps({"base": "h2", "terms": [term]}))
+    for name, (family, params) in MEMBERS.items():
+        add(name, [family, "--params", params, "--deformed"])
+    for name in EXTENDED:
+        rc, text = run(["extend", paths[f"def_{name}"], "--json"])
+        assert rc == 0
+        paths[f"ext_{name}"] = str(d / f"ext_{name}.json")
+        (d / f"ext_{name}.json").write_text(json.dumps(json.loads(text)["deformation"]))
+    # The order-2 defect of phi8(0:1:0) is a coboundary, so its check finds a preimage.
+    rc, text = run(["deform", paths["h2"], paths["phi8_010"], "--json"])
+    assert rc == 1
+    paths["defect_phi8_010"] = str(d / "defect_phi8_010.json")
+    defect = json.loads(text)["defects"]["orders"][1]["defect"]
+    (d / "defect_phi8_010.json").write_text(json.dumps(defect))
+    return paths
+
+
+def cases():
+    """(id, argv) with input names in braces."""
+    yield "reproduce", ["reproduce"]
+    yield "reproduce-json", ["reproduce", "--json"]
+    for n, top in ((1, 3), (2, 5), (3, 7)):
+        for q in range(top + 1):
+            argv = ["cohomology", f"{{h{n}}}", str(q), "--representatives", "--json"]
+            yield f"cohomology-h{n}-{q}", argv
+    for point in ("phi3", "phi6_10", "phi8_010", "phi8_100"):
+        for fmt in ((), ("--json",)):
+            tag = point + ("-json" if fmt else "")
+            yield f"check-coboundary-{tag}", ["check-coboundary", "{h2}", f"{{{point}}}", *fmt]
+            yield f"deform-{tag}", ["deform", "{h2}", f"{{{point}}}", *fmt]
+            yield f"extend-{tag}", ["extend", f"{{def_{point}}}", *fmt]
+            yield f"specialize-{tag}", ["specialize", f"{{def_{point}}}", *fmt]
+        yield f"specialize-{point}-half", ["specialize", f"{{def_{point}}}", "--t", "1/2", "--json"]
+    yield "check-coboundary-defect", ["check-coboundary", "{h2}", "{defect_phi8_010}"]
+    yield "check-coboundary-defect-json", ["check-coboundary", "{h2}", "{defect_phi8_010}", "--json"]
+    for point in EXTENDED:
+        yield f"extend-again-{point}", ["extend", f"{{ext_{point}}}", "--json"]
+        yield f"specialize-extended-{point}", ["specialize", f"{{ext_{point}}}", "--json"]
+    pairs = [
+        ("phi3", "phi6_10"),
+        ("phi6_10", "phi8_010"),
+        ("phi8_010", "phi8_100"),
+        ("phi8_010", "phi6_00"),
+        ("phi8_100", "phi8_100"),
+    ]
+    for a, b in pairs:
+        yield f"class-eq-{a}-{b}", ["class-eq", "{h2}", f"{{{a}}}", f"{{{b}}}"]
+    yield "span-points", ["span", "{h2}", "{phi3}", "{phi6_10}", "{phi8_010}", "{phi8_100}"]
+    yield "span-equal-classes", ["span", "{h2}", "{phi8_010}", "{phi6_00}", "--json"]
+    for name in MEMBERS:
+        yield f"invariants-{name}", ["invariants", f"{{{name}}}", "--json"]
+    yield "invariants-d5-text", ["invariants", "{d5}"]
+    yield "invariants-h3", ["invariants", "{h3}", "--json"]
+    transvection = ["--class", "monomial_plus_one_transvection"]
+    yield "iso-d5-d6", ["iso", "search", "{d5}", "{d6}", *transvection, "--json"]
+    yield "iso-d4-d7", ["iso", "search", "{d4}", "{d7}", "--class", "diagonal_signs", "--json"]
+    yield "iso-d5-d5", ["iso", "search", "{d5}", "{d5}", "--class", "monomial"]
+
+
+CASES = dict(cases())
+
+# id: (exit code, sha256 of stdout)
+DIGESTS = {
+    'check-coboundary-defect': (0, '015fc03a11a8dad23d375258c8a94b03fc22e17e510eb4ab6d9126f9f8342883'),
+    'check-coboundary-defect-json': (0, '29a6cdfab3b4a9d5ed7add23938ca75806ba5853876cc3ae072e0384f8b9a3ed'),
+    'check-coboundary-phi3': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
+    'check-coboundary-phi3-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
+    'check-coboundary-phi6_10': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
+    'check-coboundary-phi6_10-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
+    'check-coboundary-phi8_010': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
+    'check-coboundary-phi8_010-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
+    'check-coboundary-phi8_100': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
+    'check-coboundary-phi8_100-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
+    'class-eq-phi3-phi6_10': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
+    'class-eq-phi6_10-phi8_010': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
+    'class-eq-phi8_010-phi6_00': (0, '8346964e9cd01e2d56b3c26fb5e87f8777e5344c572e758f1cdd8bf4879e8aaa'),
+    'class-eq-phi8_010-phi8_100': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
+    'class-eq-phi8_100-phi8_100': (0, '8346964e9cd01e2d56b3c26fb5e87f8777e5344c572e758f1cdd8bf4879e8aaa'),
+    'cohomology-h1-0': (0, 'a4920370eab748487de67c00531625fbd4f47de83d1bb913066cf3812effdb55'),
+    'cohomology-h1-1': (0, 'f095cf1b90d60bc432bfd31593ac35392dd8dcf8bc644eccbe15bc72c984105d'),
+    'cohomology-h1-2': (0, 'eca920df85b04d22d144a4cf06aa62a5493893182b542ab5b5dd188be80fdfef'),
+    'cohomology-h1-3': (0, 'fb7460137aad79613af5fdc8bfa22d26efe4127a7b82b2c72268a915a0331ebd'),
+    'cohomology-h2-0': (0, 'a6858118aadc6fe85d79ee13efdfdff20e8f513f29d3efa557f61766a06b4838'),
+    'cohomology-h2-1': (0, 'f373df0f1bb3e6723fa0af384e407bfa41939db64a21e6f5cec01b3b0ad03745'),
+    'cohomology-h2-2': (0, '9674293d1b525e3a2e9271700e08acf03fefe0e8fdf34d764dfaa213846fa519'),
+    'cohomology-h2-3': (0, 'da214a5363235c72be2f68c918703982bca73c6139800e2509e6ebc0d6c1de89'),
+    'cohomology-h2-4': (0, '4077f92ac7c0f743c2b8d408cb92ca2d4686c67912b79e93ea9d14c7f212d48b'),
+    'cohomology-h2-5': (0, 'd08d12915db0e654e1a013bc7d0785c45f89f426ed3e3eead64eff64810174d8'),
+    'cohomology-h3-0': (0, 'cc065f99fe19de7f23385f40b0bc534e10ea500d63c52d461f40fbda888da094'),
+    'cohomology-h3-1': (0, '6f3ffdeed2f53513291c97ad5d8b5e2b81c1d8fb22175078cae0a4ff6764cf96'),
+    'cohomology-h3-2': (0, '71ba985955ad297d68eeb4d74a3d4536ffe8973e5fc903a66e3173d7a677b5ca'),
+    'cohomology-h3-3': (0, 'aa53a81fe414469a5197f074105212e3b7fb4d425b5bf2c14da075ff18be5d6d'),
+    'cohomology-h3-4': (0, '44520eb8dd897215f5d8bf4a3a13381dbde3d381c3a79d62fe9e2de784df3d95'),
+    'cohomology-h3-5': (0, '2de4a17796366619573988185bd440e82ee84eb26080404e31f4b8713e90ec7e'),
+    'cohomology-h3-6': (0, 'ee657522269586d7123c1123eabba422eb28a64d74bbc8fa5f49a3994eabe466'),
+    'cohomology-h3-7': (0, '3126f16211f23be8b68753233da73f48721a7da3c53f7371fde98ddd514b1d1d'),
+    'deform-phi3': (0, '193c977ace197f6ab231b255df7514ceea252b3d660d9e659c893307a62f3fbd'),
+    'deform-phi3-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
+    'deform-phi6_10': (0, '5828d996f779ac6913fd72bcfa14c14b02f9e2aaeb82c9ff0dbb76305652b321'),
+    'deform-phi6_10-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
+    'deform-phi8_010': (1, '6f941514ad6927d20e9d0cd85fc97d8beee0c6bd266eb05d4d927408a4eabf88'),
+    'deform-phi8_010-json': (1, '26796b96a28766de4abb025dfeec51c20d85591f9223a783e50b27a54a185472'),
+    'deform-phi8_100': (0, '5828d996f779ac6913fd72bcfa14c14b02f9e2aaeb82c9ff0dbb76305652b321'),
+    'deform-phi8_100-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
+    'extend-again-phi3': (0, '3b5f5cd1f9e179d0f81a8fcafd334a63dea53be87949fcf4d89497912a05ab93'),
+    'extend-again-phi8_010': (0, '51d8e3edc823fc29ca1c11f3ac5d82329f5f61786584409f9f5b0b14ee5e6022'),
+    'extend-phi3': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
+    'extend-phi3-json': (0, '8ba08a0f0b8eff6a2938ba4ee333e8a27fbc5c2f8e6a09473665c9ad3f89d76d'),
+    'extend-phi6_10': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
+    'extend-phi6_10-json': (0, 'c54945ea8f896499ff58ea85ee128799edda7001ba4325229b254561da0e674a'),
+    'extend-phi8_010': (0, 'c9b9cd4f5b65a23712c4481913896b5cb5141eb6a89ead4c3e7de0207c6d4443'),
+    'extend-phi8_010-json': (0, 'f11012052fb30c366ac82858c08bbb33b114d32b1b28bfed8eac15b89563769d'),
+    'extend-phi8_100': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
+    'extend-phi8_100-json': (0, 'c54945ea8f896499ff58ea85ee128799edda7001ba4325229b254561da0e674a'),
+    'invariants-d4': (0, '98fcdeb4e962592cb3ea947cadb1c0909bcdfccfe5e9d616ca7760999a45f5c4'),
+    'invariants-d5': (0, '43802052685328a9996445e08d6df423520a558487b938e091cbf7d3fcd318df'),
+    'invariants-d5-text': (0, '99ff961069d431579377af4028ed1af34a907a384ea73b67aecb7180ba1a23b0'),
+    'invariants-d6': (0, '43802052685328a9996445e08d6df423520a558487b938e091cbf7d3fcd318df'),
+    'invariants-d7': (0, '98fcdeb4e962592cb3ea947cadb1c0909bcdfccfe5e9d616ca7760999a45f5c4'),
+    'invariants-h3': (0, 'f3ccc7d2de9b8f044eb8cb65dd6d96a56b772c7ab12d3a1a642116f37ad1140e'),
+    'iso-d4-d7': (0, '97bb3f5466d968b4486c1c7af6c4c37894173557681b55b3875c4389e736e524'),
+    'iso-d5-d5': (0, '415b6927862eab7f5c6d89138b57bd152ec803a03a5e7bb87952e562648006b9'),
+    'iso-d5-d6': (1, 'a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e'),
+    'reproduce': (0, '7ec9abea1a2717d4e12aa10922cca915e605b40f77918a59b8bceb1e004efcf1'),
+    'reproduce-json': (0, '8f65a96c47c05f5c3a4385d318f764dbb1603c90111eacaf825d91e682749bc9'),
+    'span-equal-classes': (0, '9fc11784e4c0293966d8d3e26329eb0a17f1c108284af14f496f24f7fe5292ca'),
+    'span-points': (0, '18d04fd54a7a8e8ff838b173c6ca577075466e09a4a2fe47470e986640fd22ab'),
+    'specialize-extended-phi3': (0, '4ea1163eaf352766feb864493634554237462e36ed4d17c1c17bcc8c6705ccc0'),
+    'specialize-extended-phi8_010': (0, 'a31fd109621c73da90c273a1a15fcb6bf7578bd028a74fc13cfa3980af85ab70'),
+    'specialize-phi3': (0, '0364ae092de6050c2600bdd11b3124c0cae83d8cbcf40fe302c9068cdaf22b7b'),
+    'specialize-phi3-half': (0, '011c91da6e25c1c2eeb15c4393f9a36af70c447fb94c8c9a6caa43f8956a92e9'),
+    'specialize-phi3-json': (0, '4ea1163eaf352766feb864493634554237462e36ed4d17c1c17bcc8c6705ccc0'),
+    'specialize-phi6_10': (0, 'c3df6a5591a398f91ed7c693a80ef924af2b66cbe36fbbc2f5d8ba6a9310943a'),
+    'specialize-phi6_10-half': (0, '2b1040bb8c8a15a067fe3fca9e63472127ee00a5210ec825709d9f65637d5c65'),
+    'specialize-phi6_10-json': (0, 'be8459a6a46bc15c391d86ca368dd5aa0d73c61d4462038083f8e427c7ceb6b7'),
+    'specialize-phi8_010': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'specialize-phi8_010-half': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'specialize-phi8_010-json': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'specialize-phi8_100': (0, 'c3df6a5591a398f91ed7c693a80ef924af2b66cbe36fbbc2f5d8ba6a9310943a'),
+    'specialize-phi8_100-half': (0, '2b1040bb8c8a15a067fe3fca9e63472127ee00a5210ec825709d9f65637d5c65'),
+    'specialize-phi8_100-json': (0, 'be8459a6a46bc15c391d86ca368dd5aa0d73c61d4462038083f8e427c7ceb6b7'),
+}
+
+
+def test_every_case_has_a_digest():
+    assert sorted(CASES) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_is_byte_identical(case, inputs):
+    argv = [arg.format(**inputs) for arg in CASES[case]]
+    rc, out = run(argv)
+    assert (rc, hashlib.sha256(out.encode("utf-8")).hexdigest()) == DIGESTS[case]

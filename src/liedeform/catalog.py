@@ -327,9 +327,9 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     # read from one echelon of im d_1 without checking the cocycles again.
     echelon = _image_echelon(h2, 2)
     forms = [echelon.normal_form(c.coords()) for c in cochains]
-    classes_of: dict[tuple[Fraction, ...], list[int]] = {}
+    classes_of: dict[frozenset, list[int]] = {}
     for k, form in enumerate(forms):
-        classes_of.setdefault(form, []).append(k)
+        classes_of.setdefault(frozenset(form.items()), []).append(k)
     equal_pairs = [
         (reps[a].label, reps[b].label)
         for a, b in sorted(pair for ks in classes_of.values() for pair in combinations(ks, 2))
@@ -347,7 +347,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         equal_class_pairs=tuple(equal_pairs),
         distinct_classes=len(classes_of),
         dim_H2=cohomology_dim(h2, 2).dim_H,
-        representative_span_in_H2=len(EchelonBasis(dict(enumerate(f)) for f in forms)),
+        representative_span_in_H2=len(EchelonBasis(forms)),
         phi8_000_equals_phi6_00=phi("phi8", (0, 0, 0)) == phi("phi6", (0, 0)),
         isomorphisms=tuple(iso_facts),
         nonisomorphic_nilpotent_generic_members=classes,

@@ -41,6 +41,7 @@ from .deform import (
 from .exact import PolyScalar, parse_rational
 from .jsonio import (
     SchemaError,
+    _format_coeff_vector,
     algebra_from_dict,
     algebra_to_dict,
     cochain_from_dict,
@@ -164,7 +165,7 @@ def _cmd_jacobi(args) -> int:
                 "violations": [
                     {
                         "triple": [i + 1, j + 1, k + 1],
-                        "defect": {str(m + 1): str(x) for m, x in enumerate(d) if x},
+                        "defect": _format_coeff_vector(d),
                     }
                     for (i, j, k, d) in violations
                 ],
@@ -190,7 +191,7 @@ def _cmd_invariants(args) -> int:
     doc = {
         "dim": A.dim,
         "center_dim": len(center),
-        "center": [{str(k + 1): str(x) for k, x in enumerate(v) if x} for v in center],
+        "center": [_format_coeff_vector(v) for v in center],
         "derived_series": derived,
         "lower_central_series": lower_central,
         # is_solvable and is_nilpotent read the same last entries.
@@ -222,7 +223,7 @@ def _cmd_cohomology(args) -> int:
         print(f"rank d_{q - 1} = {report.rank_d_prev}")
         print(f"dim H^{q} = {report.dim_H}")
         if report.representatives is not None:
-            for idx, c in enumerate(report.representatives):
+            for c in report.representatives:
                 print(json.dumps(cochain_to_dict(c), sort_keys=True))
     return EXIT_OK
 

@@ -20,6 +20,7 @@ columns as they are, since scaling does not change a span.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,17 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Collection, Mapping, Optional, Sequence, Union
 
-from .exact import (
-    EchelonBasis,
-    ExactMatrix,
-    PolyScalar,
-    Scalar,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vec_zero,
-)
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _check_indices
 from .liealg import LieAlgebra, Table
 
 _ZERO = Fraction(0)
@@ -91,7 +82,7 @@ class Cochain:
             v = tuple(_coerce_scalar(x) for x in vec)
             if len(v) != dim:
                 raise ValueError(f"value vector for {key} has length {len(v)}")
-            if not vec_is_zero(v):
+            if any(v):
                 clean[key] = v
         self.entries = dict(sorted(clean.items()))
 
@@ -104,11 +95,11 @@ class Cochain:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
         if len(set(args)) != len(args):
-            return vec_zero(self.dim)
+            return (_ZERO,) * self.dim
         key = tuple(sorted(args))
         vec = self.entries.get(key)
         if vec is None:
-            return vec_zero(self.dim)
+            return (_ZERO,) * self.dim
         sign = _perm_sign(args)
         return vec if sign == 1 else tuple(-x for x in vec)
 
@@ -124,19 +115,17 @@ class Cochain:
     def _merge(self, other: "Cochain", op) -> "Cochain":
         if (self.degree, self.dim) != (other.degree, other.dim):
             raise ValueError("cochain degree/dimension mismatch")
-        keys = set(self.entries) | set(other.entries)
+        zero = (_ZERO,) * self.dim
         out = {}
-        for k in keys:
-            a = self.entries.get(k, vec_zero(self.dim))
-            b = other.entries.get(k, vec_zero(self.dim))
-            out[k] = op(a, b)
+        for k in set(self.entries) | set(other.entries):
+            out[k] = tuple(map(op, self.entries.get(k, zero), other.entries.get(k, zero)))
         return Cochain(self.degree, self.dim, out)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        return self._merge(other, vec_add)
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self._merge(other, vec_sub)
+        return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Cochain":
         return Cochain(
@@ -145,7 +134,7 @@ class Cochain:
 
     def scale(self, c: Scalar) -> "Cochain":
         return Cochain(
-            self.degree, self.dim, {k: vec_scale(c, v) for k, v in self.entries.items()}
+            self.degree, self.dim, {k: tuple(c * x for x in v) for k, v in self.entries.items()}
         )
 
     def substitute(self, point: Mapping[str, Union[Fraction, int]]) -> "Cochain":
@@ -157,31 +146,19 @@ class Cochain:
             )
         return Cochain(self.degree, self.dim, out)
 
-    def coords(self) -> tuple[Scalar, ...]:
-        basis = CochainBasis(self.dim, self.degree)
-        out = [_ZERO] * basis.size
-        for t_index, key in enumerate(basis.tuples):
-            vec = self.entries.get(key)
-            if vec is None:
-                continue
-            base = t_index * self.dim
-            for k, x in enumerate(vec):
-                out[base + k] = x
-        return tuple(out)
+    def coords(self) -> dict[int, Scalar]:
+        """The nonzero CochainBasis coordinates as {index: value}, ascending: the
+        vector format of exact's arithmetic (entries keep dense vectors for display)."""
+        first = _first_coords(self.dim, self.degree)
+        return {
+            first[key] + k: x for key, vec in self.entries.items() for k, x in enumerate(vec) if x
+        }
 
     @classmethod
-    def from_coords(cls, degree: int, dim: int, coords: Sequence[Scalar]) -> "Cochain":
-        basis = CochainBasis(dim, degree)
-        if len(coords) != basis.size:
-            raise ValueError(f"expected {basis.size} coordinates, got {len(coords)}")
-        return cls.from_sparse_coords(degree, dim, {i: x for i, x in enumerate(coords) if x})
-
-    @classmethod
-    def from_sparse_coords(
-        cls, degree: int, dim: int, coords: Mapping[int, Scalar]
-    ) -> "Cochain":
-        """The cochain with the given {coordinate: value} entries, all others zero."""
+    def from_coords(cls, degree: int, dim: int, coords: Mapping[int, Scalar]) -> "Cochain":
+        """The cochain with the given {index: value} coordinates, all others zero."""
         tuples = _tuples(dim, degree)
+        _check_indices(coords, len(tuples) * dim, "coordinate")
         entries: dict[tuple[int, ...], list[Scalar]] = {}
         for i, x in coords.items():
             t, k = divmod(i, dim)
@@ -207,6 +184,12 @@ class Cochain:
 @lru_cache(maxsize=None)
 def _tuples(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(dim), degree))
+
+
+@lru_cache(maxsize=None)
+def _first_coords(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+    """The coordinate index of (key, 0) for each increasing tuple key (shared: read only)."""
+    return {key: t * dim for t, key in enumerate(_tuples(dim, degree))}
 
 
 class CochainBasis:
@@ -288,7 +271,7 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
             acc[k] += vec[m] * coeff
     if algebra._den > 1:
         scale = Fraction(1, algebra._den)
-        out = {tau: vec_scale(scale, acc) for tau, acc in out.items()}
+        out = {tau: [scale * x for x in acc] for tau, acc in out.items()}
     return Cochain(q + 1, n, out)
 
 
@@ -302,7 +285,7 @@ def _columns(algebra: LieAlgebra, q: int):
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
-    first_row = {tau: t * n for t, tau in enumerate(_tuples(n, q + 1))}
+    first_row = _first_coords(n, q + 1)
     for key in _tuples(n, q):
         cols: list[dict[int, int]] = [{} for _ in range(n)]
         for m, tau, k, coeff in _basis_images(algebra._table, key, range(n)):
@@ -365,7 +348,7 @@ def is_coboundary(algebra: LieAlgebra, c: Cochain) -> Optional[Cochain]:
     if c.dim != algebra.dim:
         raise ValueError("cochain dimension does not match the algebra")
     d_prev = differential(algebra, c.degree - 1)
-    x = d_prev.solve(list(c.coords()))
+    x = d_prev.solve(c.coords())
     if x is None:
         return None
     return Cochain.from_coords(c.degree - 1, algebra.dim, x)
@@ -413,7 +396,7 @@ def cohomology_dim(
         rank_prev = len(echelon)
         # Kernel vectors independent modulo the previous image, in nullspace order.
         reps = tuple(
-            Cochain.from_sparse_coords(q, n, v) for v in kernel if echelon.add(v)
+            Cochain.from_coords(q, n, v) for v in kernel if echelon.add(v)
         )
     else:
         rank_d = d_q.rank()
@@ -439,8 +422,9 @@ def _image_echelon(algebra: LieAlgebra, q: int) -> EchelonBasis:
 
 def class_normal_forms(
     algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain]
-) -> list[tuple[Fraction, ...]]:
-    """Normal form of each cocycle's coordinates modulo the image of d_(q-1).
+) -> list[dict[int, Fraction]]:
+    """Normal form of each cocycle's coordinates modulo the image of d_(q-1),
+    as {index: value}.
 
     Two cocycles lie in the same class of H^q iff their normal forms are
     equal, and the span of their classes in H^q is the rank of the forms.
@@ -464,7 +448,7 @@ def class_eq(algebra: LieAlgebra, c1: Cochain, c2: Cochain) -> bool:
 
 def span_in_cohomology(algebra: LieAlgebra, q: int, cocycles: Sequence[Cochain]) -> int:
     """Dimension of the span of the given cocycle classes inside H^q."""
-    return len(EchelonBasis(dict(enumerate(f)) for f in class_normal_forms(algebra, q, cocycles)))
+    return len(EchelonBasis(class_normal_forms(algebra, q, cocycles)))
 
 
 def _comb(a: int, b: int) -> int:

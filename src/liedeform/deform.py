@@ -202,7 +202,7 @@ def extend_step(D: Deformation) -> ExtendOutcome:
     dim = D.base.dim
     partial = D.defect(n)
     d2 = differential(D.base, 2)
-    x = d2.solve(list(partial.coords()))
+    x = d2.solve(partial.coords())
     if x is None:
         return ExtendOutcome(extended=None, obstruction=partial)
     mu_n = Cochain.from_coords(2, dim, x)
@@ -305,23 +305,32 @@ def search_isomorphism(
     return None
 
 
-def _structure_constants(A: LieAlgebra) -> list[list[tuple[Fraction, ...]]]:
-    """c[a][b] = [e_a, e_b] for every ordered pair."""
-    return [[A.bracket_basis(a, b) for b in range(A.dim)] for a in range(A.dim)]
+Constants = tuple[list[list[list[int]]], int]
+
+
+def _structure_constants(A: LieAlgebra) -> Constants:
+    """(c, D): c[a][b][k] is the int D [e_a, e_b]_k for every ordered pair,
+    read once from A's integer table over its denominator D."""
+    n, zero = A.dim, {}
+    cols = [[A._table.get((a, b), zero) for b in range(n)] for a in range(n)]
+    return [[[col.get(k, 0) for k in range(n)] for col in row] for row in cols], A._den
 
 
 def _monomial_map(
-    source: Sequence[Sequence[Sequence[Fraction]]],
-    target: Sequence[Sequence[Sequence[Fraction]]],
+    source: Constants,
+    target: Constants,
     rows: Sequence[Sequence[int]],
     scales: Sequence[Fraction],
 ) -> Optional[tuple[list[int], list[Fraction]]]:
     """First monomial map, as (perm, scale), carrying source to target.
 
     Column i is s_i e_perm(i), with perm(i) in rows[i].  Under such a map the
-    constants match iff s_k target[a][b][k] = s_a s_b source[pa][pb][pk] for
-    all a < b and k; each triple is checked when its largest index is placed.
+    constants match iff s_k t/D_t = s_a s_b c/D_c for t = target[a][b][k],
+    c = source[pa][pb][pk] and all a < b and k, that is iff
+    s_k t D_c = s_a s_b c D_t; each triple is checked when its largest index
+    is placed.  Zeros are tested on the ints.
     """
+    (source, den_c), (target, den_t) = source, target
     n = len(rows)
     checks = [
         [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n) if max(b, k) == i]
@@ -338,7 +347,7 @@ def _monomial_map(
             if not t and not c:
                 continue
             # The scales are nonzero, so a zero must meet a zero.
-            if not (t and c) or scale[k] * t != scale[a] * scale[b] * c:
+            if not (t and c) or scale[k] * t * den_c != scale[a] * scale[b] * c * den_t:
                 return False
         return True
 

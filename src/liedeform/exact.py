@@ -2,21 +2,24 @@
 
 Scalars are either rational numbers (``fractions.Fraction``, re-exported as
 ``Rational``) or small multivariate polynomials in the formal parameters
-p, q, r with rational coefficients (``PolyScalar``).  All linear algebra
-(rank, nullspace, solve, inverse, EchelonBasis) runs on one fraction-free
-engine: each row is scaled to integers by the lcm of its denominators and
-kept sparse, and a row operation cancels an entry with integer multipliers
-(Bareiss, Math. Comp. 22, 1968), so no fraction is formed until a result is
-read.  One forward-elimination loop, _echelon, reduces every batch of rows.
-The pivot of a column is the shortest row leading there, and among those
-the one with the smallest |entry|, so a unit pivot cancels without scaling
-the other rows.  rank eliminates the rows, or the columns when the matrix
-has more rows than columns.  An EchelonBasis keeps the pivot rows of its
-batch and reduces each vector added later, or asked for its normal form, at
-the kept leads.  Results do not depend on which row serves as a pivot: the
-rank, the reduced row echelon form from which nullspace, solve (free
-variables zero) and inverse are read, the set of leading indices of a span
-and the normal form of a vector modulo it are all unique.
+p, q, r with rational coefficients (``PolyScalar``).  Every vector the
+arithmetic takes or returns is {index: value}, holding only the nonzeros;
+dense tuples are for display: the rows given to ExactMatrix, and row, rows,
+column, entry and nullspace.  All linear algebra (rank, nullspace, solve,
+inverse, EchelonBasis) runs on one fraction-free engine: each row is scaled
+to integers by the lcm of its denominators and kept sparse, and a row
+operation cancels an entry with integer multipliers (Bareiss, Math. Comp.
+22, 1968), so no fraction is formed until a result is read.  One
+forward-elimination loop, _echelon, reduces every batch of rows.  The pivot
+of a column is the shortest row leading there, and among those the one with
+the smallest |entry|, so a unit pivot cancels without scaling the other
+rows.  rank eliminates the rows, or the columns when the matrix has more
+rows than columns.  An EchelonBasis keeps the pivot rows of its batch and
+reduces each vector added later, or asked for its normal form, at the kept
+leads.  Results do not depend on which row serves as a pivot: the rank, the
+reduced row echelon form from which nullspace, solve (free variables zero)
+and inverse are read, the set of leading indices of a span and the normal
+form of a vector modulo it are all unique.
 """
 
 from __future__ import annotations
@@ -221,6 +224,8 @@ class PolyScalar:
 
 Scalar = Union[Fraction, PolyScalar]
 
+# Signed terms covering the whole text: a sign never stands alone.
+_TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
 _FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[pqr])(?:\^(?P<exp>\d+))?)$")
 
 
@@ -229,13 +234,16 @@ def parse_scalar(text: str) -> Scalar:
 
     Accepted monomial syntax: optional rational coefficient and variable
     powers joined by "*", e.g. "-1 + 2*p*q - r^2".  Parentheses are not
-    supported; inputs must already be expanded.
+    supported; inputs must already be expanded.  Each sign must begin a
+    term, so "p -+ q" and "--p" are errors.
     """
     text = text.strip().replace("−", "-")
     if not text:
         raise ValueError("empty scalar string")
     if not re.search(r"[pqr]", text):
         return Fraction(text)
+    if not _TERMS_RE.fullmatch(text):
+        raise ValueError(f"malformed scalar string {text!r}")
 
     terms: dict[tuple[int, int, int], Fraction] = {}
     # Split into signed terms at top level (no parentheses in the grammar).
@@ -262,31 +270,6 @@ def parse_scalar(text: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Vectors: plain tuples of scalars.
-# ---------------------------------------------------------------------------
-
-
-def vec_zero(n: int) -> tuple[Fraction, ...]:
-    return (_ZERO,) * n
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Sequence[Scalar]) -> bool:
-    return all(not a for a in u)
-
-
-# ---------------------------------------------------------------------------
 # Sparse exact matrices: each row a {column: value} dict of its nonzeros.
 # ---------------------------------------------------------------------------
 
@@ -303,6 +286,13 @@ def _nonzeros(v: Sequence[Scalar]) -> dict[int, Scalar]:
     return {j: x for j, x in enumerate(v) if x}
 
 
+def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:
+    """ValueError unless every index of the {index: value} vector v lies in 0..size-1."""
+    if v and not (0 <= min(v) and max(v) < size):
+        bad = next(j for j in v if not 0 <= j < size)
+        raise ValueError(f"{what} {bad} out of range 0..{size - 1}")
+
+
 def _dense(row: Mapping[int, Scalar], n: int) -> tuple[Scalar, ...]:
     out = [_ZERO] * n
     for j, x in row.items():
@@ -314,11 +304,13 @@ class ExactMatrix:
     """Immutable sparse matrix of exact scalars.
 
     Each row is stored as a {column: value} dict of its nonzero entries, so
-    products, comparisons and elimination touch nonzeros only; row, rows,
-    column and entry read dense values.  ExactMatrix(rows) takes dense rows,
-    from_sparse_rows takes {column: value} rows, and both coerce into the
-    same storage.  Polynomial entries may be stored and printed but must be
-    evaluated to rationals before rank, nullspace, solve and inverse.
+    products, comparisons and elimination touch nonzeros only.
+    from_sparse_rows takes {column: value} rows, and mul_vector and solve
+    take and return {index: value} vectors.  The dense side is for display:
+    ExactMatrix(rows) takes dense rows, coerced into the same storage, and
+    row, rows, column, entry and nullspace read dense values.  Polynomial
+    entries may be stored and printed but must be evaluated to rationals
+    before rank, nullspace, solve and inverse.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
@@ -403,18 +395,19 @@ class ExactMatrix:
             return ExactMatrix.from_sparse_rows(out, other.ncols)
         return NotImplemented
 
-    def mul_vector(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} != ncols {self.ncols}")
-        out = []
-        for row in self._rows:
+    def mul_vector(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        """m v for a {column: value} vector, as {row: value} nonzeros."""
+        _check_indices(v, self.ncols, "column")
+        out = {}
+        for i, row in enumerate(self._rows):
             acc: Scalar = _ZERO
             for j, a in row.items():
-                b = v[j]
+                b = v.get(j)
                 if b:
                     acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+            if acc:
+                out[i] = acc
+        return out
 
     # -- row reduction ------------------------------------------------------
 
@@ -445,23 +438,20 @@ class ExactMatrix:
                     basis[j][c] = Fraction(-x, row[c])
         return list(basis.values())
 
-    def solve(self, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        """A particular solution of m x = b, or None when inconsistent.
+    def solve(self, b: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
+        """A solution x of m x = b, or None when the system is inconsistent.
 
-        Free variables are set to zero, so the result is deterministic.
+        b is {row: value} and x is {column: value}, with the free variables
+        zero, so x is unique.
         """
         n = self.ncols
-        if len(b) != self.nrows:
-            raise ValueError(f"rhs length {len(b)} != nrows {self.nrows}")
-        augmented = ({**row, n: Fraction(x)} for row, x in zip(self._rows, b))
+        _check_indices(b, self.nrows, "row")
+        augmented = ({**row, n: b[i]} if i in b else row for i, row in enumerate(self._rows))
         pivots = _echelon(_integer_rows(augmented, "solve"))
         if n in pivots:
             return None
         _back_substitute(pivots)
-        x = [_ZERO] * n
-        for c, row in pivots.items():
-            x[c] = Fraction(row.get(n, 0), row[c])
-        return tuple(x)
+        return {c: Fraction(row[n], row[c]) for c, row in pivots.items() if n in row}
 
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
@@ -575,17 +565,17 @@ def _back_substitute(pivots: dict[int, dict[int, int]]) -> None:
 
 
 class EchelonBasis:
-    """Echelon basis of a span of rational vectors, each given as an
-    {index: value} dict of its nonzeros.
+    """Echelon basis of a span of rational vectors; every vector, in or out,
+    is an {index: value} dict of its nonzeros, so no width is needed.
 
     EchelonBasis(rows) keeps the pivot rows that _echelon finds for the
     whole batch, sorted by leading index, as integer rows each up to a
     scale.  add(row) grows the basis by one vector: it reduces the row at
     each kept lead, in increasing order, and keeps a nonzero remainder.
-    normal_form(v) is that remainder for a dense v, unscaled.  Which rows
-    serve as pivots depends on how the basis was built, but the set of
-    leads, the normal form and whether a vector lies in the span do not: u
-    and v share a normal form iff u - v lies in the span.
+    normal_form(row) is that remainder, unscaled.  Which rows serve as
+    pivots depends on how the basis was built, but the set of leads, the
+    normal form and whether a vector lies in the span do not: u and v share
+    a normal form iff u - v lies in the span.
     """
 
     __slots__ = ("_rows",)
@@ -610,13 +600,13 @@ class EchelonBasis:
         insort(self._rows, (min(w), w))  # leads are distinct
         return True
 
-    def normal_form(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """v reduced at every kept lead; unique, as the rows are in echelon form."""
-        n = len(v)
-        # The row operations scale v; a unit entry past the kept columns tracks it.
-        w = self._reduce({**_nonzeros(v), n: _ONE}, "EchelonBasis.normal_form")
-        scale = w.pop(n)
-        return tuple(Fraction(w.get(j, 0), scale) for j in range(n))
+    def normal_form(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The nonzeros of row reduced at every kept lead, by ascending index;
+        unique, as the kept rows are in echelon form."""
+        # The row operations scale the row; a unit entry at -1, never a lead, tracks it.
+        w = self._reduce({**row, -1: _ONE}, "EchelonBasis.normal_form")
+        scale = w.pop(-1)
+        return {j: Fraction(w[j], scale) for j in sorted(w)}
 
     @property
     def integer_rows(self) -> list[dict[int, int]]:

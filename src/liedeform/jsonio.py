@@ -56,6 +56,7 @@ def _parse_scalar_at(text, location: str) -> Scalar:
 def _parse_coeff_vector(coeffs, dim: int, location: str) -> list[Scalar]:
     coeffs = _expect_dict(coeffs, location)
     vec: list[Scalar] = [Fraction(0)] * dim
+    seen = set()
     for key, text in coeffs.items():
         try:
             k = int(key)
@@ -63,6 +64,9 @@ def _parse_coeff_vector(coeffs, dim: int, location: str) -> list[Scalar]:
             raise SchemaError(f"{location}.{key}", "keys must be basis indices") from None
         if not (1 <= k <= dim):
             raise SchemaError(f"{location}.{key}", f"index out of range 1..{dim}")
+        if k in seen:
+            raise SchemaError(f"{location}.{key}", f"duplicate index {k}")
+        seen.add(k)
         vec[k - 1] = _parse_scalar_at(text, f"{location}.{key}")
     return vec
 

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _nonzeros, vec_zero
+from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _nonzeros
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -147,9 +147,9 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         """[e_i, e_j] as a coefficient vector (any order; i = j gives zero)."""
         if i < j:
-            return self.brackets.get((i, j), vec_zero(self.dim))
+            return self.brackets.get((i, j), (_ZERO,) * self.dim)
         vec = self.brackets.get((j, i))
-        return tuple(-x for x in vec) if vec else vec_zero(self.dim)
+        return tuple(-x for x in vec) if vec else (_ZERO,) * self.dim
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear, skew-symmetric evaluation through the structure constants."""
@@ -231,8 +231,9 @@ class LieAlgebra:
             for j in range(i + 1, self.dim):
                 acc = self._product(cols[i], cols[j])
                 if acc:
-                    w = Tinv.mul_vector([acc.get(k, 0) for k in range(self.dim)])
-                    new_brackets[(i, j)] = [x / self._den for x in w]
+                    vec = new_brackets[(i, j)] = [_ZERO] * self.dim
+                    for k, x in Tinv.mul_vector(acc).items():
+                        vec[k] = x / self._den
         return LieAlgebra(self.dim, new_brackets, check=True, name=None)
 
     # -- structural equality ----------------------------------------------

@@ -193,8 +193,18 @@ def duplicated(doc, key, position):
             duplicated(deformation_to_dict(PHI3_DEFORMATION), "terms", 0),
             "terms[1].order: duplicate order 1",
         ),
+        (
+            "jacobi",
+            {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "5"}}]},
+            "brackets[0].coeffs.03: duplicate index 3",
+        ),
+        (
+            "invariants",
+            {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "5"}}]},
+            "brackets[0].coeffs.03: duplicate index 3",
+        ),
     ],
-    ids=["bracket", "cochain args", "deformation order"],
+    ids=["bracket", "cochain args", "deformation order", "coeff index jacobi", "coeff index invariants"],
 )
 def test_cli_duplicate_entries_are_input_errors(tmp_path, h2_file, capsys, command, doc, location):
     path = write(tmp_path, "dup.json", doc)
@@ -271,6 +281,20 @@ def test_cli_check_cocycle(h2_file, tmp_path, capsys):
     doc["params"] = {"p": "2", "q": "3", "r": "3"}
     subst = write(tmp_path, "phi8sub.json", doc)
     assert main(["check-cocycle", h2_file, subst]) == 0
+
+
+def test_cli_check_cocycle_rejects_a_sign_that_begins_no_term(h1_file, tmp_path, capsys):
+    # Read as p + q = 2, the entry would make a multiple of a cocycle of h_1.
+    doc = {
+        "q": 2,
+        "dim": 3,
+        "entries": [{"args": [2, 3], "coeffs": {"1": "p -+ q"}}],
+        "params": {"p": "1", "q": "1"},
+    }
+    assert main(["check-cocycle", h1_file, write(tmp_path, "signs.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: entries[0].coeffs.1: bad scalar 'p -+ q'")
 
 
 def test_cli_check_coboundary(h1_file, tmp_path, capsys):

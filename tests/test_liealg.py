@@ -335,9 +335,9 @@ def reference_change_basis(A, T):
     cols = [T.column(i) for i in range(A.dim)]
     new = {}
     for i, j in combinations(range(A.dim), 2):
-        w = Tinv.mul_vector(reference_bracket(A, cols[i], cols[j]))
-        if any(w):
-            new[(i, j)] = w
+        w = Tinv.mul_vector(dict(enumerate(reference_bracket(A, cols[i], cols[j]))))
+        if w:
+            new[(i, j)] = [w.get(k, 0) for k in range(A.dim)]
     return LieAlgebra(A.dim, new, check=True)
 
 

@@ -4,9 +4,11 @@ each command below, recorded from the program and pinned here.
 The commands cover `reproduce`, the cohomology of h_1..h_3 with
 representatives at every degree, and the class, extension, deformation,
 specialization, invariants and isomorphism commands on catalog cochains of
-h_2 and on the t = 1 members of their deformations.  Every input is written
-by `catalog emit` (a deformation file wraps an emitted cochain as its
-order-1 term), so the test reads no file of its own.  A change that alters
+h_2 and on the t = 1 members of their deformations, and `catalog emit` of
+every family.  Inputs come from `catalog emit` where it can write them (a
+deformation file wraps an emitted cochain as its order-1 term); the rest,
+such as a table that breaks the Jacobi identity or coefficient keys out of
+index order, are the literal documents in LITERALS.  A change that alters
 one of these outputs on purpose records the new digest here and says why.
 """
 
@@ -35,6 +37,25 @@ MEMBERS = {
     "d7": ("phi7", "0,0,0"),
 }
 EXTENDED = ("phi3", "phi8_010")  # points whose first extension step succeeds
+# Parameters for `catalog emit` of each family that takes them.
+FAMILY_PARAMS = {"phi4": "1,2", "phi5": "1,2", "phi6": "1,2", "phi7": "1,-1,2", "phi8": "0,1,1"}
+FAMILIES = ["phi1", "phi2", "phi3", *FAMILY_PARAMS, *(f"h1_phi{k}" for k in range(1, 6))]
+# Documents that `catalog emit` cannot write.
+LITERALS = {
+    # [e1,e2] = e1 + 2*e3 and [e2,e3] = e1 - 1/2*e2 break the Jacobi identity.
+    "broken3": {
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"1": "1", "3": "2"}},
+            {"i": 2, "j": 3, "coeffs": {"1": "1", "2": "-1/2"}},
+        ],
+    },
+    "abelian3": {"dim": 3, "brackets": []},
+    "keys_out_of_order": {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "1": "2"}}]},
+    "keys_2_10": {"dim": 11, "brackets": [{"i": 1, "j": 3, "coeffs": {"10": "1", "2": "-1"}}]},
+    # e^4 wedge e^5 (x) e_5 on h_2, which is not a cocycle.
+    "e45_5": {"q": 2, "dim": 5, "entries": [{"args": [4, 5], "coeffs": {"5": "1"}}]},
+}
 
 
 def run(argv):
@@ -69,6 +90,11 @@ def inputs(tmp_path_factory):
         (d / f"def_{name}.json").write_text(json.dumps({"base": "h2", "terms": [term]}))
     for name, (family, params) in MEMBERS.items():
         add(name, [family, "--params", params, "--deformed"])
+    for name in ("phi4", "phi5", "phi6", "phi7", "phi8"):
+        add(f"{name}_sym", [name, "--symbolic"])
+    for name, doc in LITERALS.items():
+        paths[name] = str(d / f"{name}.json")
+        (d / f"{name}.json").write_text(json.dumps(doc))
     for name in EXTENDED:
         rc, text = run(["extend", paths[f"def_{name}"], "--json"])
         assert rc == 0
@@ -123,12 +149,61 @@ def cases():
     yield "iso-d5-d6", ["iso", "search", "{d5}", "{d6}", *transvection, "--json"]
     yield "iso-d4-d7", ["iso", "search", "{d4}", "{d7}", "--class", "diagonal_signs", "--json"]
     yield "iso-d5-d5", ["iso", "search", "{d5}", "{d5}", "--class", "monomial"]
+    for algebra in ("h2", "broken3"):
+        for fmt in ((), ("--json",)):
+            tag = algebra + ("-json" if fmt else "")
+            yield f"jacobi-{tag}", ["jacobi", f"{{{algebra}}}", *fmt]
+    for cochain in ("phi4_sym", "phi5_sym", "phi6_sym", "phi7_sym", "phi8_sym", "e45_5"):
+        for fmt in ((), ("--json",)):
+            tag = cochain + ("-json" if fmt else "")
+            yield f"check-cocycle-{tag}", ["check-cocycle", "{h2}", f"{{{cochain}}}", *fmt]
+    for family in FAMILIES:
+        params = ["--params", FAMILY_PARAMS[family]] if family in FAMILY_PARAMS else []
+        yield f"catalog-{family}", ["catalog", "emit", family, *params]
+        yield f"catalog-{family}-deformed", ["catalog", "emit", family, *params, "--deformed"]
+        if family in FAMILY_PARAMS:
+            yield f"catalog-{family}-symbolic", ["catalog", "emit", family, "--symbolic"]
+    yield "catalog-representatives", ["catalog", "emit", "representatives"]
+    for algebra in ("h3", "abelian3", "keys_out_of_order", "keys_2_10"):
+        yield f"invariants-{algebra}-text", ["invariants", f"{{{algebra}}}"]
 
 
 CASES = dict(cases())
 
 # id: (exit code, sha256 of stdout)
 DIGESTS = {
+    'catalog-h1_phi1': (0, 'c0a0b25ed629b57a12083c252062098c39c613ec75b67b3773d073a82d87d3b2'),
+    'catalog-h1_phi1-deformed': (0, 'cb149b8a2dfd46aea9baaed1d2c5a31e6c90f758bcfd9f48ef4e1ee6ebb9d9d5'),
+    'catalog-h1_phi2': (0, 'cf26b38856c74b1f3b330d038777767378ad75146f3b95fb30f4a7d72772b031'),
+    'catalog-h1_phi2-deformed': (0, '2abfbb602f512b4055a849315682dc0f165294c04602b9e7484a976163ae6006'),
+    'catalog-h1_phi3': (0, 'ffe1ab167b69c46dd47357414d66d8480dd79a29e7fc56aff617d74a92c88ab2'),
+    'catalog-h1_phi3-deformed': (0, '7f03ae72633e4af3115b412a53db63bb9476a09a9ea6f7a53631c3ed703cdef4'),
+    'catalog-h1_phi4': (0, '31a14bfe13480e6565d367e5bed139024b4ed037e82e297d892b42aaa34f73b8'),
+    'catalog-h1_phi4-deformed': (0, 'bef1360ca7edf5075a8b2dc26b4a7f5c3cfaec99aa2b9d8ed17238b58a959d7d'),
+    'catalog-h1_phi5': (0, '2cb47c8c78c78df34c9e7f9da3829a24f1593051290cbdd132a894329a301da4'),
+    'catalog-h1_phi5-deformed': (0, '8a36a36fb88314d0fffd14e9f9d64be1b9464c3d9ce739eacde07a4c0199bcdb'),
+    'catalog-phi1': (0, 'f6fc7d24af65134bbd2e8b47cea111e1f48c29486ee2d528cf247f71d523402b'),
+    'catalog-phi1-deformed': (0, '02d33c3a19f3ed9f437a6e2d33ee27f3e5a75ee0a34b4cac4432c79ee20c6013'),
+    'catalog-phi2': (0, '652cbdde63784d00cfea70e32f83ad2715999aeaca3626f2a28118f7d0858900'),
+    'catalog-phi2-deformed': (0, '28ecafce0d19add4b8abc89be75c46cc5ed6759873015cb82dabc24a11abf01d'),
+    'catalog-phi3': (0, '83cae93e6f9108b303f874582bfce81412378788e3c80c44b792dafa661332d4'),
+    'catalog-phi3-deformed': (0, '4ea1163eaf352766feb864493634554237462e36ed4d17c1c17bcc8c6705ccc0'),
+    'catalog-phi4': (0, '1b7ed86c75b68f364e41170952d06adcb71f28061c0571ae30601d845036e825'),
+    'catalog-phi4-deformed': (0, '583c00d182455609636165d929eba7fe5d1c2d599bf98cbf8fcf1ef43d120af1'),
+    'catalog-phi4-symbolic': (0, 'd6d53a14dc0127738d6dab36739b44a37b8f65b97e9aff16e604ff4de1f71625'),
+    'catalog-phi5': (0, '80fe0a4f8401382a408c94ab6768f5b519159bdee032f0d37a9760d790acf526'),
+    'catalog-phi5-deformed': (0, '25019c98fedcfb23bb46e6db1f48486128f1a44f3a2684a5927ac3b2b3a14a1d'),
+    'catalog-phi5-symbolic': (0, '256ba557aa9ed359dfe9de8946341ad43a98187dbb3772fa3e7ec7d94005d304'),
+    'catalog-phi6': (0, '7220084b1dc67022b7668243d64955715d457e1fe68d0db3c320ae959957de1d'),
+    'catalog-phi6-deformed': (0, 'a80b412e9f3d649d294cfb96dd581c2a739dc7932aa94053f897a07051ca73b2'),
+    'catalog-phi6-symbolic': (0, 'b3f7f516054ac2feca7ce5f9f7cdebf961714c9b236bf9a42ab2758850b53faa'),
+    'catalog-phi7': (0, 'd4d6fa311c3acd9d597d4fb1719fc238b8f6410bbfa7af663946b8c2bdfe3b93'),
+    'catalog-phi7-deformed': (0, 'ffd39d465a3b979db0890499d8521dd3a180e5424f57a73a0949a2ca2eb38684'),
+    'catalog-phi7-symbolic': (0, '5997f1bf7180c44445b6f625a960e6a0c2e0a675177fa0cfcc74dd9e5aed9f9c'),
+    'catalog-phi8': (0, '4cded7909b0147eb5a59bdcbc5312046dbb5344e24f78bbe0e653522e87c6955'),
+    'catalog-phi8-deformed': (0, '51b85e45bfcd94188413d71331453b1cb60b036e16d7b57573adc1c1d3c959cf'),
+    'catalog-phi8-symbolic': (0, '4681e92863c3d1ef81706dc46f6514af6db92fc41e8f9ad3815607c442495a63'),
+    'catalog-representatives': (0, '51a7cd6db8c3a8dfe6a06153e5a2205398f3179986a0f34a0bbd79deb6174053'),
     'check-coboundary-defect': (0, '015fc03a11a8dad23d375258c8a94b03fc22e17e510eb4ab6d9126f9f8342883'),
     'check-coboundary-defect-json': (0, '29a6cdfab3b4a9d5ed7add23938ca75806ba5853876cc3ae072e0384f8b9a3ed'),
     'check-coboundary-phi3': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
@@ -139,6 +214,18 @@ DIGESTS = {
     'check-coboundary-phi8_010-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
     'check-coboundary-phi8_100': (1, 'b791d36868283ab672e05467c94ff99d39cfcbcb68a5b556a37bc4abccf1dcd2'),
     'check-coboundary-phi8_100-json': (1, 'c5a82ef43a49b2d07af104e2ef442edec7acef30b61542b3d0142b0efa6dfdad'),
+    'check-cocycle-e45_5': (1, '245a98d775cb97199cac07f1f44b9350104fa20b76024d67c958d1b21d1c1603'),
+    'check-cocycle-e45_5-json': (1, 'c0a14cb46521a5668d8b0fbf7472c65330ff5b81e9fa48724303aeaa39c57edf'),
+    'check-cocycle-phi4_sym': (0, '6b1f4fc252898114e2763bed1e37b0c5a8f30c26725d8815c73a31d198611f1b'),
+    'check-cocycle-phi4_sym-json': (0, 'c9ca966e8d52ba8da6ea56ee78c881f482829b0785b7c4c5506d881c7a74a69f'),
+    'check-cocycle-phi5_sym': (0, '6b1f4fc252898114e2763bed1e37b0c5a8f30c26725d8815c73a31d198611f1b'),
+    'check-cocycle-phi5_sym-json': (0, 'c9ca966e8d52ba8da6ea56ee78c881f482829b0785b7c4c5506d881c7a74a69f'),
+    'check-cocycle-phi6_sym': (0, '6b1f4fc252898114e2763bed1e37b0c5a8f30c26725d8815c73a31d198611f1b'),
+    'check-cocycle-phi6_sym-json': (0, 'c9ca966e8d52ba8da6ea56ee78c881f482829b0785b7c4c5506d881c7a74a69f'),
+    'check-cocycle-phi7_sym': (0, '6b1f4fc252898114e2763bed1e37b0c5a8f30c26725d8815c73a31d198611f1b'),
+    'check-cocycle-phi7_sym-json': (0, 'c9ca966e8d52ba8da6ea56ee78c881f482829b0785b7c4c5506d881c7a74a69f'),
+    'check-cocycle-phi8_sym': (1, 'a3201b39aac1a381db2426f9f401df5e71dfa0c233e7e2aa8c44d1d9d083f561'),
+    'check-cocycle-phi8_sym-json': (1, '192ad9107d1d485d9231a106c319b630e483538b212f5cff21016cb509bb2f8f'),
     'class-eq-phi3-phi6_10': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
     'class-eq-phi6_10-phi8_010': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
     'class-eq-phi8_010-phi6_00': (0, '8346964e9cd01e2d56b3c26fb5e87f8777e5344c572e758f1cdd8bf4879e8aaa'),
@@ -180,15 +267,23 @@ DIGESTS = {
     'extend-phi8_010-json': (0, 'f11012052fb30c366ac82858c08bbb33b114d32b1b28bfed8eac15b89563769d'),
     'extend-phi8_100': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
     'extend-phi8_100-json': (0, 'c54945ea8f896499ff58ea85ee128799edda7001ba4325229b254561da0e674a'),
+    'invariants-abelian3-text': (0, '762e211a3beeb2e5cc53fba46e8d5937888624dc2862127cdbf89cc7341ed34c'),
     'invariants-d4': (0, '98fcdeb4e962592cb3ea947cadb1c0909bcdfccfe5e9d616ca7760999a45f5c4'),
     'invariants-d5': (0, '43802052685328a9996445e08d6df423520a558487b938e091cbf7d3fcd318df'),
     'invariants-d5-text': (0, '99ff961069d431579377af4028ed1af34a907a384ea73b67aecb7180ba1a23b0'),
     'invariants-d6': (0, '43802052685328a9996445e08d6df423520a558487b938e091cbf7d3fcd318df'),
     'invariants-d7': (0, '98fcdeb4e962592cb3ea947cadb1c0909bcdfccfe5e9d616ca7760999a45f5c4'),
     'invariants-h3': (0, 'f3ccc7d2de9b8f044eb8cb65dd6d96a56b772c7ab12d3a1a642116f37ad1140e'),
+    'invariants-h3-text': (0, 'c378d4af7e64554c973f1f48c544cf0443449c357697bc33148651210f096ca4'),
+    'invariants-keys_2_10-text': (0, '22039f48d8f09237c4a9616831abcf6f6febf5f315297ef504781f89733e0465'),
+    'invariants-keys_out_of_order-text': (0, '85c7beb5601629814c7945560a726c2e4ae590f7aabdc5aa95e157a8b076e562'),
     'iso-d4-d7': (0, '97bb3f5466d968b4486c1c7af6c4c37894173557681b55b3875c4389e736e524'),
     'iso-d5-d5': (0, '415b6927862eab7f5c6d89138b57bd152ec803a03a5e7bb87952e562648006b9'),
     'iso-d5-d6': (1, 'a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e'),
+    'jacobi-broken3': (1, '32e2e366c89f0c6599c791fdac5cd64abd0855c44867b303061e74f06b1566e0'),
+    'jacobi-broken3-json': (1, '8b51818788689e367520734aa51e501520932ff045d9ff09cf50e82bbdf7b70a'),
+    'jacobi-h2': (0, '54daf2b94ebe99e77ae39d00aeb04a801efc7fbd932c2bf128417e85e1607e08'),
+    'jacobi-h2-json': (0, '1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328'),
     'reproduce': (0, '7ec9abea1a2717d4e12aa10922cca915e605b40f77918a59b8bceb1e004efcf1'),
     'reproduce-json': (0, '8f65a96c47c05f5c3a4385d318f764dbb1603c90111eacaf825d91e682749bc9'),
     'span-equal-classes': (0, '9fc11784e4c0293966d8d3e26329eb0a17f1c108284af14f496f24f7fe5292ca'),

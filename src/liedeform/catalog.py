@@ -18,7 +18,6 @@ from .cohomology import (
     _image_echelon,
     cohomology_dim,
     is_coboundary,
-    is_cocycle,
 )
 from .deform import (
     Deformation,
@@ -40,11 +39,7 @@ def heisenberg(n: int) -> LieAlgebra:
     if n < 1:
         raise ValueError("heisenberg rank must be at least 1")
     dim = 2 * n + 1
-    brackets = {}
-    for i in range(n):
-        vec = [0] * dim
-        vec[dim - 1] = 1
-        brackets[(i, n + i)] = vec
+    brackets = {(i, n + i): {dim - 1: 1} for i in range(n)}
     return LieAlgebra(dim, brackets, check=True, name=f"h{n}")
 
 
@@ -57,12 +52,9 @@ def named_algebra(name: str) -> LieAlgebra:
 
 def _cochain(dim: int, table: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> Cochain:
     """Build a 2-cochain from a 1-based {(i, j): {k: coeff}} table."""
-    entries = {}
-    for (i, j), coeffs in table.items():
-        vec = [Fraction(0)] * dim
-        for k, c in coeffs.items():
-            vec[k - 1] = c
-        entries[(i - 1, j - 1)] = vec
+    entries = {
+        (i - 1, j - 1): {k - 1: c for k, c in coeffs.items()} for (i, j), coeffs in table.items()
+    }
     return Cochain(2, dim, entries)
 
 
@@ -297,7 +289,6 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     rows: list[PaperRow] = []
     members: dict[str, LieAlgebra] = {}  # the t = 1 member of each extendable row
     for rep, c in zip(reps, cochains):
-        cocycle = is_cocycle(h2, c)
         D = Deformation(h2, {1: c})
         verdict = strict_extendability(D)
         if verdict.exact_lie_bracket:
@@ -314,7 +305,8 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
             PaperRow(
                 label=rep.label,
                 fp2_alias=rep.fp2_alias,
-                is_cocycle=cocycle,
+                # d mu_1 = -defect_1, which strict_extendability has computed.
+                is_cocycle=D.defect(1).is_zero,
                 strict_extendable=verdict.exact_lie_bracket,
                 obstructed_at=verdict.obstructed_at,
                 obstruction_class_zero=obstruction_zero,

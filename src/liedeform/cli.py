@@ -61,9 +61,20 @@ EXIT_INPUT = 2
 
 
 def _load_json(path: str):
+    """The document in a JSON file; a key repeated in any object is an input
+    error, since json.load would keep only the last of them."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise SchemaError(path, f"duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file ({exc})") from None
     except json.JSONDecodeError as exc:
@@ -89,11 +100,9 @@ def _emit_json(doc) -> None:
 
 
 def _combo(vec, prefix: str = "e") -> str:
-    """Format a coefficient vector as a basis combination like 2*e2 - 2*e3."""
+    """Format an {index: value} vector as a basis combination like 2*e2 - 2*e3."""
     parts = []
-    for k, x in enumerate(vec):
-        if not x:
-            continue
+    for k, x in sorted(vec.items()):
         body = f"{prefix}{k + 1}"
         text = str(x)
         if text == "1":
@@ -140,11 +149,11 @@ def _print_deformed_table(D: Deformation) -> None:
         for j in range(i + 1, dim):
             pieces = []
             base = D.base.bracket_basis(i, j)
-            if any(base):
+            if base:
                 pieces.append(_combo(base))
             for order, c in sorted(D.terms.items()):
                 vec = c.value((i, j))
-                if not any(vec):
+                if not vec:
                     continue
                 tpow = "t" if order == 1 else f"t^{order}"
                 pieces.append(f"{tpow}*({_combo(vec)})")

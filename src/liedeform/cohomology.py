@@ -1,8 +1,10 @@
 """Chevalley-Eilenberg cochain complex with adjoint coefficients.
 
-A degree-q cochain stores coefficient vectors on strictly increasing index
-tuples only; evaluation on permuted arguments applies the permutation sign
-and repeated arguments give zero.  The differential follows the convention
+A degree-q cochain stores its values on strictly increasing index tuples
+only, each as {k: value} holding the nonzero coefficients of e_k, the one
+vector format of the package.  Evaluation on permuted arguments applies the
+permutation sign and repeated arguments give zero.  The differential
+follows the convention
 
     dc(g_1,...,g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c([g_s,g_t], ..^s..^t..)
                         + sum_s    (-1)^s       [g_s, c(..^s..)]
@@ -56,7 +58,13 @@ def _perm_sign(args: Sequence[int]) -> int:
 
 
 class Cochain:
-    """Alternating multilinear map g^q -> g, stored on increasing tuples."""
+    """Alternating multilinear map g^q -> g, stored on increasing tuples.
+
+    entries is {key: {k: value}}: the nonzero coefficients of e_k in the
+    value on each increasing tuple key, by ascending key and k.  Zero values
+    and tuples with no nonzero value are dropped, so equal cochains have
+    equal entries.
+    """
 
     __slots__ = ("degree", "dim", "entries")
 
@@ -64,13 +72,13 @@ class Cochain:
         self,
         degree: int,
         dim: int,
-        entries: Mapping[tuple[int, ...], Sequence[Scalar]] = (),
+        entries: Mapping[tuple[int, ...], Mapping[int, Scalar]] = (),
     ):
         if degree < 0 or dim < 1:
             raise ValueError("degree must be >= 0 and dimension >= 1")
         self.degree = degree
         self.dim = dim
-        clean: dict[tuple[int, ...], tuple[Scalar, ...]] = {}
+        clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, vec in dict(entries).items():
             key = tuple(int(i) for i in key)
             if len(key) != degree:
@@ -79,10 +87,9 @@ class Cochain:
                 raise ValueError(f"tuple {key} out of range for dimension {dim}")
             if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
                 raise ValueError(f"tuple {key} is not strictly increasing")
-            v = tuple(_coerce_scalar(x) for x in vec)
-            if len(v) != dim:
-                raise ValueError(f"value vector for {key} has length {len(v)}")
-            if any(v):
+            _check_indices(vec, dim, f"tuple {key}: value index")
+            v = {k: x for k, x in sorted(zip(vec, map(_coerce_scalar, vec.values()))) if x}
+            if v:
                 clean[key] = v
         self.entries = dict(sorted(clean.items()))
 
@@ -90,18 +97,15 @@ class Cochain:
     def zero(cls, degree: int, dim: int) -> "Cochain":
         return cls(degree, dim, {})
 
-    def value(self, args: Sequence[int]) -> tuple[Scalar, ...]:
-        """Evaluate on basis indices in any order (sign applied, repeats -> 0)."""
+    def value(self, args: Sequence[int]) -> dict[int, Scalar]:
+        """Evaluate on basis indices in any order (sign applied, repeats -> 0),
+        as {k: value}."""
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        if len(set(args)) != len(args):
-            return (_ZERO,) * self.dim
-        key = tuple(sorted(args))
-        vec = self.entries.get(key)
-        if vec is None:
-            return (_ZERO,) * self.dim
-        sign = _perm_sign(args)
-        return vec if sign == 1 else tuple(-x for x in vec)
+        vec = self.entries.get(tuple(sorted(args)), {})  # repeated args: no such key
+        if _perm_sign(args) == 1:
+            return dict(vec)
+        return {k: -x for k, x in vec.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -109,16 +113,16 @@ class Cochain:
 
     def is_symbolic(self) -> bool:
         return any(
-            isinstance(x, PolyScalar) for vec in self.entries.values() for x in vec
+            isinstance(x, PolyScalar) for vec in self.entries.values() for x in vec.values()
         )
 
     def _merge(self, other: "Cochain", op) -> "Cochain":
         if (self.degree, self.dim) != (other.degree, other.dim):
             raise ValueError("cochain degree/dimension mismatch")
-        zero = (_ZERO,) * self.dim
         out = {}
-        for k in set(self.entries) | set(other.entries):
-            out[k] = tuple(map(op, self.entries.get(k, zero), other.entries.get(k, zero)))
+        for key in self.entries.keys() | other.entries.keys():
+            a, b = self.entries.get(key, {}), other.entries.get(key, {})
+            out[key] = {k: op(a.get(k, _ZERO), b.get(k, _ZERO)) for k in a.keys() | b.keys()}
         return Cochain(self.degree, self.dim, out)
 
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -128,41 +132,35 @@ class Cochain:
         return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.degree, self.dim, {k: tuple(-x for x in v) for k, v in self.entries.items()}
-        )
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Cochain":
-        return Cochain(
-            self.degree, self.dim, {k: tuple(c * x for x in v) for k, v in self.entries.items()}
-        )
+        entries = {key: {k: c * x for k, x in v.items()} for key, v in self.entries.items()}
+        return Cochain(self.degree, self.dim, entries)
 
     def substitute(self, point: Mapping[str, Union[Fraction, int]]) -> "Cochain":
         """Substitute rational values for p, q, r in all entries."""
         out = {}
-        for k, vec in self.entries.items():
-            out[k] = tuple(
-                x.evaluate(point) if isinstance(x, PolyScalar) else x for x in vec
-            )
+        for key, vec in self.entries.items():
+            out[key] = {
+                k: x.evaluate(point) if isinstance(x, PolyScalar) else x for k, x in vec.items()
+            }
         return Cochain(self.degree, self.dim, out)
 
     def coords(self) -> dict[int, Scalar]:
-        """The nonzero CochainBasis coordinates as {index: value}, ascending: the
-        vector format of exact's arithmetic (entries keep dense vectors for display)."""
+        """The nonzero CochainBasis coordinates as {index: value}, ascending."""
         first = _first_coords(self.dim, self.degree)
-        return {
-            first[key] + k: x for key, vec in self.entries.items() for k, x in enumerate(vec) if x
-        }
+        return {first[key] + k: x for key, vec in self.entries.items() for k, x in vec.items()}
 
     @classmethod
     def from_coords(cls, degree: int, dim: int, coords: Mapping[int, Scalar]) -> "Cochain":
         """The cochain with the given {index: value} coordinates, all others zero."""
         tuples = _tuples(dim, degree)
         _check_indices(coords, len(tuples) * dim, "coordinate")
-        entries: dict[tuple[int, ...], list[Scalar]] = {}
+        entries: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for i, x in coords.items():
             t, k = divmod(i, dim)
-            entries.setdefault(tuples[t], [_ZERO] * dim)[k] = x
+            entries.setdefault(tuples[t], {})[k] = x
         return cls(degree, dim, entries)
 
     def __eq__(self, other) -> bool:
@@ -175,7 +173,8 @@ class Cochain:
         )
 
     def __hash__(self):
-        return hash((self.degree, self.dim, tuple(self.entries.items())))
+        values = tuple((key, frozenset(v.items())) for key, v in self.entries.items())
+        return hash((self.degree, self.dim, values))
 
     def __repr__(self):
         return f"Cochain(degree={self.degree}, dim={self.dim}, {len(self.entries)} entries)"
@@ -261,17 +260,14 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     n = algebra.dim
     if q > n:
         raise ValueError(f"degree {q} exceeds dimension {n}")
-    out: dict[tuple[int, ...], list[Scalar]] = {}
+    out: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for key, vec in c.entries.items():
-        targets = {m for m, x in enumerate(vec) if x}
-        for m, tau, k, coeff in _basis_images(algebra._table, key, targets):
-            acc = out.get(tau)
-            if acc is None:
-                acc = out[tau] = [_ZERO] * n
-            acc[k] += vec[m] * coeff
+        for m, tau, k, coeff in _basis_images(algebra._table, key, vec):
+            acc = out.setdefault(tau, {})
+            acc[k] = acc.get(k, _ZERO) + vec[m] * coeff
     if algebra._den > 1:
         scale = Fraction(1, algebra._den)
-        out = {tau: [scale * x for x in acc] for tau, acc in out.items()}
+        out = {tau: {k: scale * x for k, x in acc.items()} for tau, acc in out.items()}
     return Cochain(q + 1, n, out)
 
 
@@ -330,9 +326,7 @@ def cocycle_constraints(algebra: LieAlgebra, c: Cochain) -> list[PolyScalar]:
     dc = apply_differential(algebra, c)
     seen = []
     for _, vec in sorted(dc.entries.items()):
-        for x in vec:
-            if not x:
-                continue
+        for _, x in sorted(vec.items()):
             p = x if isinstance(x, PolyScalar) else PolyScalar.const(x)
             if p not in seen:
                 seen.append(p)
@@ -390,7 +384,7 @@ def cohomology_dim(
     if representatives:
         # d_q is eliminated once, for its kernel; the echelon of im d_(q-1)
         # gives its rank, so d_(q-1) is walked once.
-        kernel = d_q.kernel_rows()
+        kernel = d_q.nullspace()
         rank_d = size - len(kernel)
         echelon = _image_echelon(algebra, q)
         rank_prev = len(echelon)

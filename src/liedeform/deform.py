@@ -99,7 +99,7 @@ def defect(D: Deformation, n: int) -> Cochain:
     table = dict(zip(orders, tables))
     found = jacobiator([(table[i], table[n - i]) for i in orders], D.base.dim)
     scale = den**2
-    entries = {key: [Fraction(x, scale) for x in v] for key, v in found.items()}
+    entries = {key: {k: Fraction(x, scale) for k, x in v.items()} for key, v in found.items()}
     return Cochain(3, D.base.dim, entries)
 
 
@@ -222,13 +222,13 @@ def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
                 f"defect is nonzero at order {n}; refusing to emit a non-Lie table"
             )
     dim = D.base.dim
-    brackets = {key: list(vec) for key, vec in D.base.brackets.items()}
+    brackets = {key: dict(vec) for key, vec in D.base.brackets.items()}
     for order, c in D.terms.items():
         tn = t**order
         for key, v in c.entries.items():
-            vec = brackets.setdefault(key, [_ZERO] * dim)
-            for k, vk in enumerate(v):
-                vec[k] += tn * vk
+            vec = brackets.setdefault(key, {})
+            for k, vk in v.items():
+                vec[k] = vec.get(k, _ZERO) + tn * vk
     name = f"{D.base.name} deformed at t={t}" if D.base.name else None
     return LieAlgebra(dim, brackets, check=True, name=name)
 

@@ -3,9 +3,10 @@
 Scalars are either rational numbers (``fractions.Fraction``, re-exported as
 ``Rational``) or small multivariate polynomials in the formal parameters
 p, q, r with rational coefficients (``PolyScalar``).  Every vector the
-arithmetic takes or returns is {index: value}, holding only the nonzeros;
-dense tuples are for display: the rows given to ExactMatrix, and row, rows,
-column, entry and nullspace.  All linear algebra (rank, nullspace, solve,
+arithmetic takes or returns, kernel vectors included, is {index: value},
+holding only the nonzeros; dense tuples belong only to matrices as they are
+read or displayed: the rows given to ExactMatrix, and row, rows, column and
+entry.  All linear algebra (rank, nullspace, solve,
 inverse, EchelonBasis) runs on one fraction-free engine: each row is scaled
 to integers by the lcm of its denominators and kept sparse, and a row
 operation cancels an entry with integer multipliers (Bareiss, Math. Comp.
@@ -282,10 +283,6 @@ def _coerce_entry(x) -> Scalar:
     raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
 
 
-def _nonzeros(v: Sequence[Scalar]) -> dict[int, Scalar]:
-    return {j: x for j, x in enumerate(v) if x}
-
-
 def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:
     """ValueError unless every index of the {index: value} vector v lies in 0..size-1."""
     if v and not (0 <= min(v) and max(v) < size):
@@ -294,10 +291,7 @@ def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:
 
 
 def _dense(row: Mapping[int, Scalar], n: int) -> tuple[Scalar, ...]:
-    out = [_ZERO] * n
-    for j, x in row.items():
-        out[j] = x
-    return tuple(out)
+    return tuple(row.get(j, _ZERO) for j in range(n))
 
 
 class ExactMatrix:
@@ -305,10 +299,11 @@ class ExactMatrix:
 
     Each row is stored as a {column: value} dict of its nonzero entries, so
     products, comparisons and elimination touch nonzeros only.
-    from_sparse_rows takes {column: value} rows, and mul_vector and solve
-    take and return {index: value} vectors.  The dense side is for display:
-    ExactMatrix(rows) takes dense rows, coerced into the same storage, and
-    row, rows, column, entry and nullspace read dense values.  Polynomial
+    from_sparse_rows takes {column: value} rows; mul_vector, solve and
+    nullspace take and return {index: value} vectors.  Only the matrix
+    itself has a dense side, for matrix files and display: ExactMatrix(rows)
+    takes dense rows, coerced into the same storage, and row, rows, column
+    and entry read dense values.  Polynomial
     entries may be stored and printed but must be evaluated to rationals
     before rank, nullspace, solve and inverse.
     """
@@ -423,12 +418,10 @@ class ExactMatrix:
                 cols[j][i] = x
         return len(_echelon(cols))
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right kernel, ordered by ascending free column."""
-        return [_dense(v, self.ncols) for v in self.kernel_rows()]
-
-    def kernel_rows(self) -> list[dict[int, Fraction]]:
-        """The nullspace basis, each vector as a {column: value} dict of its nonzeros."""
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """Basis of the right kernel, ordered by ascending free column; each
+        vector is {column: value}: its free column at 1 and the pivot columns
+        of the reduced row echelon form, nonzeros only."""
         pivots = _echelon(_integer_rows(self._rows, "nullspace"))
         _back_substitute(pivots)
         basis = {free: {free: _ONE} for free in range(self.ncols) if free not in pivots}

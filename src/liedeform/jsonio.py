@@ -8,8 +8,7 @@ maps to exit code 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Mapping
 
 from .catalog import named_algebra
 from .cohomology import Cochain, CohomologyReport
@@ -53,10 +52,10 @@ def _parse_scalar_at(text, location: str) -> Scalar:
         raise SchemaError(location, f"bad scalar {text!r} ({exc})") from None
 
 
-def _parse_coeff_vector(coeffs, dim: int, location: str) -> list[Scalar]:
+def _parse_coeff_vector(coeffs, dim: int, location: str) -> dict[int, Scalar]:
+    """The {index: value} vector of a 1-based coefficient object."""
     coeffs = _expect_dict(coeffs, location)
-    vec: list[Scalar] = [Fraction(0)] * dim
-    seen = set()
+    vec: dict[int, Scalar] = {}
     for key, text in coeffs.items():
         try:
             k = int(key)
@@ -64,15 +63,15 @@ def _parse_coeff_vector(coeffs, dim: int, location: str) -> list[Scalar]:
             raise SchemaError(f"{location}.{key}", "keys must be basis indices") from None
         if not (1 <= k <= dim):
             raise SchemaError(f"{location}.{key}", f"index out of range 1..{dim}")
-        if k in seen:
+        if k - 1 in vec:
             raise SchemaError(f"{location}.{key}", f"duplicate index {k}")
-        seen.add(k)
         vec[k - 1] = _parse_scalar_at(text, f"{location}.{key}")
     return vec
 
 
-def _format_coeff_vector(vec: Sequence[Scalar]) -> dict[str, str]:
-    return {str(k + 1): str(x) for k, x in enumerate(vec) if x}
+def _format_coeff_vector(vec: Mapping[int, Scalar]) -> dict[str, str]:
+    """The 1-based coefficient object of an {index: value} vector, by ascending index."""
+    return {str(k + 1): str(x) for k, x in sorted(vec.items())}
 
 
 # -- algebras ----------------------------------------------------------------
@@ -109,7 +108,7 @@ def algebra_from_dict(doc, check: bool = True) -> LieAlgebra:
         if (i - 1, j - 1) in brackets:
             raise SchemaError(loc, f"duplicate bracket ({i}, {j})")
         vec = _parse_coeff_vector(entry.get("coeffs", {}), dim, f"{loc}.coeffs")
-        if any(isinstance(x, PolyScalar) for x in vec):
+        if any(isinstance(x, PolyScalar) for x in vec.values()):
             raise SchemaError(f"{loc}.coeffs", "algebra tables must be rational")
         brackets[(i - 1, j - 1)] = vec
     name = doc.get("name")

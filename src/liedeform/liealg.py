@@ -3,11 +3,13 @@
 An algebra of dimension n stores the vectors [e_i, e_j] only for i < j
 (0-based internally; all file formats and printed output are 1-based to
 match the usual e_1..e_n notation).  Brackets for j > i follow by
-skew-symmetry.  Construction validates the Jacobi identity unless the
-caller explicitly asks for an unchecked instance, which exists only so
-negative tests can build broken tables.
+skew-symmetry.  Every vector of the algebra, in or out, is {index: value}
+holding only the nonzeros: the brackets, bracket's arguments and value, the
+Jacobi defects and the center's basis.  Construction validates the Jacobi
+identity unless the caller explicitly asks for an unchecked instance, which
+exists only so negative tests can build broken tables.
 
-Any skew bilinear map given as {(i, j): vector} for i < j (a bracket table,
+Any skew bilinear map given as {(i, j): {k: value}} for i < j (a bracket table,
 or the entries of a 2-cochain) is composed through one format:
 signed_tables scales a list of such maps by one common denominator D to
 Python ints and turns each into the sparse {(a, b): {k: c}} table holding
@@ -28,7 +30,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _nonzeros
+from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _check_indices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,40 +52,39 @@ class JacobiError(ValueError):
 
 
 def signed_tables(
-    maps: Sequence[Mapping[tuple[int, int], Sequence[Fraction]]]
+    maps: Sequence[Mapping[tuple[int, int], Mapping[int, Coeff]]]
 ) -> tuple[list[Table], int]:
     """The integer tables of skew maps given on pairs i < j, and their denominator D.
 
-    D is the lcm of every denominator in the maps, and each table holds D
-    times its map in both orders, signed.  A zero value is absent, so a
-    lookup miss means zero (also for a = b).
+    The maps hold nonzero values only, as LieAlgebra.brackets and
+    Cochain.entries do.  D is the lcm of every denominator in the maps, and
+    each table holds D times its map in both orders, signed.  A lookup miss
+    means zero (also for a = b).
     """
-    den = lcm(1, *(x.denominator for pairs in maps for vec in pairs.values() for x in vec))
+    den = lcm(1, *(x.denominator for pairs in maps for vec in pairs.values() for x in vec.values()))
     tables = []
     for pairs in maps:
         table: Table = {}
         for (i, j), vec in pairs.items():
-            col = {k: c.numerator * (den // c.denominator) for k, c in enumerate(vec) if c}
-            if col:
-                table[(i, j)] = col
-                table[(j, i)] = {k: -c for k, c in col.items()}
+            col = table[(i, j)] = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+            table[(j, i)] = {k: -c for k, c in col.items()}
         tables.append(table)
     return tables, den
 
 
 def jacobiator(
     pairs: Sequence[tuple[Table, Table]], dim: int
-) -> dict[tuple[int, int, int], tuple[int, ...]]:
+) -> dict[tuple[int, int, int], dict[int, int]]:
     """Sum over (outer, inner) of outer(x, inner(y, z)) + cyclic, per triple.
 
     The value at a < b < c takes outer(x, inner(y, z)) for the three
     rotations (x, y, z) of (a, b, c); the signed inner table holds the
     reversed pair (c, a) too, so each entry of it feeds the one triple whose
     rotation it completes, with no sign.  The sums are ints over D² when
-    every table is over D.  Only nonzero sums are kept, in lexicographic
-    triple order.
+    every table is over D.  Each value is {k: sum} of the nonzero sums, and
+    only triples with a nonzero sum are kept, in lexicographic triple order.
     """
-    acc: dict[tuple[int, int, int], list[int]] = {}
+    acc: dict[tuple[int, int, int], dict[int, int]] = {}
     for outer, inner in pairs:
         for (y, z), w in inner.items():
             for x in range(dim):
@@ -98,10 +99,11 @@ def jacobiator(
                 for m, wm in w.items():
                     col = outer.get((x, m))
                     if col:
-                        vec = acc.setdefault(key, [0] * dim)
+                        vec = acc.setdefault(key, {})
                         for k, c in col.items():
-                            vec[k] += wm * c
-    return {key: tuple(v) for key, v in sorted(acc.items()) if any(v)}
+                            vec[k] = vec.get(k, 0) + wm * c
+    nonzero = ((key, {k: x for k, x in v.items() if x}) for key, v in sorted(acc.items()))
+    return {key: v for key, v in nonzero if v}
 
 
 class LieAlgebra:
@@ -110,7 +112,8 @@ class LieAlgebra:
     _table is the signed integer table of the brackets over the denominator
     _den (see signed_tables).  The Jacobi check, d_q, bracket, the series,
     the center and basis changes all read it; brackets is the public
-    {(i, j): vector} view of the same constants.
+    {(i, j): {k: value}} view of the same constants, nonzeros only, by
+    ascending (i, j) and k.
     """
 
     __slots__ = ("dim", "brackets", "name", "_table", "_den")
@@ -118,21 +121,20 @@ class LieAlgebra:
     def __init__(
         self,
         dim: int,
-        brackets: Mapping[tuple[int, int], Sequence[Union[Fraction, int]]],
+        brackets: Mapping[tuple[int, int], Mapping[int, Coeff]],
         check: bool = True,
         name: Optional[str] = None,
     ):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = dim
-        table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            vec = tuple(Fraction(x) for x in coeffs)
-            if len(vec) != dim:
-                raise ValueError(f"coefficient vector has length {len(vec)}, expected {dim}")
-            if any(vec):
+            _check_indices(coeffs, dim, "basis index")
+            vec = {k: x for k, x in sorted(zip(coeffs, map(Fraction, coeffs.values()))) if x}
+            if vec:
                 table[(i, j)] = vec
         self.brackets = dict(sorted(table.items()))
         self.name = name
@@ -144,19 +146,17 @@ class LieAlgebra:
 
     # -- bracket evaluation ---------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """[e_i, e_j] as a coefficient vector (any order; i = j gives zero)."""
+    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
+        """[e_i, e_j] as {k: value} (any order; i = j gives zero)."""
         if i < j:
-            return self.brackets.get((i, j), (_ZERO,) * self.dim)
-        vec = self.brackets.get((j, i))
-        return tuple(-x for x in vec) if vec else (_ZERO,) * self.dim
+            return dict(self.brackets.get((i, j), {}))
+        return {k: -x for k, x in self.brackets.get((j, i), {}).items()}
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Bilinear, skew-symmetric evaluation through the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vectors must have length equal to the algebra dimension")
-        acc = self._product(_nonzeros(x), _nonzeros(y))
-        return tuple(Fraction(acc.get(k, 0), self._den) for k in range(self.dim))
+    def bracket(self, x: Mapping[int, Coeff], y: Mapping[int, Coeff]) -> dict[int, Fraction]:
+        """[x, y] for {index: value} vectors, as {index: value} nonzeros."""
+        _check_indices(x, self.dim, "basis index")
+        _check_indices(y, self.dim, "basis index")
+        return {k: Fraction(c, self._den) for k, c in self._product(x, y).items()}
 
     def _product(self, x: Mapping[int, Coeff], y: Mapping[int, Coeff]) -> dict[int, Coeff]:
         """_den times [x, y] for {index: value} vectors, as {k: c} nonzeros (ints for ints)."""
@@ -172,17 +172,19 @@ class LieAlgebra:
 
     # -- validation -------------------------------------------------------
 
-    def jacobi_violations(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
-        """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero."""
+    def jacobi_violations(self) -> list[tuple[int, int, int, dict[int, Fraction]]]:
+        """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero,
+        each with that sum as {index: value}."""
         found = jacobiator([(self._table, self._table)], self.dim)
         scale = self._den**2
-        return [(i, j, k, tuple(Fraction(x, scale) for x in d)) for (i, j, k), d in found.items()]
+        return [(*t, {m: Fraction(x, scale) for m, x in d.items()}) for t, d in found.items()]
 
     # -- invariants ---------------------------------------------------------
 
-    def center(self) -> list[tuple[Fraction, ...]]:
-        """Basis of {x : [x, e_i] = 0 for all i}: the nullspace of rows (i, k) holding
-        ([e_j, e_i])_k at column j, times _den (scaling rows keeps the nullspace)."""
+    def center(self) -> list[dict[int, Fraction]]:
+        """Basis of {x : [x, e_i] = 0 for all i}, as {index: value} vectors: the
+        nullspace of rows (i, k) holding ([e_j, e_i])_k at column j, times _den
+        (scaling rows keeps the nullspace)."""
         rows: dict[tuple[int, int], dict[int, int]] = {}
         for (j, i), col in self._table.items():
             for k, c in col.items():
@@ -225,15 +227,15 @@ class LieAlgebra:
         if T.nrows != self.dim or T.ncols != self.dim:
             raise ValueError("basis-change matrix has wrong shape")
         Tinv = T.inverse()  # raises SingularMatrixError when not invertible
-        cols = [_nonzeros(T.column(i)) for i in range(self.dim)]
+        cols = [T.mul_vector({i: _ONE}) for i in range(self.dim)]  # T e_i
         new_brackets = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 acc = self._product(cols[i], cols[j])
                 if acc:
-                    vec = new_brackets[(i, j)] = [_ZERO] * self.dim
-                    for k, x in Tinv.mul_vector(acc).items():
-                        vec[k] = x / self._den
+                    new_brackets[(i, j)] = {
+                        k: x / self._den for k, x in Tinv.mul_vector(acc).items()
+                    }
         return LieAlgebra(self.dim, new_brackets, check=True, name=None)
 
     # -- structural equality ----------------------------------------------
@@ -244,7 +246,8 @@ class LieAlgebra:
         return self.dim == other.dim and self.brackets == other.brackets
 
     def __hash__(self):
-        return hash((self.dim, tuple(self.brackets.items())))
+        values = tuple((key, frozenset(v.items())) for key, v in self.brackets.items())
+        return hash((self.dim, values))
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"

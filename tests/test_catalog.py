@@ -33,7 +33,7 @@ from liedeform.liealg import jacobiator
 def test_heisenberg_tables():
     h1 = heisenberg(1)
     assert h1.dim == 3
-    assert h1.brackets == {(0, 1): (0, 0, Fraction(1))}
+    assert h1.brackets == {(0, 1): {2: Fraction(1)}}
     h2 = heisenberg(2)
     assert set(h2.brackets) == {(0, 2), (1, 3)}
     h3 = heisenberg(3)
@@ -67,18 +67,18 @@ def test_h1_cocycle_list_shape():
 def test_phi1_table_entries():
     c = phi("phi1")
     assert c.entries == {
-        (0, 2): (0, Fraction(2), Fraction(-2), 0, 0),
-        (0, 3): (0, 0, Fraction(1), 0, 0),
-        (1, 3): (0, Fraction(1), 0, 0, 0),
-        (2, 3): (0, Fraction(-1), Fraction(2), 0, 0),
+        (0, 2): {1: Fraction(2), 2: Fraction(-2)},
+        (0, 3): {2: Fraction(1)},
+        (1, 3): {1: Fraction(1)},
+        (2, 3): {1: Fraction(-1), 2: Fraction(2)},
     }
 
 
 def test_phi4_at_zero_parameters():
     c = phi("phi4", (0, 0))
     assert c.entries == {
-        (1, 2): (Fraction(-1), 0, 0, 0, 0),
-        (2, 3): (0, Fraction(1), 0, 0, 0),
+        (1, 2): {0: Fraction(-1)},
+        (2, 3): {1: Fraction(1)},
     }
 
 
@@ -208,8 +208,9 @@ def test_reproduce_builds_each_differential_a_few_times(monkeypatch):
 
 
 def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(monkeypatch):
-    # The row loop checks each cochain; strict_extendability reads order 1
-    # from its defect, and the class normal forms trust the rows.
+    # d mu_1 = -defect_1: each row's flag is the order-1 defect that
+    # strict_extendability computes, so no is_cocycle call is made, and the
+    # class normal forms trust the rows.
     checks = []
 
     def counting(algebra, c):
@@ -219,8 +220,12 @@ def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(mon
     for name, module in list(sys.modules.items()):
         if name.startswith("liedeform") and getattr(module, "is_cocycle", None) is is_cocycle:
             monkeypatch.setattr(module, "is_cocycle", counting)
-    reproduce()
-    assert checks == [rep.cochain() for rep in paper_representatives()]
+    rows, _ = reproduce()
+    assert checks == []
+    monkeypatch.undo()
+    h2 = heisenberg(2)
+    flags = [is_cocycle(h2, rep.cochain()) for rep in paper_representatives()]
+    assert [row.is_cocycle for row in rows] == flags == [True] * 20
 
 
 def test_reproduce_computes_each_defect_once(monkeypatch):

@@ -215,6 +215,32 @@ def test_cli_duplicate_entries_are_input_errors(tmp_path, h2_file, capsys, comma
     assert captured.err == f"input error: {location}\n"
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        (
+            "jacobi",
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1", "1": "5"}}]}',
+            "1",
+        ),
+        ("invariants", '{"dim": 3, "dim": 4, "brackets": []}', "dim"),
+        ("check-cocycle", '{"q": 2, "dim": 5, "entries": [], "entries": []}', "entries"),
+    ],
+    ids=["coeff key", "top-level key", "cochain key"],
+)
+def test_cli_repeated_json_keys_are_input_errors(tmp_path, h2_file, capsys, command, text, key):
+    # json.load alone keeps the last of two equal keys.
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "check-cocycle":
+        argv.insert(1, h2_file)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: duplicate key {key!r}\n"
+
+
 # -- cohomology -------------------------------------------------------------------
 
 
@@ -322,7 +348,7 @@ def test_cli_class_eq(h2_file, h1_file, tmp_path, capsys):
     # non-cocycle input is an input error, not a mathematical negative
     bad = write(
         tmp_path, "bad.json",
-        cochain_to_dict(Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]})),
+        cochain_to_dict(Cochain(2, 5, {(3, 4): {4: 1}})),
     )
     assert main(["class-eq", h2_file, a, bad]) == 2
 
@@ -383,7 +409,7 @@ def test_cli_deform_trivial(h2_file, tmp_path, capsys):
 def test_cli_deform_non_cocycle(h2_file, tmp_path, capsys):
     path = write(
         tmp_path, "bad.json",
-        cochain_to_dict(Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]})),
+        cochain_to_dict(Cochain(2, 5, {(3, 4): {4: 1}})),
     )
     assert main(["deform", h2_file, path]) == 1
     assert "not a cocycle" in capsys.readouterr().out
@@ -404,7 +430,7 @@ def test_cli_extend_and_specialize(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     member = algebra_from_dict(doc)
     # phi3(e1, e4) = e1, so [e1, e4]_t = t e1 at t = 1/2
-    assert member.bracket_basis(0, 3) == (Fraction(1, 2), 0, 0, 0, 0)
+    assert member.bracket_basis(0, 3) == {0: Fraction(1, 2)}
     assert member.jacobi_violations() == []
 
 

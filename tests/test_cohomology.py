@@ -29,7 +29,7 @@ from liedeform.deform import Deformation, specialize
 from liedeform.exact import ExactMatrix, PolyScalar
 from liedeform.liealg import LieAlgebra
 
-from test_exact import is_rational_multiple, naive_rank, sparse
+from test_exact import dense, is_rational_multiple, naive_rank, sparse
 
 
 def abelian(n):
@@ -48,7 +48,8 @@ def reference_differential(A, c):
     dc(g_1..g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c([g_s, g_t], ..^s..^t..)
                      + sum_s (-1)^s [g_s, c(..^s..)]   (1-based s, t),
     with c read through Cochain.value, which applies the permutation sign.
-    This is independent of the sparse kernel behind differential().
+    This is independent of the sparse kernel behind differential(); vectors
+    are dense here and converted only where they enter or leave the library.
     """
     n, q = A.dim, c.degree
     out = {}
@@ -58,17 +59,17 @@ def reference_differential(A, c):
             for t in range(s + 1, q + 1):
                 sign = -1 if (s + t + 1) % 2 else 1
                 rest = tau[:s] + tau[s + 1 : t] + tau[t + 1 :]
-                for k, wk in enumerate(A.bracket_basis(tau[s], tau[t])):
+                for k, wk in enumerate(dense(A.bracket_basis(tau[s], tau[t]), n)):
                     if wk:
-                        for m, vm in enumerate(c.value((k,) + rest)):
+                        for m, vm in enumerate(dense(c.value((k,) + rest), n)):
                             acc[m] = acc[m] + sign * wk * vm
         for s in range(q + 1):
             sign = -1 if (s + 1) % 2 else 1
-            for k, vk in enumerate(c.value(tau[:s] + tau[s + 1 :])):
+            for k, vk in enumerate(dense(c.value(tau[:s] + tau[s + 1 :]), n)):
                 if vk:
-                    for m, wm in enumerate(A.bracket_basis(tau[s], k)):
+                    for m, wm in enumerate(dense(A.bracket_basis(tau[s], k), n)):
                         acc[m] = acc[m] + sign * vk * wm
-        out[tau] = acc
+        out[tau] = dict(enumerate(acc))
     return Cochain(q + 1, n, out)
 
 
@@ -83,8 +84,8 @@ def member(family, params):
 
 # Non-Heisenberg tables: brackets land on several basis vectors, so the
 # sign of moving the output index k into the remaining arguments varies.
-SL2 = LieAlgebra(3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
-R2 = LieAlgebra(2, {(0, 1): [0, 1]})
+SL2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+R2 = LieAlgebra(2, {(0, 1): {1: 1}})
 TEST_ALGEBRAS = {
     "sl2": SL2,
     "r2": R2,
@@ -110,20 +111,29 @@ h2_bases = (
 
 
 def test_cochain_alternating_evaluation():
-    c = Cochain(2, 3, {(0, 2): [1, 2, 0]})
-    assert c.value((0, 2)) == (Fraction(1), Fraction(2), Fraction(0))
-    assert c.value((2, 0)) == (Fraction(-1), Fraction(-2), Fraction(0))
-    assert c.value((1, 1)) == (Fraction(0),) * 3
-    assert c.value((0, 1)) == (Fraction(0),) * 3
+    c = Cochain(2, 3, {(0, 2): {0: 1, 1: 2}})
+    assert c.value((0, 2)) == {0: Fraction(1), 1: Fraction(2)}
+    assert c.value((2, 0)) == {0: Fraction(-1), 1: Fraction(-2)}
+    assert c.value((1, 1)) == {}
+    assert c.value((0, 1)) == {}
 
 
 def test_cochain_rejects_bad_entries():
     with pytest.raises(ValueError):
-        Cochain(2, 3, {(2, 0): [1, 0, 0]})  # not increasing
+        Cochain(2, 3, {(2, 0): {0: 1}})  # not increasing
     with pytest.raises(ValueError):
-        Cochain(2, 3, {(0, 3): [1, 0, 0]})  # out of range
-    with pytest.raises(ValueError):
-        Cochain(2, 3, {(0, 1): [1, 0]})  # short vector
+        Cochain(2, 3, {(0, 3): {0: 1}})  # out of range
+    for index in (3, -1):  # a value index outside 0..dim-1
+        message = rf"^tuple \(0, 1\): value index {index} out of range 0..2"
+        with pytest.raises(ValueError, match=message):
+            Cochain(2, 3, {(0, 1): {0: 1, index: 1}})
+
+
+def test_cochain_drops_zero_values():
+    assert Cochain(2, 3, {(0, 1): {0: 0}}) == Cochain.zero(2, 3)
+    c = Cochain(2, 3, {(0, 1): {2: Fraction(0), 1: 5}, (0, 2): {0: PolyScalar.zero()}})
+    assert c.entries == {(0, 1): {1: Fraction(5)}}
+    assert hash(c) == hash(Cochain(2, 3, {(0, 1): {1: 5}}))
 
 
 def test_cochain_coords_round_trip():
@@ -263,7 +273,7 @@ def test_is_cocycle_examples():
     h2 = heisenberg(2)
     assert is_cocycle(h2, phi("phi3"))
     assert is_cocycle(h2, Cochain.zero(2, 5))
-    assert not is_cocycle(h2, Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]}))
+    assert not is_cocycle(h2, Cochain(2, 5, {(3, 4): {4: 1}}))
 
 
 def test_symbolic_cocycle_constraints():
@@ -305,7 +315,7 @@ def test_phi7_000_plus_phi4_00_is_the_zero_cochain():
 def test_is_coboundary_rejects_degree_zero_and_symbolic():
     h2 = heisenberg(2)
     with pytest.raises(ValueError):
-        is_coboundary(h2, Cochain(0, 5, {(): [1, 0, 0, 0, 0]}))
+        is_coboundary(h2, Cochain(0, 5, {(): {0: 1}}))
     with pytest.raises(ValueError):
         is_coboundary(h2, phi("phi8", symbolic=True))
 
@@ -347,7 +357,7 @@ DENSE_H3_BASIS = [
 
 def test_dense_h3_cohomology_matches_the_closed_form():
     A = heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS))
-    assert all(all(vec) for vec in A.brackets.values()) and len(A.brackets) == 21
+    assert all(len(vec) == 7 for vec in A.brackets.values()) and len(A.brackets) == 21
     for q in range(4):
         assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(3, q)
 
@@ -376,7 +386,7 @@ def assert_both_paths_agree(A, q):
 
 def test_representatives_path_agrees_on_a_dense_h2():
     A = heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS))
-    assert all(all(vec) for vec in A.brackets.values()) and len(A.brackets) == 10
+    assert all(len(vec) == 5 for vec in A.brackets.values()) and len(A.brackets) == 10
     for q in range(6):
         assert_both_paths_agree(A, q)
 
@@ -510,7 +520,7 @@ def test_class_eq_examples():
 
 def test_class_eq_rejects_non_cocycles():
     h2 = heisenberg(2)
-    not_cocycle = Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]})
+    not_cocycle = Cochain(2, 5, {(3, 4): {4: 1}})
     with pytest.raises(NotACocycleError):
         class_eq(h2, not_cocycle, phi("phi3"))
 
@@ -576,4 +586,4 @@ def test_span_examples():
 def test_span_rejects_non_cocycles():
     h2 = heisenberg(2)
     with pytest.raises(NotACocycleError):
-        span_in_cohomology(h2, 2, [Cochain(2, 5, {(3, 4): [0, 0, 0, 0, 1]})])
+        span_in_cohomology(h2, 2, [Cochain(2, 5, {(3, 4): {4: 1}})])

@@ -14,7 +14,7 @@ from liedeform.deform import Deformation, specialize, strict_extendability
 from liedeform.exact import ExactMatrix, SingularMatrixError
 from liedeform.liealg import BasisChange, JacobiError, LieAlgebra
 
-from test_exact import naive_rank
+from test_exact import dense, naive_rank
 
 
 def abelian(n):
@@ -30,31 +30,35 @@ def unit(n, i):
 
 def test_h2_bracket_table():
     h2 = heisenberg(2)
-    assert h2.bracket_basis(0, 2) == unit(5, 4)  # [e1,e3] = e5
-    assert h2.bracket_basis(1, 3) == unit(5, 4)  # [e2,e4] = e5
-    assert h2.bracket_basis(2, 0) == tuple(-x for x in unit(5, 4))
-    assert h2.bracket_basis(0, 1) == (Fraction(0),) * 5
+    assert h2.bracket_basis(0, 2) == {4: 1}  # [e1,e3] = e5
+    assert h2.bracket_basis(1, 3) == {4: 1}  # [e2,e4] = e5
+    assert h2.bracket_basis(2, 0) == {4: -1}
+    assert h2.bracket_basis(0, 1) == {}
 
 
 def test_bracket_skew_on_random_vectors():
     rng = random.Random(11)
     h2 = heisenberg(2)
     for _ in range(30):
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(5)]
-        assert h2.bracket(x, x) == (Fraction(0),) * 5
+        x = {k: Fraction(rng.randint(-3, 3)) for k in range(5)}
+        assert h2.bracket(x, x) == {}
 
 
 def test_bracket_bilinear_expansion():
     h2 = heisenberg(2)
-    x = [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    y = [Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(0)]
+    x = {0: Fraction(1), 1: Fraction(1)}
+    y = {2: Fraction(1), 3: Fraction(1)}
     # [e1+e2, e3+e4] = [e1,e3] + [e2,e4] = 2 e5, cross terms vanish
-    assert h2.bracket(x, y) == (0, 0, 0, 0, Fraction(2))
+    assert h2.bracket(x, y) == {4: Fraction(2)}
 
 
-def test_bracket_length_mismatch():
-    with pytest.raises(ValueError):
-        heisenberg(2).bracket([Fraction(1)] * 4, [Fraction(0)] * 5)
+def test_bracket_rejects_an_index_out_of_range():
+    h2 = heisenberg(2)
+    for index in (5, -1):
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..4"):
+            h2.bracket({index: Fraction(1)}, {0: Fraction(1)})
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..4"):
+            h2.bracket({0: Fraction(1)}, {index: Fraction(1)})
 
 
 # -- jacobi --------------------------------------------------------------------
@@ -67,22 +71,32 @@ def test_jacobi_h2_and_abelian():
 
 def test_jacobi_broken_table():
     # [e1,e2] = e1, [e1,e3] = e2: the Jacobi sum on (e1,e2,e3) is -e2
-    A = LieAlgebra(3, {(0, 1): [1, 0, 0], (0, 2): [0, 1, 0]}, check=False)
+    A = LieAlgebra(3, {(0, 1): {0: 1}, (0, 2): {1: 1}}, check=False)
     violations = A.jacobi_violations()
     assert [(i, j, k) for i, j, k, _ in violations] == [(0, 1, 2)]
-    assert violations[0][3] == (Fraction(0), Fraction(-1), Fraction(0))
+    assert violations[0][3] == {1: Fraction(-1)}
 
 
 def test_checked_construction_raises():
     with pytest.raises(JacobiError):
-        LieAlgebra(3, {(0, 1): [1, 0, 0], (0, 2): [0, 1, 0]})
+        LieAlgebra(3, {(0, 1): {0: 1}, (0, 2): {1: 1}})
 
 
 def test_invalid_bracket_keys():
     with pytest.raises(ValueError):
-        LieAlgebra(3, {(1, 1): [1, 0, 0]})
+        LieAlgebra(3, {(1, 1): {0: 1}})
     with pytest.raises(ValueError):
-        LieAlgebra(3, {(2, 1): [1, 0, 0]})
+        LieAlgebra(3, {(2, 1): {0: 1}})
+    for index in (3, -1):
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..2"):
+            LieAlgebra(3, {(0, 1): {2: 1, index: 1}})
+
+
+def test_zero_coefficients_are_dropped():
+    A = LieAlgebra(3, {(0, 1): {0: 0, 2: Fraction(1)}, (0, 2): {1: 0}})
+    assert A.brackets == {(0, 1): {2: Fraction(1)}}
+    plain = LieAlgebra(3, {(0, 1): {2: 1}})
+    assert A == plain and hash(A) == hash(plain)
 
 
 # -- invariants ------------------------------------------------------------------
@@ -91,7 +105,7 @@ def test_invalid_bracket_keys():
 def test_center_h2():
     center = heisenberg(2).center()
     assert len(center) == 1
-    assert center[0] == unit(5, 4)
+    assert center[0] == {4: Fraction(1)}
 
 
 def test_center_abelian():
@@ -228,14 +242,13 @@ def test_matrix_rep_matches_structure_constants():
                 comm = commutator(mats[i], mats[j])
                 expected = alg.bracket_basis(i, j)
                 acc = ExactMatrix.from_sparse_rows([{}] * (n + 2), n + 2)
-                for k, c in enumerate(expected):
-                    if c:
-                        acc = ExactMatrix(
-                            [
-                                [acc.entry(r, s) + c * mats[k].entry(r, s) for s in range(n + 2)]
-                                for r in range(n + 2)
-                            ]
-                        )
+                for k, c in expected.items():
+                    acc = ExactMatrix(
+                        [
+                            [acc.entry(r, s) + c * mats[k].entry(r, s) for s in range(n + 2)]
+                            for r in range(n + 2)
+                        ]
+                    )
                 assert comm == acc
 
 
@@ -280,9 +293,8 @@ def test_matrix_rep_commutator_formula_random_pairs():
             lhs = commutator(rep(a), rep(b))
             rhs = rep([Fraction(0)] * (dim - 1) + [scalar])
             assert lhs == rhs
-            assert alg.bracket(a, b) == tuple(
-                [Fraction(0)] * (dim - 1) + [scalar]
-            )
+            expected = {dim - 1: scalar} if scalar else {}
+            assert alg.bracket(dict(enumerate(a)), dict(enumerate(b))) == expected
 
 
 # -- the dense reference: every evaluation through the Fraction brackets -----------
@@ -294,7 +306,7 @@ def reference_bracket(A, x, y):
     for (i, j), vec in A.brackets.items():
         c = x[i] * y[j] - x[j] * y[i]
         if c:
-            for k, v in enumerate(vec):
+            for k, v in enumerate(dense(vec, A.dim)):
                 if v:
                     acc[k] += c * v
     return tuple(acc)
@@ -324,7 +336,7 @@ def reference_center(A):
     n = A.dim
     rows = []
     for i in range(n):
-        cols = [A.bracket_basis(j, i) for j in range(n)]
+        cols = [dense(A.bracket_basis(j, i), n) for j in range(n)]
         for k in range(n):
             rows.append(tuple(cols[j][k] for j in range(n)))
     return ExactMatrix(rows, ncols=n).nullspace()
@@ -337,7 +349,7 @@ def reference_change_basis(A, T):
     for i, j in combinations(range(A.dim), 2):
         w = Tinv.mul_vector(dict(enumerate(reference_bracket(A, cols[i], cols[j]))))
         if w:
-            new[(i, j)] = [w.get(k, 0) for k in range(A.dim)]
+            new[(i, j)] = w
     return LieAlgebra(A.dim, new, check=True)
 
 
@@ -351,7 +363,7 @@ def skew_tables(draw):
     shape = draw(st.sampled_from(("zero", "dense", "mixed")))
     values = st.sampled_from(MIXED[1:] if shape == "dense" else MIXED)
     table = {
-        pair: draw(st.lists(values, min_size=dim, max_size=dim))
+        pair: dict(enumerate(draw(st.lists(values, min_size=dim, max_size=dim))))
         for pair in combinations(range(dim), 2)
         if shape == "dense" or (shape == "mixed" and draw(st.booleans()))
     }
@@ -366,9 +378,9 @@ def vectors(dim):
 @given(A=skew_tables(), data=st.data())
 def test_bracket_series_and_center_match_the_dense_reference(A, data):
     x, y = data.draw(vectors(A.dim)), data.draw(vectors(A.dim))
-    value = A.bracket(x, y)
-    assert value == reference_bracket(A, x, y)
-    assert all(type(c) is Fraction for c in value)
+    value = A.bracket(dict(enumerate(x)), dict(enumerate(y)))
+    assert tuple(dense(value, A.dim)) == reference_bracket(A, x, y)
+    assert all(type(c) is Fraction and c for c in value.values())
     for kind in ("derived", "lower_central"):
         assert A.series(kind) == reference_series(A, kind)
     assert A.center() == reference_center(A)
@@ -376,7 +388,7 @@ def test_bracket_series_and_center_match_the_dense_reference(A, data):
 
 def test_series_and_center_of_a_fractional_table_match_the_dense_reference():
     # Mixed denominators over _den; the lower central series stops above zero.
-    table = {(0, 1): [Fraction(1, 2), 0, Fraction(-2, 3)], (1, 2): [0, 0, 1]}
+    table = {(0, 1): {0: Fraction(1, 2), 2: Fraction(-2, 3)}, (1, 2): {2: 1}}
     A = LieAlgebra(3, table, check=False)
     assert A.series("lower_central") == reference_series(A, "lower_central") == [3, 2, 2]
     assert A.center() == reference_center(A) == []

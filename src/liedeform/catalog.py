@@ -8,10 +8,9 @@ the library's internal 0-based convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import (
     Cochain,
@@ -75,8 +74,7 @@ def h1_cocycles() -> list[Cochain]:
     ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named cochain family with its parameter count and optional alias."""
 
     name: str
@@ -189,8 +187,7 @@ def phi(
     return _cochain(5, _phi_table(name, p, q, r))
 
 
-@dataclass(frozen=True)
-class Representative:
+class Representative(NamedTuple):
     """One designated infinitesimal deformation of h_2."""
 
     label: str
@@ -242,8 +239,7 @@ def paper_representatives() -> list[Representative]:
     ]
 
 
-@dataclass(frozen=True)
-class PaperRow:
+class PaperRow(NamedTuple):
     """Computed flags for one representative."""
 
     label: str
@@ -256,8 +252,7 @@ class PaperRow:
     solvable_at_t1: Optional[bool]
 
 
-@dataclass(frozen=True)
-class IsomorphismFact:
+class IsomorphismFact(NamedTuple):
     """A verified isomorphism between two specialized deformations at t=1."""
 
     a: str
@@ -266,8 +261,7 @@ class IsomorphismFact:
     columns: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class ReproduceSummary:
+class ReproduceSummary(NamedTuple):
     classes: int
     extendable: int
     obstructed: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from .cohomology import (
 from .deform import (
     Deformation,
     NonzeroDefectError,
+    bound_scales,
     defect_report,
     extend_step,
     search_isomorphism,
@@ -401,6 +401,10 @@ def _cmd_iso(args) -> int:
             print("true" if ok else "false")
         return EXIT_OK if ok else EXIT_NEGATIVE
     bound = [_option_rational(x, "--bound") for x in args.bound.split(",") if x.strip()]
+    try:
+        bound_scales(bound)
+    except ValueError as exc:
+        raise SchemaError("--bound", str(exc)) from None
     T = search_isomorphism(A, B, args.search_class, bound)
     if T is None:
         if args.json:
@@ -455,15 +459,23 @@ def _cmd_catalog(args) -> int:
         for n in names:
             print(n)
         return EXIT_OK
-    _emit_json(_catalog_object(args))
+    try:
+        doc = _catalog_object(args)
+    except NonzeroDefectError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_NEGATIVE
+    _emit_json(doc)
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
     rows, summary = catalog.reproduce()
     if args.json:
-        rows_doc = [asdict(r) for r in rows]
-        _emit_json({"version": __version__, "rows": rows_doc, "summary": asdict(summary)})
+        rows_doc = [r._asdict() for r in rows]
+        summary_doc = summary._asdict()
+        # _asdict is shallow; a nested record would otherwise serialize as a list.
+        summary_doc["isomorphisms"] = [fact._asdict() for fact in summary.isomorphisms]
+        _emit_json({"version": __version__, "rows": rows_doc, "summary": summary_doc})
         return EXIT_OK
     print(f"{'label':12s} {'cocycle':8s} {'extendable':11s} {'nilpotent':10s} {'solvable':9s}")
     for r in rows:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Mapping, Optional, Sequence, Union
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _check_indices
 from .liealg import LieAlgebra, Table
@@ -348,8 +347,7 @@ def is_coboundary(algebra: LieAlgebra, c: Cochain) -> Optional[Cochain]:
     return Cochain.from_coords(c.degree - 1, algebra.dim, x)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Dimensions around degree q: dim H^q = dim ker d_q - rank d_(q-1)."""
 
     degree: int

@@ -19,9 +19,8 @@ change, so D.defect(n) computes each order once, for every check below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix
@@ -103,8 +102,7 @@ def defect(D: Deformation, n: int) -> Cochain:
     return Cochain(3, D.base.dim, entries)
 
 
-@dataclass(frozen=True)
-class OrderStatus:
+class OrderStatus(NamedTuple):
     """Status of one defect order: the defect cochain and its class data."""
 
     order: int
@@ -114,8 +112,7 @@ class OrderStatus:
     obstruction: Optional[Cochain]  # the defect itself when its class is nonzero
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     orders: tuple[OrderStatus, ...]
 
     def status(self, n: int) -> OrderStatus:
@@ -142,8 +139,7 @@ def defect_report(D: Deformation) -> DefectReport:
     return DefectReport(tuple(statuses))
 
 
-@dataclass(frozen=True)
-class ExtendabilityVerdict:
+class ExtendabilityVerdict(NamedTuple):
     """Outcome of the strict extendability check for a single-cocycle deformation."""
 
     exact_lie_bracket: bool
@@ -173,8 +169,7 @@ def strict_extendability(D: Deformation) -> ExtendabilityVerdict:
     return ExtendabilityVerdict(True)
 
 
-@dataclass(frozen=True)
-class ExtendOutcome:
+class ExtendOutcome(NamedTuple):
     """Result of one extension step: a new deformation or an obstruction class."""
 
     extended: Optional[Deformation]
@@ -273,11 +268,7 @@ def search_isomorphism(
     if search_class not in SEARCH_CLASSES:
         raise ValueError(f"unknown search class {search_class!r}")
     n = A.dim
-    scales = tuple(Fraction(c) for c in bound)
-    if not scales:
-        raise ValueError("bound needs at least one coefficient")
-    if any(not c for c in scales):
-        raise ValueError("bound coefficients must be nonzero")
+    scales = bound_scales(bound)
     rows: Sequence[Sequence[int]] = [range(n)] * n
     if search_class == "diagonal_signs":
         rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
@@ -303,6 +294,19 @@ def search_isomorphism(
             raise RuntimeError("isomorphism search built a map that fails verification")
         return T
     return None
+
+
+def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
+    """The coefficients of a search bound; at least one, all nonzero and distinct."""
+    scales = tuple(Fraction(c) for c in bound)
+    if not scales:
+        raise ValueError("bound needs at least one coefficient")
+    if any(not c for c in scales):
+        raise ValueError("bound coefficients must be nonzero")
+    for i, c in enumerate(scales):
+        if c in scales[:i]:
+            raise ValueError(f"bound repeats the coefficient {c}")
+    return scales
 
 
 Constants = tuple[list[list[list[int]]], int]

@@ -516,6 +516,23 @@ def test_cli_iso_search_rejects_an_empty_bound(tmp_path, capsys):
         assert "bound needs at least one coefficient" in captured.err
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ("", "bound needs at least one coefficient"),
+        ("0,1", "bound coefficients must be nonzero"),
+        ("1,1", "bound repeats the coefficient 1"),
+        ("1,-1,2/2", "bound repeats the coefficient 1"),
+    ],
+)
+def test_cli_iso_search_bound_errors_name_the_option(tmp_path, capsys, bound, message):
+    a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
+    assert main(["iso", "search", a, a, "--class", "monomial", "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --bound: {message}\n"
+
+
 def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
     a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
     zero = ExactMatrix.from_sparse_rows([{}] * 5, 5)
@@ -578,6 +595,14 @@ def test_cli_catalog_emit_deformed(capsys):
     assert member.is_nilpotent()
 
 
+def test_cli_catalog_emit_deformed_without_a_lie_member_is_negative(capsys):
+    # phi8(0:1:0) has a nonzero order-2 defect, as `specialize` reports with exit 1.
+    assert main(["catalog", "emit", "phi8", "--params", "0,1,0", "--deformed"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "defect is nonzero at order 2; refusing to emit a non-Lie table\n"
+
+
 def test_cli_catalog_unknown(capsys):
     assert main(["catalog", "emit", "phi99"]) == 2
 
@@ -601,6 +626,15 @@ def test_cli_reproduce_json_deterministic(capsys):
     by_label = {r["label"]: r for r in doc["rows"]}
     assert by_label["d3"]["strict_extendable"] is True
     assert by_label["d8(0:0:1)"]["strict_extendable"] is False
+
+
+def test_cli_reproduce_json_isomorphisms_are_objects(capsys):
+    assert main(["reproduce", "--json"]) == 0
+    facts = json.loads(capsys.readouterr().out)["summary"]["isomorphisms"]
+    assert facts
+    for fact in facts:
+        assert isinstance(fact, dict)
+        assert sorted(fact) == ["a", "b", "columns", "method"]
 
 
 EXPECTED_PATH = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
@@ -706,6 +740,28 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "dim H^2 = 20" in proc.stdout
+
+
+def test_import_loads_no_introspection_modules():
+    # dataclasses would pull in inspect, ast, dis and copy, which every CLI
+    # process pays for at startup.  Only the modules that the import adds
+    # are checked, so whatever the interpreter preloads does not count.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import liedeform, liedeform.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(liedeform.__file__).resolve().parents[1],  # the package's own src/
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "liedeform.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "copy"}
 
 
 # -- parser construction ---------------------------------------------------------

@@ -163,6 +163,8 @@ def cases():
         yield f"catalog-{family}-deformed", ["catalog", "emit", family, *params, "--deformed"]
         if family in FAMILY_PARAMS:
             yield f"catalog-{family}-symbolic", ["catalog", "emit", family, "--symbolic"]
+    # phi8(0:1:0) has no Lie member: exit 1 with nothing on stdout, as `specialize`.
+    yield "catalog-phi8_010-deformed", ["catalog", "emit", "phi8", "--params", "0,1,0", "--deformed"]
     yield "catalog-representatives", ["catalog", "emit", "representatives"]
     for algebra in ("h3", "abelian3", "keys_out_of_order", "keys_2_10"):
         yield f"invariants-{algebra}-text", ["invariants", f"{{{algebra}}}"]
@@ -203,6 +205,7 @@ DIGESTS = {
     'catalog-phi8': (0, '4cded7909b0147eb5a59bdcbc5312046dbb5344e24f78bbe0e653522e87c6955'),
     'catalog-phi8-deformed': (0, '51b85e45bfcd94188413d71331453b1cb60b036e16d7b57573adc1c1d3c959cf'),
     'catalog-phi8-symbolic': (0, '4681e92863c3d1ef81706dc46f6514af6db92fc41e8f9ad3815607c442495a63'),
+    'catalog-phi8_010-deformed': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'catalog-representatives': (0, '51a7cd6db8c3a8dfe6a06153e5a2205398f3179986a0f34a0bbd79deb6174053'),
     'check-coboundary-defect': (0, '015fc03a11a8dad23d375258c8a94b03fc22e17e510eb4ab6d9126f9f8342883'),
     'check-coboundary-defect-json': (0, '29a6cdfab3b4a9d5ed7add23938ca75806ba5853876cc3ae072e0384f8b9a3ed'),

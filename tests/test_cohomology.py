@@ -410,6 +410,15 @@ def test_report_consistency():
     assert report.dim_H == report.dim_kernel - report.dim_image_prev
 
 
+def test_cohomology_report_record():
+    report = cohomology.CohomologyReport(degree=2, dim_cochain=100, rank_d=70, rank_d_prev=10)
+    assert report.dim_kernel == 30
+    assert report.dim_H == 20
+    assert report.representatives is None
+    with pytest.raises(AttributeError):
+        report.rank_d = 0
+
+
 def test_representatives_span_cohomology():
     h1 = heisenberg(1)
     report = cohomology_dim(h1, 2, representatives=True)

@@ -235,6 +235,33 @@ def test_defect_report_statuses():
     assert report.status(1).is_zero
 
 
+def test_defect_report_record():
+    zero, nonzero = Cochain.zero(3, 5), Cochain(3, 5, {(1, 2, 3): {4: 1}})
+    report = deform.DefectReport((
+        deform.OrderStatus(1, zero, True, True, None),
+        deform.OrderStatus(2, zero, True, True, None),
+        deform.OrderStatus(3, nonzero, False, False, nonzero),
+    ))
+    assert report.status(3).obstruction == nonzero
+    assert report.first_nonzero == 3
+    assert deform.DefectReport(report.orders[:2]).first_nonzero is None
+    with pytest.raises(AttributeError):
+        report.orders = ()
+    with pytest.raises(AttributeError):
+        report.status(1).is_zero = False
+
+
+def test_extend_outcome_and_verdict_records():
+    c = phi("phi3")
+    assert deform.ExtendOutcome(single(c), None).ok
+    assert not deform.ExtendOutcome(None, c).ok
+    assert str(deform.ExtendabilityVerdict(True)) == "exact_Lie_bracket"
+    assert str(deform.ExtendabilityVerdict(False, obstructed_at=2)) == "obstructed_at(2)"
+    verdict = deform.ExtendabilityVerdict(False, 2)
+    with pytest.raises(AttributeError):
+        verdict.exact_lie_bracket = True
+
+
 # -- strict extendability -----------------------------------------------------------
 
 
@@ -547,6 +574,13 @@ def test_search_rejects_an_empty_bound():
     A = specialize(single(phi("phi5", (0, 0))), 1)
     with pytest.raises(ValueError, match="bound needs at least one coefficient"):
         search_isomorphism(A, A, "monomial", bound=())
+
+
+def test_search_rejects_a_repeated_scale():
+    # A repeated scale would only try the same candidates twice.
+    A = specialize(single(phi("phi5", (0, 0))), 1)
+    with pytest.raises(ValueError, match="bound repeats the coefficient 1"):
+        search_isomorphism(A, A, "monomial", bound=(1, -1, Fraction(2, 2)))
 
 
 def test_successful_search_implies_matching_invariants():

@@ -11,7 +11,6 @@ from .exact import (
 from .liealg import BasisChange, JacobiError, LieAlgebra
 from .cohomology import (
     Cochain,
-    CochainBasis,
     CohomologyReport,
     NotACocycleError,
     apply_differential,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisChange",
     "Cochain",
-    "CochainBasis",
     "CohomologyReport",
     "DefectReport",
     "Deformation",

@@ -18,13 +18,7 @@ from .cohomology import (
     cohomology_dim,
     is_coboundary,
 )
-from .deform import (
-    Deformation,
-    search_isomorphism,
-    specialize,
-    strict_extendability,
-    verify_isomorphism,
-)
+from .deform import Deformation, specialize, strict_extendability, verify_isomorphism
 from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar
 from .liealg import BasisChange, LieAlgebra
 
@@ -257,7 +251,7 @@ class IsomorphismFact(NamedTuple):
 
     a: str
     b: str
-    method: str  # search class used, or "explicit_basis_change"
+    method: str  # the search class that finds the map, or "explicit_basis_change"
     columns: tuple[tuple[Fraction, ...], ...]
 
 
@@ -321,7 +315,11 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         for a, b in sorted(pair for ks in classes_of.values() for pair in combinations(ks, 2))
     ]
 
-    iso_facts = list(_generic_member_isomorphisms(members))
+    iso_facts = [
+        IsomorphismFact(a, b, method, tuple(T.matrix.column(j) for j in range(T.matrix.ncols)))
+        for a, b, method, T in member_isomorphism_witnesses()
+        if verify_isomorphism(members[a], members[b], T)
+    ]
     nilpotent_members = [r.label for r in rows if r.nilpotent_at_t1]
     classes = _iso_classes(nilpotent_members, iso_facts)
 
@@ -354,24 +352,20 @@ def d5_d6_basis_change() -> BasisChange:
     return BasisChange(ExactMatrix(rows))
 
 
-def _generic_member_isomorphisms(members: Mapping[str, LieAlgebra]):
-    """Verified isomorphisms among the nilpotent generic members at t=1,
-    read from `members` by label.
+def member_isomorphism_witnesses() -> tuple[tuple[str, str, str, BasisChange], ...]:
+    """The recorded maps (a, b, method, T) carrying the t=1 member of a to
+    that of b, in the order reproduce verifies them.
 
-    d4(0:0) ~ d7(0:0:0) is found by the 32-case sign-diagonal search.  The
-    d5(0:0) ~ d6(0:0) map is verified explicitly; no member of the
-    monomial-plus-one-transvection class works there (exhausted over
-    coefficients +-1), since the true map needs two transvections.
+    method names the search class that finds T, or "explicit_basis_change"
+    for a map no search class holds.  d5(0:0) ~ d6(0:0) needs a recorded
+    map: the true map needs two transvections, and the
+    monomial_plus_one_transvection class is exhausted over coefficients +-1.
     """
-    T = search_isomorphism(members["d4(0:0)"], members["d7(0:0:0)"], "diagonal_signs")
-    if T is not None:
-        cols = tuple(T.matrix.column(j) for j in range(T.matrix.ncols))
-        yield IsomorphismFact("d4(0:0)", "d7(0:0:0)", "diagonal_signs", cols)
-
-    T56 = d5_d6_basis_change()
-    if verify_isomorphism(members["d5(0:0)"], members["d6(0:0)"], T56):
-        cols = tuple(T56.matrix.column(j) for j in range(T56.matrix.ncols))
-        yield IsomorphismFact("d5(0:0)", "d6(0:0)", "explicit_basis_change", cols)
+    d4_d7 = ExactMatrix.from_sparse_rows(({i: s} for i, s in enumerate((-1, 1, 1, -1, -1))), 5)
+    return (
+        ("d4(0:0)", "d7(0:0:0)", "diagonal_signs", BasisChange(d4_d7)),
+        ("d5(0:0)", "d6(0:0)", "explicit_basis_change", d5_d6_basis_change()),
+    )
 
 
 def _iso_classes(members: Sequence[str], facts: Sequence[IsomorphismFact]) -> int:

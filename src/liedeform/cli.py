@@ -353,11 +353,7 @@ def _cmd_deform(args) -> int:
 
 def _cmd_extend(args) -> int:
     D = deformation_from_dict(_load_json(args.deformation))
-    try:
-        outcome = extend_step(D)
-    except NonzeroDefectError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NEGATIVE
+    outcome = extend_step(D)
     if outcome.ok:
         if args.json:
             _emit_json({"extended": True, "deformation": deformation_to_dict(outcome.extended)})
@@ -376,12 +372,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_specialize(args) -> int:
     D = deformation_from_dict(_load_json(args.deformation))
-    t = _option_rational(args.t, "--t")
-    try:
-        member = specialize(D, t)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NEGATIVE
+    member = specialize(D, _option_rational(args.t, "--t"))
     if args.json:
         _emit_json(algebra_to_dict(member))
     else:
@@ -459,12 +450,7 @@ def _cmd_catalog(args) -> int:
         for n in names:
             print(n)
         return EXIT_OK
-    try:
-        doc = _catalog_object(args)
-    except NonzeroDefectError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NEGATIVE
-    _emit_json(doc)
+    _emit_json(_catalog_object(args))
     return EXIT_OK
 
 
@@ -626,6 +612,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
+    # A nonzero defect is a mathematical negative that the library raises.
+    except NonzeroDefectError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_NEGATIVE
     # SchemaError, NotACocycleError and SingularMatrixError are ValueErrors.
     except (ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

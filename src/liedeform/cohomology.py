@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _check_indices
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _check_indices, _coerce_entry
 from .liealg import LieAlgebra, Table
 
 _ZERO = Fraction(0)
@@ -37,14 +37,6 @@ _ZERO = Fraction(0)
 
 class NotACocycleError(ValueError):
     """An operation defined on cocycles received a non-cocycle."""
-
-
-def _coerce_scalar(x) -> Scalar:
-    if isinstance(x, (Fraction, PolyScalar)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cochain entries must be exact scalars, got {type(x).__name__}")
 
 
 def _perm_sign(args: Sequence[int]) -> int:
@@ -87,7 +79,8 @@ class Cochain:
             if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
                 raise ValueError(f"tuple {key} is not strictly increasing")
             _check_indices(vec, dim, f"tuple {key}: value index")
-            v = {k: x for k, x in sorted(zip(vec, map(_coerce_scalar, vec.values()))) if x}
+            v = {k: _coerce_entry(x, "cochain entries") for k, x in vec.items()}
+            v = {k: v[k] for k in sorted(v) if v[k]}
             if v:
                 clean[key] = v
         self.entries = dict(sorted(clean.items()))
@@ -147,7 +140,7 @@ class Cochain:
         return Cochain(self.degree, self.dim, out)
 
     def coords(self) -> dict[int, Scalar]:
-        """The nonzero CochainBasis coordinates as {index: value}, ascending."""
+        """The nonzero coordinates on C^q as {index: value}, ascending."""
         first = _first_coords(self.dim, self.degree)
         return {first[key] + k: x for key, vec in self.entries.items() for k, x in vec.items()}
 
@@ -188,21 +181,6 @@ def _tuples(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 def _first_coords(dim: int, degree: int) -> dict[tuple[int, ...], int]:
     """The coordinate index of (key, 0) for each increasing tuple key (shared: read only)."""
     return {key: t * dim for t, key in enumerate(_tuples(dim, degree))}
-
-
-class CochainBasis:
-    """Coordinates on C^q(g; g): (increasing tuple, target index) pairs."""
-
-    __slots__ = ("dim", "degree", "tuples")
-
-    def __init__(self, dim: int, degree: int):
-        self.dim = dim
-        self.degree = degree
-        self.tuples = _tuples(dim, degree)
-
-    @property
-    def size(self) -> int:
-        return len(self.tuples) * self.dim
 
 
 def _basis_images(table: Table, key: tuple[int, ...], targets: Collection[int]):
@@ -291,7 +269,7 @@ def _columns(algebra: LieAlgebra, q: int):
 
 
 def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
-    """Sparse matrix of d_q : C^q -> C^(q+1) in CochainBasis coordinates.
+    """Sparse matrix of d_q : C^q -> C^(q+1) in the coordinates on C^q and C^(q+1).
 
     Each integer basis image from _columns is added straight into the
     {column: value} rows, so no zero entry is built, and each distinct
@@ -377,7 +355,7 @@ def cohomology_dim(
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
     d_q = differential(algebra, q)
-    size = CochainBasis(n, q).size
+    size = len(_tuples(n, q)) * n
     reps: Optional[tuple[Cochain, ...]] = None
     if representatives:
         # d_q is eliminated once, for its kernel; the echelon of im d_(q-1)

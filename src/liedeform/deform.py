@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _coerce_rational
 from .liealg import BasisChange, LieAlgebra, jacobiator, signed_tables
 
 _ZERO = Fraction(0)
@@ -210,7 +210,7 @@ def extend_step(D: Deformation) -> ExtendOutcome:
 
 def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
     """The member algebra at a rational t; refuses non-Lie tables."""
-    t = Fraction(t_value)
+    t = _coerce_rational(t_value, "t")
     for n in D.defect_orders():
         if not D.defect(n).is_zero:
             raise NonzeroDefectError(

@@ -36,9 +36,10 @@ Rational = Fraction
 
 POLY_VARS = ("p", "q", "r")
 
-# Total-degree cap for PolyScalar results.  Deformation defects are at most
-# quadratic in a degree-<=2 cochain family, so 8 leaves ample headroom;
-# exceeding it raises instead of truncating silently.
+# Total-degree cap for PolyScalar results: parsed scalars, and products such
+# as the degree-2 entries of the catalog's families (r*(p - q)).  Deformations
+# refuse symbolic terms, so no defect is a polynomial.  Exceeding the cap
+# raises instead of truncating silently.
 DEGREE_CAP = 8
 
 _ZERO = Fraction(0)
@@ -275,12 +276,22 @@ def parse_scalar(text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_entry(x) -> Scalar:
+def _coerce_entry(x, what: str = "matrix entries") -> Scalar:
+    """x as an exact scalar: a Fraction or PolyScalar as given, an int as a
+    Fraction.  Any other type is a TypeError, a float included: it holds a
+    binary fraction, not the decimal it prints."""
     if isinstance(x, (Fraction, PolyScalar)):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
+    raise TypeError(f"{what} must be exact scalars, got {type(x).__name__}")
+
+
+def _coerce_rational(x, what: str) -> Fraction:
+    """_coerce_entry for a value that must be rational."""
+    if isinstance(x, PolyScalar):
+        raise TypeError(f"{what} must be rational, got PolyScalar")
+    return _coerce_entry(x, what)
 
 
 def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:

@@ -30,7 +30,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _check_indices
+from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _check_indices, _coerce_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,7 +133,8 @@ class LieAlgebra:
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             _check_indices(coeffs, dim, "basis index")
-            vec = {k: x for k, x in sorted(zip(coeffs, map(Fraction, coeffs.values()))) if x}
+            vec = {k: _coerce_rational(x, "structure constants") for k, x in coeffs.items()}
+            vec = {k: vec[k] for k in sorted(vec) if vec[k]}
             if vec:
                 table[(i, j)] = vec
         self.brackets = dict(sorted(table.items()))

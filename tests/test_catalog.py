@@ -25,7 +25,7 @@ from liedeform.cohomology import (
     is_cocycle,
     span_in_cohomology,
 )
-from liedeform import deform
+from liedeform import catalog, deform
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
 from liedeform.liealg import jacobiator
 
@@ -280,6 +280,28 @@ def test_reproduce_isomorphism_facts(reproduced):
         ("d4(0:0)", "d7(0:0:0)"): "diagonal_signs",
         ("d5(0:0)", "d6(0:0)"): "explicit_basis_change",
     }
+
+
+def test_reproduce_verifies_recorded_maps_and_runs_no_search(monkeypatch):
+    search = deform.search_isomorphism
+    searches = []
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("liedeform"):
+            for name, value in list(vars(module).items()):
+                if value is search:
+                    monkeypatch.setattr(module, name, lambda *a, **k: searches.append(a))
+    _, summary = reproduce()
+    assert searches == []
+    witnesses = catalog.member_isomorphism_witnesses()
+    assert [(f.a, f.b, f.method) for f in summary.isomorphisms] == [w[:3] for w in witnesses]
+    for fact, (_, _, _, T) in zip(summary.isomorphisms, witnesses):
+        assert fact.columns == tuple(T.matrix.column(j) for j in range(5))
+
+    # A fact is reported only for a map verify_isomorphism accepts in the run.
+    monkeypatch.setattr(catalog, "verify_isomorphism", lambda A, B, T: False)
+    _, summary = reproduce()
+    assert summary.isomorphisms == ()
+    assert summary.nonisomorphic_nilpotent_generic_members == 4
 
 
 def test_d6_and_d7_generic_members_are_not_isomorphic():

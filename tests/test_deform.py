@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedeform import deform
-from liedeform.catalog import d5_d6_basis_change, h1_cocycles, heisenberg, phi
+from liedeform.catalog import (
+    d5_d6_basis_change,
+    h1_cocycles,
+    heisenberg,
+    member_isomorphism_witnesses,
+    phi,
+)
 from liedeform.cohomology import (
     Cochain,
-    CochainBasis,
     NotACocycleError,
     apply_differential,
     class_eq,
@@ -383,6 +388,21 @@ def test_specialize_structure_flags():
     assert d4_10.is_solvable() and not d4_10.is_nilpotent()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExactMatrix([[0.1]]),
+        lambda: Cochain(2, 3, {(0, 1): {2: 0.1}}),
+        lambda: LieAlgebra(3, {(0, 1): {2: 0.1}}),
+        lambda: specialize(single(phi("phi1")), 0.1),
+    ],
+    ids=["ExactMatrix", "Cochain", "LieAlgebra", "specialize"],
+)
+def test_a_float_is_refused_not_read_as_a_binary_fraction(build):
+    with pytest.raises(TypeError, match="got float$"):
+        build()
+
+
 def test_specialize_refuses_nonzero_defect():
     with pytest.raises(ValueError):
         specialize(single(phi("phi8", (0, 1, 0))), 1)
@@ -453,6 +473,11 @@ def test_search_d4_d7_diagonal_signs():
     assert T is not None
     diag = [T.matrix.entry(i, i) for i in range(5)]
     assert diag == [Fraction(-1), Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)]
+    # The search finds again the map that reproduce verifies as recorded.
+    recorded = {(a, b): (method, W) for a, b, method, W in member_isomorphism_witnesses()}
+    method, W = recorded[("d4(0:0)", "d7(0:0:0)")]
+    assert method == "diagonal_signs"
+    assert T.matrix == W.matrix
 
 
 def test_search_d5_d6_finds_nothing_in_declared_classes():

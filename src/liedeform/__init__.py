@@ -8,7 +8,7 @@ from .exact import (
     SingularMatrixError,
     parse_scalar,
 )
-from .liealg import BasisChange, JacobiError, LieAlgebra
+from .liealg import JacobiError, LieAlgebra
 from .cohomology import (
     Cochain,
     CohomologyReport,
@@ -41,7 +41,6 @@ from . import catalog
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisChange",
     "Cochain",
     "CohomologyReport",
     "DefectReport",

@@ -19,8 +19,8 @@ from .cohomology import (
     is_coboundary,
 )
 from .deform import Deformation, specialize, strict_extendability, verify_isomorphism
-from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar
-from .liealg import BasisChange, LieAlgebra
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _coerce_rational
+from .liealg import LieAlgebra
 
 _P = PolyScalar.variable("p")
 _Q = PolyScalar.variable("q")
@@ -171,7 +171,7 @@ def phi(
             raise ValueError("symbolic construction takes no parameter values")
         p, q, r = _P, _Q, _R
     else:
-        params = tuple(Fraction(x) for x in (params or ()))
+        params = tuple(_coerce_rational(x, "parameters") for x in (params or ()))
         if len(params) != spec.arity:
             raise ValueError(
                 f"{name} takes {spec.arity} parameters, got {len(params)}"
@@ -316,7 +316,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     ]
 
     iso_facts = [
-        IsomorphismFact(a, b, method, tuple(T.matrix.column(j) for j in range(T.matrix.ncols)))
+        IsomorphismFact(a, b, method, tuple(T.column(j) for j in range(T.ncols)))
         for a, b, method, T in member_isomorphism_witnesses()
         if verify_isomorphism(members[a], members[b], T)
     ]
@@ -339,22 +339,20 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     return rows, summary
 
 
-def d5_d6_basis_change() -> BasisChange:
+def d5_d6_basis_change() -> ExactMatrix:
     """The change of basis carrying mu_t(d5)(0:0) to mu_t(d6)(0:0) at t=1.
 
     It extends e1 -> e1 + e4 by the compensating column e2 -> e2 + e3; the
     second column is forced, because [e1+e4, e2] = -e5 in mu_t(d5)(0:0)
     while the target table needs that bracket to vanish.
     """
-    rows = [[Fraction(1 if i == j else 0) for j in range(5)] for i in range(5)]
-    rows[3][0] = Fraction(1)
-    rows[2][1] = Fraction(1)
-    return BasisChange(ExactMatrix(rows))
+    return ExactMatrix.from_sparse_rows([{0: 1}, {1: 1}, {1: 1, 2: 1}, {0: 1, 3: 1}, {4: 1}], 5)
 
 
-def member_isomorphism_witnesses() -> tuple[tuple[str, str, str, BasisChange], ...]:
+def member_isomorphism_witnesses() -> tuple[tuple[str, str, str, ExactMatrix], ...]:
     """The recorded maps (a, b, method, T) carrying the t=1 member of a to
-    that of b, in the order reproduce verifies them.
+    that of b, in the order reproduce verifies them.  T's columns are the
+    new basis vectors, as change_basis reads them.
 
     method names the search class that finds T, or "explicit_basis_change"
     for a map no search class holds.  d5(0:0) ~ d6(0:0) needs a recorded
@@ -363,7 +361,7 @@ def member_isomorphism_witnesses() -> tuple[tuple[str, str, str, BasisChange], .
     """
     d4_d7 = ExactMatrix.from_sparse_rows(({i: s} for i, s in enumerate((-1, 1, 1, -1, -1))), 5)
     return (
-        ("d4(0:0)", "d7(0:0:0)", "diagonal_signs", BasisChange(d4_d7)),
+        ("d4(0:0)", "d7(0:0:0)", "diagonal_signs", d4_d7),
         ("d5(0:0)", "d6(0:0)", "explicit_basis_change", d5_d6_basis_change()),
     )
 

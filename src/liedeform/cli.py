@@ -28,6 +28,7 @@ from .cohomology import (
     span_in_cohomology,
 )
 from .deform import (
+    SEARCH_CLASSES,
     Deformation,
     NonzeroDefectError,
     bound_scales,
@@ -53,7 +54,7 @@ from .jsonio import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from .liealg import BasisChange, LieAlgebra
+from .liealg import LieAlgebra
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -384,8 +385,7 @@ def _cmd_iso(args) -> int:
     A = algebra_from_dict(_load_json(args.algebra_a))
     B = algebra_from_dict(_load_json(args.algebra_b))
     if args.iso_command == "verify":
-        T = BasisChange(matrix_from_dict(_load_json(args.map)))
-        ok = verify_isomorphism(A, B, T)
+        ok = verify_isomorphism(A, B, matrix_from_dict(_load_json(args.map)))
         if args.json:
             _emit_json({"isomorphic_via_map": ok})
         else:
@@ -404,9 +404,9 @@ def _cmd_iso(args) -> int:
             print("none")
         return EXIT_NEGATIVE
     if args.json:
-        _emit_json({"found": True, "matrix": matrix_to_dict(T.matrix)})
+        _emit_json({"found": True, "matrix": matrix_to_dict(T)})
     else:
-        print(json.dumps(matrix_to_dict(T.matrix), sort_keys=True))
+        print(json.dumps(matrix_to_dict(T), sort_keys=True))
     return EXIT_OK
 
 
@@ -420,8 +420,7 @@ def _catalog_object(args):
         if args.deformed:
             if c.is_symbolic():
                 raise SchemaError(name, "cannot specialize a symbolic cochain")
-            base = catalog.heisenberg(2) if not name.startswith("h1_") else catalog.heisenberg(1)
-            D = Deformation(base, {1: c})
+            D = Deformation(catalog.heisenberg((c.dim - 1) // 2), {1: c})
             return algebra_to_dict(specialize(D, _option_rational(args.t, "--t")))
         return cochain_to_dict(c)
     if name == "representatives":
@@ -532,7 +531,7 @@ def _iso_arguments(p) -> None:
     ps.add_argument("algebra_a")
     ps.add_argument("algebra_b")
     ps.add_argument("--class", dest="search_class", required=True,
-                    choices=["diagonal_signs", "monomial", "monomial_plus_one_transvection"])
+                    choices=SEARCH_CLASSES)
     ps.add_argument("--bound", default="1,-1",
                     help="comma-separated nonzero scales and transvection coefficients "
                     "(default 1,-1); diagonal_signs always uses the signs 1,-1")

@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, _coerce_rational
-from .liealg import BasisChange, LieAlgebra, jacobiator, signed_tables
+from .liealg import LieAlgebra, jacobiator, signed_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -233,10 +233,8 @@ def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def verify_isomorphism(
-    A: LieAlgebra, B: LieAlgebra, transform: Union[BasisChange, ExactMatrix]
-) -> bool:
-    """True iff transporting A's table through the basis change gives B's table."""
+def verify_isomorphism(A: LieAlgebra, B: LieAlgebra, transform: ExactMatrix) -> bool:
+    """True iff A in the basis of transform's columns has B's table."""
     if A.dim != B.dim:
         raise ValueError("algebras must have equal dimension")
     return A.change_basis(transform).brackets == B.brackets
@@ -250,8 +248,9 @@ def search_isomorphism(
     B: LieAlgebra,
     search_class: str,
     bound: Sequence[Union[Fraction, int]] = (1, -1),
-) -> Optional[BasisChange]:
-    """First basis change in the class with verify_isomorphism(A, B, T) true.
+) -> Optional[ExactMatrix]:
+    """First basis change T in the class with verify_isomorphism(A, B, T) true,
+    as the matrix M U whose columns are the new basis vectors; None if none.
 
     Every map of a class is T = M U.  M is monomial, column i being s_i
     e_perm(i) with s_i in the bound (diagonal_signs: perm is the identity and
@@ -272,10 +271,13 @@ def search_isomorphism(
     rows: Sequence[Sequence[int]] = [range(n)] * n
     if search_class == "diagonal_signs":
         rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
-    shears = [BasisChange.identity(n)]
+    shears = [ExactMatrix.identity(n)]
     if search_class == "monomial_plus_one_transvection":
+        # e_i0 -> e_i0 + c e_j0: the identity with c at row j0, column i0.
         shears += [
-            BasisChange.transvection(n, i0, j0, c)
+            ExactMatrix.from_sparse_rows(
+                ({a: _ONE, i0: c} if a == j0 else {a: _ONE} for a in range(n)), n
+            )
             for i0 in range(n)
             for j0 in range(n)
             if i0 != j0
@@ -283,13 +285,13 @@ def search_isomorphism(
         ]
     source = _structure_constants(A)
     for U in shears:
-        target = _structure_constants(B.change_basis(U.matrix.inverse()))
+        target = _structure_constants(B.change_basis(U.inverse()))
         found = _monomial_map(source, target, rows, scales)
         if found is None:
             continue
         perm, scale = found
         M = ExactMatrix([[scale[j] if perm[j] == r else _ZERO for j in range(n)] for r in range(n)])
-        T = BasisChange(M * U.matrix)
+        T = M * U
         if not verify_isomorphism(A, B, T):
             raise RuntimeError("isomorphism search built a map that fails verification")
         return T
@@ -298,7 +300,7 @@ def search_isomorphism(
 
 def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
     """The coefficients of a search bound; at least one, all nonzero and distinct."""
-    scales = tuple(Fraction(c) for c in bound)
+    scales = tuple(_coerce_rational(c, "bound coefficients") for c in bound)
     if not scales:
         raise ValueError("bound needs at least one coefficient")
     if any(not c for c in scales):

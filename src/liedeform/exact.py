@@ -83,14 +83,14 @@ class PolyScalar:
                 raise DegreeCapExceeded(
                     f"monomial {exps} exceeds total degree cap {DEGREE_CAP}"
                 )
-            coeff = Fraction(coeff)
+            coeff = _coerce_rational(coeff, "polynomial coefficients")
             if coeff:
                 clean[exps] = coeff
         self._terms = clean
 
     @classmethod
     def const(cls, value: Union[Fraction, int]) -> "PolyScalar":
-        return cls({(0, 0, 0): Fraction(value)})
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "PolyScalar":
@@ -186,7 +186,7 @@ class PolyScalar:
 
     def evaluate(self, point: Mapping[str, Union[Fraction, int]]) -> Fraction:
         """Substitute rational values for p, q, r."""
-        vals = tuple(Fraction(point.get(v, 0)) for v in POLY_VARS)
+        vals = tuple(_coerce_rational(point.get(v, 0), "point values") for v in POLY_VARS)
         total = _ZERO
         for exps, coeff in self._terms.items():
             term = coeff

@@ -32,7 +32,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _check_indices, _coerce_rational
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b),
@@ -222,12 +221,19 @@ class LieAlgebra:
 
     # -- basis change ---------------------------------------------------------
 
-    def change_basis(self, transform: Union["BasisChange", ExactMatrix]) -> "LieAlgebra":
-        """Transport structure constants: new[x,y] = T^-1 [Tx, Ty]."""
-        T = transform.matrix if isinstance(transform, BasisChange) else transform
+    def change_basis(self, T: ExactMatrix) -> "LieAlgebra":
+        """The algebra in the basis whose vectors are the columns of T:
+        new[x,y] = T^-1 [Tx, Ty].
+
+        ValueError unless T is dim x dim; SingularMatrixError when T is not
+        invertible.
+        """
         if T.nrows != self.dim or T.ncols != self.dim:
             raise ValueError("basis-change matrix has wrong shape")
-        Tinv = T.inverse()  # raises SingularMatrixError when not invertible
+        try:
+            Tinv = T.inverse()
+        except SingularMatrixError:
+            raise SingularMatrixError("basis change must be invertible") from None
         cols = [T.mul_vector({i: _ONE}) for i in range(self.dim)]  # T e_i
         new_brackets = {}
         for i in range(self.dim):
@@ -253,32 +259,3 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
         return f"LieAlgebra({label}, {len(self.brackets)} nonzero brackets)"
-
-
-class BasisChange:
-    """An invertible rational matrix whose columns are the new basis vectors."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: ExactMatrix):
-        if matrix.nrows != matrix.ncols:
-            raise SingularMatrixError("basis change must be square")
-        if matrix.rank() != matrix.nrows:
-            raise SingularMatrixError("basis change must be invertible")
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, n: int) -> "BasisChange":
-        return cls(ExactMatrix.identity(n))
-
-    @classmethod
-    def transvection(cls, n: int, i: int, j: int, c: Union[Fraction, int]) -> "BasisChange":
-        """e_i -> e_i + c e_j, all other basis vectors fixed (0-based)."""
-        if i == j:
-            raise ValueError("transvection needs distinct indices")
-        rows = [[_ONE if a == b else _ZERO for b in range(n)] for a in range(n)]
-        rows[j][i] = Fraction(c)
-        return cls(ExactMatrix(rows))
-
-    def __repr__(self):
-        return f"BasisChange({self.matrix.nrows}x{self.matrix.ncols})"

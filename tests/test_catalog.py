@@ -295,7 +295,7 @@ def test_reproduce_verifies_recorded_maps_and_runs_no_search(monkeypatch):
     witnesses = catalog.member_isomorphism_witnesses()
     assert [(f.a, f.b, f.method) for f in summary.isomorphisms] == [w[:3] for w in witnesses]
     for fact, (_, _, _, T) in zip(summary.isomorphisms, witnesses):
-        assert fact.columns == tuple(T.matrix.column(j) for j in range(5))
+        assert fact.columns == tuple(T.column(j) for j in range(5))
 
     # A fact is reported only for a map verify_isomorphism accepts in the run.
     monkeypatch.setattr(catalog, "verify_isomorphism", lambda A, B, T: False)

@@ -478,7 +478,7 @@ def test_cli_iso_verify(tmp_path, capsys):
     b = deformed_file(tmp_path, "d6", "phi6", (0, 0), "d6.json")
     map_path = write(
         tmp_path, "map.json",
-        matrix_to_dict(catalog.d5_d6_basis_change().matrix),
+        matrix_to_dict(catalog.d5_d6_basis_change()),
     )
     assert main(["iso", "verify", a, b, "--map", map_path]) == 0
     assert "true" in capsys.readouterr().out
@@ -541,6 +541,15 @@ def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: basis change must be invertible\n"
+    # A map of the wrong shape is refused by change_basis on the same path.
+    for nrows, ncols in ((5, 4), (4, 4)):
+        rows = [{i: 1} for i in range(ncols)] + [{}] * (nrows - ncols)
+        T = ExactMatrix.from_sparse_rows(rows, ncols)
+        shaped = write(tmp_path, "shaped.json", matrix_to_dict(T))
+        assert main(["iso", "verify", a, a, "--map", shaped]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: basis-change matrix has wrong shape\n"
 
 
 @pytest.mark.parametrize(
@@ -762,6 +771,12 @@ def test_import_loads_no_introspection_modules():
     added = set(proc.stdout.split())
     assert "liedeform.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "copy"}
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from liedeform import *", namespace)
+    assert [name for name in liedeform.__all__ if name not in namespace] == []
 
 
 # -- parser construction ---------------------------------------------------------

@@ -26,6 +26,7 @@ from liedeform.cohomology import (
 )
 from liedeform.deform import (
     Deformation,
+    bound_scales,
     defect,
     defect_report,
     extend_step,
@@ -34,8 +35,8 @@ from liedeform.deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from liedeform.exact import ExactMatrix, SingularMatrixError
-from liedeform.liealg import BasisChange, LieAlgebra
+from liedeform.exact import ExactMatrix, PolyScalar, SingularMatrixError
+from liedeform.liealg import LieAlgebra
 
 from test_cohomology import SL2, random_cochain
 from test_exact import dense
@@ -388,19 +389,29 @@ def test_specialize_structure_flags():
     assert d4_10.is_solvable() and not d4_10.is_nilpotent()
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: ExactMatrix([[0.1]]),
-        lambda: Cochain(2, 3, {(0, 1): {2: 0.1}}),
-        lambda: LieAlgebra(3, {(0, 1): {2: 0.1}}),
-        lambda: specialize(single(phi("phi1")), 0.1),
-    ],
-    ids=["ExactMatrix", "Cochain", "LieAlgebra", "specialize"],
-)
+EXACT_SCALAR_INPUTS = {
+    "ExactMatrix": lambda x: ExactMatrix([[x]]),
+    "Cochain": lambda x: Cochain(2, 3, {(0, 1): {2: x}}),
+    "LieAlgebra": lambda x: LieAlgebra(3, {(0, 1): {2: x}}),
+    "specialize": lambda x: specialize(single(phi("phi1")), x),
+    "PolyScalar.const": lambda x: PolyScalar.const(x),
+    "PolyScalar": lambda x: PolyScalar({(1, 0, 0): x}),
+    "PolyScalar.evaluate": lambda x: PolyScalar.variable("p").evaluate({"p": x}),
+    "phi": lambda x: phi("phi4", (x, 0)),
+    "bound_scales": lambda x: bound_scales([x]),
+}
+
+
+@pytest.mark.parametrize("build", EXACT_SCALAR_INPUTS.values(), ids=EXACT_SCALAR_INPUTS.keys())
 def test_a_float_is_refused_not_read_as_a_binary_fraction(build):
     with pytest.raises(TypeError, match="got float$"):
-        build()
+        build(0.1)
+
+
+@pytest.mark.parametrize("build", EXACT_SCALAR_INPUTS.values(), ids=EXACT_SCALAR_INPUTS.keys())
+def test_a_string_is_refused_not_parsed(build):
+    with pytest.raises(TypeError, match="got str$"):
+        build("1/10")
 
 
 def test_specialize_refuses_nonzero_defect():
@@ -418,25 +429,28 @@ def test_specialize_many_t_values():
 # -- isomorphism verification and search ----------------------------------------------
 
 
+def transvection(n, i, j, c):
+    """e_i -> e_i + c e_j, all other basis vectors fixed (0-based)."""
+    return ExactMatrix.from_sparse_rows([{a: 1, i: c} if a == j else {a: 1} for a in range(n)], n)
+
+
 def test_verify_isomorphism_identity():
     h2 = heisenberg(2)
-    assert verify_isomorphism(h2, h2, BasisChange.identity(5))
+    assert verify_isomorphism(h2, h2, ExactMatrix.identity(5))
 
 
 def test_verify_isomorphism_d4_d7_sign_diagonal():
     A = specialize(single(phi("phi4", (0, 0))), 1)
     B = specialize(single(phi("phi7", (0, 0, 0))), 1)
     signs = [-1, 1, 1, -1, -1]
-    T = BasisChange(
-        ExactMatrix([[s if i == j else 0 for j in range(5)] for i, s in enumerate(signs)])
-    )
+    T = ExactMatrix([[s if i == j else 0 for j in range(5)] for i, s in enumerate(signs)])
     assert verify_isomorphism(A, B, T)
 
 
 def test_verify_isomorphism_false_for_distinct_tables():
     A = specialize(single(phi("phi4", (0, 0))), 1)
     B = specialize(single(phi("phi7", (0, 0, 0))), 1)
-    assert not verify_isomorphism(A, B, BasisChange.identity(5))
+    assert not verify_isomorphism(A, B, ExactMatrix.identity(5))
 
 
 def test_verify_isomorphism_singular_map_rejected():
@@ -452,7 +466,7 @@ def test_single_transvection_does_not_carry_d5_to_d6():
     A = specialize(single(phi("phi5", (0, 0))), 1)
     B = specialize(single(phi("phi6", (0, 0))), 1)
     for c in (1, -1):
-        T = BasisChange.transvection(5, 0, 3, c)
+        T = transvection(5, 0, 3, c)
         assert not verify_isomorphism(A, B, T)
         assert not verify_isomorphism(B, A, T)
     assert verify_isomorphism(A, B, d5_d6_basis_change())
@@ -463,7 +477,7 @@ def test_search_identity_found_first():
     for klass in ("diagonal_signs", "monomial", "monomial_plus_one_transvection"):
         T = search_isomorphism(h2, h2, klass)
         assert T is not None
-        assert T.matrix == ExactMatrix.identity(5)
+        assert T == ExactMatrix.identity(5)
 
 
 def test_search_d4_d7_diagonal_signs():
@@ -471,13 +485,13 @@ def test_search_d4_d7_diagonal_signs():
     B = specialize(single(phi("phi7", (0, 0, 0))), 1)
     T = search_isomorphism(A, B, "diagonal_signs")
     assert T is not None
-    diag = [T.matrix.entry(i, i) for i in range(5)]
+    diag = [T.entry(i, i) for i in range(5)]
     assert diag == [Fraction(-1), Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)]
     # The search finds again the map that reproduce verifies as recorded.
     recorded = {(a, b): (method, W) for a, b, method, W in member_isomorphism_witnesses()}
     method, W = recorded[("d4(0:0)", "d7(0:0:0)")]
     assert method == "diagonal_signs"
-    assert T.matrix == W.matrix
+    assert T == W
 
 
 def test_search_d5_d6_finds_nothing_in_declared_classes():
@@ -579,7 +593,7 @@ def test_search_finds_a_map_to_a_sheared_signed_permutation_of_d5(perm, signs, s
     P = ExactMatrix.from_sparse_rows(
         [{i: Fraction(signs[i]) for i in range(5) if perm[i] == r} for r in range(5)], 5
     )
-    B = A.change_basis(BasisChange(P * BasisChange.transvection(5, *shear, c).matrix))
+    B = A.change_basis(P * transvection(5, *shear, c))
     T = search_isomorphism(A, B, "monomial_plus_one_transvection")
     assert T is not None and verify_isomorphism(A, B, T)
 

@@ -13,8 +13,8 @@ with 1-based positions s, t; no alternative sign conventions are supported.
 Coordinates on C^q are ordered by tuple (lexicographic), then target basis
 index, which keeps every matrix and report deterministic.  The basis images
 d(e^key (x) e_m) are read from the algebra's signed integer table (the one
-its Jacobi check uses), as ints over the table's denominator D: d_q turns
-each distinct int into a Fraction over D once, apply_differential divides
+its Jacobi check uses), as ints over the table's denominator D: d_q keeps
+them as the integer rows of its matrix over D, apply_differential divides
 by D at the end, and the image echelon of d_(q-1) takes the integer
 columns as they are, since scaling does not change a span.
 """
@@ -271,23 +271,18 @@ def _columns(algebra: LieAlgebra, q: int):
 def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
     """Sparse matrix of d_q : C^q -> C^(q+1) in the coordinates on C^q and C^(q+1).
 
-    Each integer basis image from _columns is added straight into the
-    {column: value} rows, so no zero entry is built, and each distinct
-    integer becomes a Fraction over the algebra's denominator once; the
-    same basis images serve apply_differential and the image echelon of
-    class questions.
+    The nonzero integer basis images from _columns are added straight into
+    the {column: int} rows of the matrix, over the algebra's denominator, so
+    no zero entry and no Fraction is built; the same basis images serve
+    apply_differential and the image echelon of class questions.
     """
     n = algebra.dim
-    den = algebra._den
-    values: dict[int, Fraction] = {}
-    rows: list[dict[int, Fraction]] = [{} for _ in range(len(_tuples(n, q + 1)) * n)]
+    rows: list[dict[int, int]] = [{} for _ in range(len(_tuples(n, q + 1)) * n)]
     for j, col in enumerate(_columns(algebra, q)):
         for r, x in col.items():
-            value = values.get(x)
-            if value is None:
-                value = values[x] = Fraction(x, den)
-            rows[r][j] = value
-    return ExactMatrix.from_sparse_rows(rows, len(_tuples(n, q)) * n)
+            if x:
+                rows[r][j] = x
+    return ExactMatrix._from_integer_rows(rows, algebra._den, len(_tuples(n, q)) * n)
 
 
 def is_cocycle(algebra: LieAlgebra, c: Cochain) -> bool:

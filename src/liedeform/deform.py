@@ -271,21 +271,18 @@ def search_isomorphism(
     rows: Sequence[Sequence[int]] = [range(n)] * n
     if search_class == "diagonal_signs":
         rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
-    shears = [ExactMatrix.identity(n)]
+    shears = [(ExactMatrix.identity(n),) * 2]  # (U, U^-1)
     if search_class == "monomial_plus_one_transvection":
-        # e_i0 -> e_i0 + c e_j0: the identity with c at row j0, column i0.
         shears += [
-            ExactMatrix.from_sparse_rows(
-                ({a: _ONE, i0: c} if a == j0 else {a: _ONE} for a in range(n)), n
-            )
+            (_shear(n, i0, j0, c), _shear(n, i0, j0, -c))
             for i0 in range(n)
             for j0 in range(n)
             if i0 != j0
             for c in scales
         ]
     source = _structure_constants(A)
-    for U in shears:
-        target = _structure_constants(B.change_basis(U.inverse()))
+    for U, U_inv in shears:
+        target = _structure_constants(B.change_basis(U_inv))
         found = _monomial_map(source, target, rows, scales)
         if found is None:
             continue
@@ -296,6 +293,13 @@ def search_isomorphism(
             raise RuntimeError("isomorphism search built a map that fails verification")
         return T
     return None
+
+
+def _shear(n: int, i0: int, j0: int, c: Fraction) -> ExactMatrix:
+    """e_i0 -> e_i0 + c e_j0: the identity with c at row j0, column i0."""
+    rows = [{a: c.denominator} for a in range(n)]
+    rows[j0][i0] = c.numerator
+    return ExactMatrix._from_integer_rows(rows, c.denominator, n)
 
 
 def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:

@@ -6,21 +6,22 @@ p, q, r with rational coefficients (``PolyScalar``).  Every vector the
 arithmetic takes or returns, kernel vectors included, is {index: value},
 holding only the nonzeros; dense tuples belong only to matrices as they are
 read or displayed: the rows given to ExactMatrix, and row, rows, column and
-entry.  All linear algebra (rank, nullspace, solve,
-inverse, EchelonBasis) runs on one fraction-free engine: each row is scaled
-to integers by the lcm of its denominators and kept sparse, and a row
-operation cancels an entry with integer multipliers (Bareiss, Math. Comp.
-22, 1968), so no fraction is formed until a result is read.  One
-forward-elimination loop, _echelon, reduces every batch of rows.  The pivot
-of a column is the shortest row leading there, and among those the one with
-the smallest |entry|, so a unit pivot cancels without scaling the other
-rows.  rank eliminates the rows, or the columns when the matrix has more
-rows than columns.  An EchelonBasis keeps the pivot rows of its batch and
-reduces each vector added later, or asked for its normal form, at the kept
-leads.  Results do not depend on which row serves as a pivot: the rank, the
-reduced row echelon form from which nullspace, solve (free variables zero)
-and inverse are read, the set of leading indices of a span and the normal
-form of a vector modulo it are all unique.
+entry.  All linear algebra (rank, nullspace, solve, inverse, EchelonBasis)
+runs on one fraction-free engine over sparse integer rows.  An ExactMatrix
+stores its rows so, over one denominator; a right-hand side and the vectors
+of an EchelonBasis are scaled to integers as they come in.  A row operation
+cancels an entry with integer multipliers (Bareiss, Math. Comp. 22, 1968),
+so no fraction is formed until a result is read.  One forward-elimination
+loop, _echelon, reduces every batch of rows.  The pivot of a column is the
+shortest row leading there, and among those the one with the smallest
+|entry|, so a unit pivot cancels without scaling the other rows.  rank
+eliminates the rows, or the columns when the matrix has more rows than
+columns.  An EchelonBasis keeps the pivot rows of its batch and reduces each
+vector added later, or asked for its normal form, at the kept leads.
+Results do not depend on which row serves as a pivot: the rank, the reduced
+row echelon form from which nullspace, solve (free variables zero) and
+inverse are read, the set of leading indices of a span and the normal form
+of a vector modulo it are all unique.
 """
 
 from __future__ import annotations
@@ -272,11 +273,11 @@ def parse_scalar(text: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact matrices: each row a {column: value} dict of its nonzeros.
+# Sparse exact matrices: integer rows {column: x} over one denominator.
 # ---------------------------------------------------------------------------
 
 
-def _coerce_entry(x, what: str = "matrix entries") -> Scalar:
+def _coerce_entry(x, what: str) -> Scalar:
     """x as an exact scalar: a Fraction or PolyScalar as given, an int as a
     Fraction.  Any other type is a TypeError, a float included: it holds a
     binary fraction, not the decimal it prints."""
@@ -301,27 +302,21 @@ def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:
         raise ValueError(f"{what} {bad} out of range 0..{size - 1}")
 
 
-def _dense(row: Mapping[int, Scalar], n: int) -> tuple[Scalar, ...]:
-    return tuple(row.get(j, _ZERO) for j in range(n))
-
-
 class ExactMatrix:
-    """Immutable sparse matrix of exact scalars.
+    """Immutable sparse matrix of rationals (a PolyScalar entry is a TypeError).
 
-    Each row is stored as a {column: value} dict of its nonzero entries, so
-    products, comparisons and elimination touch nonzeros only.
+    Row i is stored as the {column: x} dict of its nonzero integers x, the
+    entries being x / _den for the least denominator _den, so equal matrices
+    store equal rows; products, comparisons and elimination touch them only.
     from_sparse_rows takes {column: value} rows; mul_vector, solve and
     nullspace take and return {index: value} vectors.  Only the matrix
     itself has a dense side, for matrix files and display: ExactMatrix(rows)
-    takes dense rows, coerced into the same storage, and row, rows, column
-    and entry read dense values.  Polynomial
-    entries may be stored and printed but must be evaluated to rationals
-    before rank, nullspace, solve and inverse.
+    takes dense rows, and row, rows, column and entry read dense Fractions.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_rows", "_den")
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None):
+    def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
         rows = [tuple(row) for row in rows]
         if ncols is None:
             if not rows:
@@ -332,42 +327,53 @@ class ExactMatrix:
         self._store((dict(enumerate(row)) for row in rows), ncols)
 
     @classmethod
-    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Scalar]], ncols: int) -> "ExactMatrix":
+    def from_sparse_rows(cls, rows: Iterable[Mapping[int, Fraction]], ncols: int) -> "ExactMatrix":
         """The matrix whose row i has the entries {column: value} of rows[i]."""
         m = cls.__new__(cls)
         m._store(rows, ncols)
         return m
 
-    def _store(self, rows: Iterable[Mapping[int, Scalar]], ncols: int) -> None:
-        stored = []
+    def _store(self, rows: Iterable[Mapping[int, Fraction]], ncols: int) -> None:
+        given = []
         for row in rows:
-            entries = {}
-            for j, x in row.items():
-                if not 0 <= j < ncols:
-                    raise ValueError(f"column {j} out of range 0..{ncols - 1}")
-                x = _coerce_entry(x)
-                if x:
-                    entries[j] = x
-            stored.append(entries)
-        self._rows = tuple(stored)
-        self.nrows = len(stored)
+            _check_indices(row, ncols, "column")
+            given.append({j: _coerce_rational(x, "matrix entries") for j, x in row.items()})
+        den = lcm(1, *(x.denominator for row in given for x in row.values()))
+        ints = [{j: x.numerator * den // x.denominator for j, x in r.items() if x} for r in given]
+        self._set(ints, den, ncols)
+
+    @classmethod
+    def _from_integer_rows(cls, rows: list[dict], den: int, ncols: int) -> "ExactMatrix":
+        """The matrix of rows[i] / den, for {column: int} nonzeros in range and den > 0."""
+        m = cls.__new__(cls)
+        m._set(rows, den, ncols)
+        return m
+
+    def _set(self, rows: list[dict[int, int]], den: int, ncols: int) -> None:
+        """Hold rows / den, with the common factor of den and the rows divided out."""
+        if den > 1 and (g := gcd(den, *(x for row in rows for x in row.values()))) > 1:
+            den //= g
+            rows = [{j: x // g for j, x in row.items()} for row in rows]
+        self._rows = tuple(rows)
+        self._den = den
+        self.nrows = len(self._rows)
         self.ncols = ncols
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_sparse_rows(({i: _ONE} for i in range(n)), n)
+        return cls._from_integer_rows([{i: 1} for i in range(n)], 1, n)
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return _dense(self._rows[i], self.ncols)
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(self._rows[i].get(j, 0), self._den) for j in range(self.ncols))
 
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return tuple(_dense(r, self.ncols) for r in self._rows)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self.row(i) for i in range(self.nrows))
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._rows[i].get(j, _ZERO)
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self._rows[i].get(j, 0), self._den)
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r.get(j, _ZERO) for r in self._rows)
+    def column(self, j: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r.get(j, 0), self._den) for r in self._rows)
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -375,11 +381,7 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._rows == other._rows
-        )
+        return (self.ncols, self._den, self._rows) == (other.ncols, other._den, other._rows)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self._rows)))
@@ -393,38 +395,36 @@ class ExactMatrix:
                 )
             out = []
             for row in self._rows:
-                acc: dict[int, Scalar] = {}
+                acc: dict[int, int] = {}
                 for k, a in row.items():
                     for j, b in other._rows[k].items():
-                        acc[j] = acc.get(j, _ZERO) + a * b
-                out.append(acc)
-            return ExactMatrix.from_sparse_rows(out, other.ncols)
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: x for j, x in acc.items() if x})
+            return ExactMatrix._from_integer_rows(out, self._den * other._den, other.ncols)
         return NotImplemented
 
-    def mul_vector(self, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """m v for a {column: value} vector, as {row: value} nonzeros."""
+    def mul_vector(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """m v for a rational {column: value} vector, as {row: value} nonzeros."""
         _check_indices(v, self.ncols, "column")
-        out = {}
+        out, den = {}, self._den
         for i, row in enumerate(self._rows):
-            acc: Scalar = _ZERO
+            acc = _ZERO
             for j, a in row.items():
                 b = v.get(j)
                 if b:
                     acc = acc + a * b
             if acc:
-                out[i] = acc
+                out[i] = acc / den if den > 1 else acc
         return out
 
     # -- row reduction ------------------------------------------------------
 
     def rank(self) -> int:
         """The rank, eliminated on the shorter side: the transpose when nrows > ncols."""
-        rows = _integer_rows(self._rows, "rank")
         if self.nrows <= self.ncols:
-            return len(_echelon(rows))
-        # Scaling a row scales a column entry of the transpose; no rank changes.
+            return len(_echelon(self._rows))
         cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self._rows):
             for j, x in row.items():
                 cols[j][i] = x
         return len(_echelon(cols))
@@ -433,7 +433,7 @@ class ExactMatrix:
         """Basis of the right kernel, ordered by ascending free column; each
         vector is {column: value}: its free column at 1 and the pivot columns
         of the reduced row echelon form, nonzeros only."""
-        pivots = _echelon(_integer_rows(self._rows, "nullspace"))
+        pivots = _echelon(self._rows)
         _back_substitute(pivots)
         basis = {free: {free: _ONE} for free in range(self.ncols) if free not in pivots}
         for c, row in pivots.items():
@@ -446,11 +446,11 @@ class ExactMatrix:
         """A solution x of m x = b, or None when the system is inconsistent.
 
         b is {row: value} and x is {column: value}, with the free variables
-        zero, so x is unique.
+        zero, so x is unique.  The stored rows are _den m, so they solve _den b.
         """
-        n = self.ncols
+        n, den = self.ncols, self._den
         _check_indices(b, self.nrows, "row")
-        augmented = ({**row, n: b[i]} if i in b else row for i, row in enumerate(self._rows))
+        augmented = ({**row, n: den * b[i]} if i in b else row for i, row in enumerate(self._rows))
         pivots = _echelon(_integer_rows(augmented, "solve"))
         if n in pivots:
             return None
@@ -458,19 +458,20 @@ class ExactMatrix:
         return {c: Fraction(row[n], row[c]) for c, row in pivots.items() if n in row}
 
     def inverse(self) -> "ExactMatrix":
+        """m^-1: the stored rows are _den m, so [_den m | _den I] reduces to [I | m^-1]."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices can be inverted")
-        n = self.nrows
-        augmented = ({**row, n + i: _ONE} for i, row in enumerate(self._rows))
-        pivots = _echelon(_integer_rows(augmented, "inverse"))
+        n, den = self.nrows, self._den
+        pivots = _echelon([{**row, n + i: den} for i, row in enumerate(self._rows)])
         if any(c >= n for c in pivots):
             raise SingularMatrixError("matrix is singular")
         _back_substitute(pivots)
-        rows = (
-            {j - n: Fraction(x, row[c]) for j, x in row.items() if j >= n}
+        common = lcm(*(row[c] for c, row in pivots.items()))
+        rows = [
+            {j - n: x * (common // row[c]) for j, x in row.items() if j >= n}
             for c, row in pivots.items()
-        )
-        return ExactMatrix.from_sparse_rows(rows, n)
+        ]
+        return ExactMatrix._from_integer_rows(rows, common, n)
 
     def __str__(self) -> str:
         return "\n".join(
@@ -496,10 +497,7 @@ def _integer_rows(rows: Iterable[Mapping[int, Scalar]], op: str) -> list[dict[in
             raise ValueError(
                 f"{op} requires rational entries; evaluate polynomial entries first"
             ) from None
-        if den == 1:
-            out.append({j: x.numerator for j, x in row.items() if x})
-        else:
-            out.append({j: x.numerator * (den // x.denominator) for j, x in row.items() if x})
+        out.append({j: x.numerator * den // x.denominator for j, x in row.items() if x})
     return out
 
 
@@ -527,7 +525,7 @@ def _combine(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int
     return out
 
 
-def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward elimination; the pivot rows keyed by pivot column, ascending.
 
     Rows are bucketed by leading column.  Once the columns before c are

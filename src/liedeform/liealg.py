@@ -189,7 +189,7 @@ class LieAlgebra:
         for (j, i), col in self._table.items():
             for k, c in col.items():
                 rows.setdefault((i, k), {})[j] = c
-        return ExactMatrix.from_sparse_rows(rows.values(), self.dim).nullspace()
+        return ExactMatrix._from_integer_rows(list(rows.values()), 1, self.dim).nullspace()
 
     def series(self, kind: str) -> list[int]:
         """Dimension sequence of the derived or lower central series.

@@ -262,6 +262,12 @@ def test_differential_of_a_changed_h2_basis_matches_the_defining_formula(M, q):
     assert_columns_match_reference(A, q)
     if q < A.dim:
         assert (differential(A, q + 1) * differential(A, q)).is_zero()
+    # Built from integer rows or from rationals, a matrix has one canonical form.
+    Minv = M.inverse()
+    assert Minv * M == ExactMatrix.identity(5)
+    for m in (differential(A, q), Minv * M, Minv * Minv):
+        twin = ExactMatrix.from_sparse_rows([dict(enumerate(row)) for row in m.rows()], m.ncols)
+        assert twin == m and hash(twin) == hash(m)
 
 
 # -- cocycles and coboundaries -----------------------------------------------------

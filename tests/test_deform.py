@@ -598,6 +598,30 @@ def test_search_finds_a_map_to_a_sheared_signed_permutation_of_d5(perm, signs, s
     assert T is not None and verify_isomorphism(A, B, T)
 
 
+def test_search_inverts_each_candidate_basis_change_once(monkeypatch):
+    # A shear's inverse is the shear with -c, so only change_basis inverts.
+    calls = {"inverse": 0, "change_basis": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    A = specialize(single(phi("phi5", (0, 0))), 1)
+    half = Fraction(1, 2)
+    B = A.change_basis(transvection(5, 0, 3, half))
+    counted(ExactMatrix, "inverse")
+    counted(LieAlgebra, "change_basis")
+    T = search_isomorphism(A, B, "monomial_plus_one_transvection", (1, -1, half))
+    assert T == transvection(5, 0, 3, half)
+    assert calls["change_basis"] > 2
+    assert calls["inverse"] == calls["change_basis"]
+
+
 def test_search_validates_inputs():
     h2 = heisenberg(2)
     with pytest.raises(ValueError):

@@ -2,15 +2,18 @@
 and h_2, the twenty designated deformation representatives, and the driver
 that recomputes the full classification table.
 
-All tables below use 1-based basis indices e_1..e_n, converted once here to
-the library's internal 0-based convention.
+Each cochain family is stated once, as a FAMILIES entry: its fp2 alias, the
+dimension of its base algebra, and a table function whose parameters are the
+family's parameters, so phi reads the arity from the function.  All tables
+use 1-based basis indices e_1..e_n, converted once here to the library's
+internal 0-based convention.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import (
     Cochain,
@@ -51,102 +54,74 @@ def _cochain(dim: int, table: Mapping[tuple[int, int], Mapping[int, Scalar]]) ->
     return Cochain(2, dim, entries)
 
 
+# name: (fp2 alias, base dimension, table function of the family's parameters).
+FAMILIES: dict[str, tuple[Optional[str], int, Callable[..., dict]]] = {
+    "phi1": ("d7", 5, lambda: {
+        (1, 3): {2: 2, 3: -2}, (1, 4): {3: 1}, (2, 4): {2: 1}, (3, 4): {3: 2, 2: -1},
+    }),
+    "phi2": ("d10", 5, lambda: {
+        (1, 3): {1: 1},
+        (1, 4): {2: -1},
+        (2, 3): {2: 2},
+        (3, 4): {4: -1},
+        (3, 5): {5: -3},
+    }),
+    "phi3": ("d17", 5, lambda: {
+        (1, 4): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: 1}, (4, 5): {5: -2},
+    }),
+    "phi4": ("d9(p:q)", 5, lambda p, q: {
+        (1, 4): {1: p + q},
+        (2, 3): {1: -1},
+        (2, 4): {2: q},
+        (3, 4): {2: 1, 3: p},
+        (4, 5): {5: -(2 * p + q)},
+    }),
+    "phi5": ("d14(p:q)", 5, lambda p, q: {
+        (1, 3): {1: p},
+        (2, 3): {1: 1, 2: q, 4: 1},
+        (3, 4): {4: -p},
+        (3, 5): {5: -(p + q)},
+    }),
+    "phi6": ("d15(p:q)", 5, lambda p, q: {
+        (1, 3): {1: p},
+        (2, 3): {1: 1, 2: q},
+        (3, 4): {4: -q},
+        (3, 5): {5: -2 * q},
+    }),
+    "phi7": ("d12(p:q:r)", 5, lambda p, q, r: {
+        (1, 3): {1: p},
+        (2, 3): {1: 1, 2: q},
+        (3, 4): {2: -1, 4: -r},
+        (3, 5): {5: -(q + r)},
+    }),
+    # The e_2 coefficient on (e_2, e_3) is r, matching the deformed bracket
+    # display; with q there instead, the family would only be a cocycle for
+    # q = r and the p = 0 branch would be lost.
+    "phi8": ("d5(p:q:r)", 5, lambda p, q, r: {
+        (1, 3): {1: p},
+        (1, 4): {5: r - q},
+        (2, 3): {1: 1, 2: r},
+        (2, 4): {1: r, 2: -(r * (p - q))},
+        (4, 5): {5: p * (r - q)},
+    }),
+    # The five cocycles spanning H^2(h_1, h_1); see h1_cocycles.
+    "h1_phi1": (None, 3, lambda: {(1, 2): {2: 1}}),
+    "h1_phi2": (None, 3, lambda: {(1, 3): {1: -1}, (2, 3): {2: 1}}),
+    "h1_phi3": (None, 3, lambda: {(1, 3): {2: -1}}),
+    "h1_phi4": (None, 3, lambda: {(2, 3): {3: -1}}),
+    "h1_phi5": (None, 3, lambda: {(2, 3): {1: -1}}),
+}
+
+
 def h1_cocycles() -> list[Cochain]:
-    """The five explicit 2-cocycles spanning H^2(h_1, h_1).
+    """The five explicit 2-cocycles h1_phi1..h1_phi5 spanning H^2(h_1, h_1).
 
     Stated in the basis convention of this library's h_1, where the bracket
     is [e_1, e_2] = e_3.  (Sources quoting these cocycles for the basis with
     central element e_1 need the relabeling e_2 -> e_1, e_3 -> e_2,
-    e_1 -> e_3, which is how the table below was produced.)
+    e_1 -> e_3, which is how their tables were produced.)
     """
-    return [
-        _cochain(3, {(1, 2): {2: 1}}),
-        _cochain(3, {(1, 3): {1: -1}, (2, 3): {2: 1}}),
-        _cochain(3, {(1, 3): {2: -1}}),
-        _cochain(3, {(2, 3): {3: -1}}),
-        _cochain(3, {(2, 3): {1: -1}}),
-    ]
-
-
-class FamilySpec(NamedTuple):
-    """A named cochain family with its parameter count and optional alias."""
-
-    name: str
-    arity: int
-    fp2_alias: Optional[str] = None
-
-
-FAMILIES: dict[str, FamilySpec] = {
-    "phi1": FamilySpec("phi1", 0, fp2_alias="d7"),
-    "phi2": FamilySpec("phi2", 0, fp2_alias="d10"),
-    "phi3": FamilySpec("phi3", 0, fp2_alias="d17"),
-    "phi4": FamilySpec("phi4", 2, fp2_alias="d9(p:q)"),
-    "phi5": FamilySpec("phi5", 2, fp2_alias="d14(p:q)"),
-    "phi6": FamilySpec("phi6", 2, fp2_alias="d15(p:q)"),
-    "phi7": FamilySpec("phi7", 3, fp2_alias="d12(p:q:r)"),
-    "phi8": FamilySpec("phi8", 3, fp2_alias="d5(p:q:r)"),
-    "h1_phi1": FamilySpec("h1_phi1", 0),
-    "h1_phi2": FamilySpec("h1_phi2", 0),
-    "h1_phi3": FamilySpec("h1_phi3", 0),
-    "h1_phi4": FamilySpec("h1_phi4", 0),
-    "h1_phi5": FamilySpec("h1_phi5", 0),
-}
-
-
-def _phi_table(name: str, p: Scalar, q: Scalar, r: Scalar):
-    if name == "phi1":
-        return {(1, 3): {2: 2, 3: -2}, (1, 4): {3: 1}, (2, 4): {2: 1}, (3, 4): {3: 2, 2: -1}}
-    if name == "phi2":
-        return {
-            (1, 3): {1: 1},
-            (1, 4): {2: -1},
-            (2, 3): {2: 2},
-            (3, 4): {4: -1},
-            (3, 5): {5: -3},
-        }
-    if name == "phi3":
-        return {(1, 4): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: 1}, (4, 5): {5: -2}}
-    if name == "phi4":
-        return {
-            (1, 4): {1: p + q},
-            (2, 3): {1: -1},
-            (2, 4): {2: q},
-            (3, 4): {2: 1, 3: p},
-            (4, 5): {5: -(2 * p + q)},
-        }
-    if name == "phi5":
-        return {
-            (1, 3): {1: p},
-            (2, 3): {1: 1, 2: q, 4: 1},
-            (3, 4): {4: -p},
-            (3, 5): {5: -(p + q)},
-        }
-    if name == "phi6":
-        return {
-            (1, 3): {1: p},
-            (2, 3): {1: 1, 2: q},
-            (3, 4): {4: -q},
-            (3, 5): {5: -2 * q},
-        }
-    if name == "phi7":
-        return {
-            (1, 3): {1: p},
-            (2, 3): {1: 1, 2: q},
-            (3, 4): {2: -1, 4: -r},
-            (3, 5): {5: -(q + r)},
-        }
-    if name == "phi8":
-        # The e_2 coefficient on (e_2, e_3) is r, matching the deformed
-        # bracket display; with q there instead, the family would only be a
-        # cocycle for q = r and the p = 0 branch would be lost.
-        return {
-            (1, 3): {1: p},
-            (1, 4): {5: r - q},
-            (2, 3): {1: 1, 2: r},
-            (2, 4): {1: r, 2: -(r * (p - q))},
-            (4, 5): {5: p * (r - q)},
-        }
-    raise ValueError(f"unknown family {name!r}")
+    return [phi(f"h1_phi{k}") for k in range(1, 6)]
 
 
 def phi(
@@ -156,29 +131,24 @@ def phi(
 ) -> Cochain:
     """A catalog cochain, with parameters substituted or left symbolic.
 
-    h1_phiK live on h_1; phi1..phi8 live on h_2.  Families of arity 0 take
-    no parameters; symbolic construction is only meaningful for arity > 0.
+    h1_phiK live on h_1; phi1..phi8 live on h_2.  A family takes as many
+    parameters as its table function; symbolic construction passes p, q, r
+    for them.
     """
-    spec = FAMILIES.get(name)
-    if spec is None:
+    family = FAMILIES.get(name)
+    if family is None:
         raise ValueError(f"unknown family {name!r}")
-    if name.startswith("h1_"):
-        if params:
-            raise ValueError(f"{name} takes no parameters")
-        return h1_cocycles()[int(name[-1]) - 1]
+    _, dim, table = family
+    arity = table.__code__.co_argcount
     if symbolic:
         if params is not None:
             raise ValueError("symbolic construction takes no parameter values")
-        p, q, r = _P, _Q, _R
+        params = (_P, _Q, _R)[:arity]
     else:
         params = tuple(_coerce_rational(x, "parameters") for x in (params or ()))
-        if len(params) != spec.arity:
-            raise ValueError(
-                f"{name} takes {spec.arity} parameters, got {len(params)}"
-            )
-        filled = params + (Fraction(0),) * (3 - len(params))
-        p, q, r = filled
-    return _cochain(5, _phi_table(name, p, q, r))
+        if len(params) != arity:
+            raise ValueError(f"{name} takes {arity} parameters, got {len(params)}")
+    return _cochain(dim, table(*params))
 
 
 class Representative(NamedTuple):
@@ -187,20 +157,18 @@ class Representative(NamedTuple):
     label: str
     family: str
     params: tuple[Fraction, ...]
-    fp2_alias: Optional[str] = None
 
     def cochain(self) -> Cochain:
         return phi(self.family, self.params)
 
 
 def _rep(family: str, *params: int) -> Representative:
-    spec = FAMILIES[family]
     d_name = f"d{family[-1]}"
     if params:
         label = f"{d_name}({':'.join(str(x) for x in params)})"
     else:
         label = d_name
-    return Representative(label, family, tuple(Fraction(x) for x in params), spec.fp2_alias)
+    return Representative(label, family, tuple(Fraction(x) for x in params))
 
 
 def paper_representatives() -> list[Representative]:
@@ -292,7 +260,7 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
         rows.append(
             PaperRow(
                 label=rep.label,
-                fp2_alias=rep.fp2_alias,
+                fp2_alias=FAMILIES[rep.family][0],
                 # d mu_1 = -defect_1, which strict_extendability has computed.
                 is_cocycle=D.defect(1).is_zero,
                 strict_extendable=verdict.exact_lie_bracket,

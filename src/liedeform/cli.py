@@ -100,11 +100,11 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
 
 
-def _combo(vec, prefix: str = "e") -> str:
+def _combo(vec) -> str:
     """Format an {index: value} vector as a basis combination like 2*e2 - 2*e3."""
     parts = []
     for k, x in sorted(vec.items()):
-        body = f"{prefix}{k + 1}"
+        body = f"e{k + 1}"
         text = str(x)
         if text == "1":
             term = body
@@ -423,6 +423,9 @@ def _catalog_object(args):
             D = Deformation(catalog.heisenberg((c.dim - 1) // 2), {1: c})
             return algebra_to_dict(specialize(D, _option_rational(args.t, "--t")))
         return cochain_to_dict(c)
+    for option in ("params", "symbolic", "deformed"):
+        if getattr(args, option):
+            raise SchemaError(f"--{option}", f"{name} is not a cochain family")
     if name == "representatives":
         return {
             "representatives": [

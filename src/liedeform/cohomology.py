@@ -94,6 +94,7 @@ class Cochain:
         as {k: value}."""
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
+        _check_indices(args, self.dim, "basis index")
         vec = self.entries.get(tuple(sorted(args)), {})  # repeated args: no such key
         if _perm_sign(args) == 1:
             return dict(vec)

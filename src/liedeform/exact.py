@@ -31,7 +31,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -295,8 +295,8 @@ def _coerce_rational(x, what: str) -> Fraction:
     return _coerce_entry(x, what)
 
 
-def _check_indices(v: Mapping[int, Scalar], size: int, what: str) -> None:
-    """ValueError unless every index of the {index: value} vector v lies in 0..size-1."""
+def _check_indices(v: Collection[int], size: int, what: str) -> None:
+    """ValueError unless each index in v (or key, for an {index: value} v) lies in 0..size-1."""
     if v and not (0 <= min(v) and max(v) < size):
         bad = next(j for j in v if not 0 <= j < size)
         raise ValueError(f"{what} {bad} out of range 0..{size - 1}")
@@ -370,9 +370,12 @@ class ExactMatrix:
         return tuple(self.row(i) for i in range(self.nrows))
 
     def entry(self, i: int, j: int) -> Fraction:
+        _check_indices((i,), self.nrows, "row")
+        _check_indices((j,), self.ncols, "column")
         return Fraction(self._rows[i].get(j, 0), self._den)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
+        _check_indices((j,), self.ncols, "column")
         return tuple(Fraction(r.get(j, 0), self._den) for r in self._rows)
 
     def is_zero(self) -> bool:
@@ -472,11 +475,6 @@ class ExactMatrix:
             for c, row in pivots.items()
         ]
         return ExactMatrix._from_integer_rows(rows, common, n)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "[" + "  ".join(str(x) for x in row) + "]" for row in self.rows()
-        )
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"

@@ -148,6 +148,7 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as {k: value} (any order; i = j gives zero)."""
+        _check_indices((i, j), self.dim, "basis index")
         if i < j:
             return dict(self.brackets.get((i, j), {}))
         return {k: -x for k, x in self.brackets.get((j, i), {}).items()}

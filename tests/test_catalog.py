@@ -82,11 +82,18 @@ def test_phi4_at_zero_parameters():
     }
 
 
+# The parameter count of each family that takes parameters; the others take none.
+ARITY = {"phi4": 2, "phi5": 2, "phi6": 2, "phi7": 3, "phi8": 3}
+
+
 def test_phi_arity_enforced():
-    with pytest.raises(ValueError):
-        phi("phi4", (1,))
-    with pytest.raises(ValueError):
-        phi("phi1", (1, 2))
+    assert set(FAMILIES) == {f"phi{k}" for k in range(1, 9)} | {f"h1_phi{k}" for k in range(1, 6)}
+    for name in FAMILIES:
+        n = ARITY.get(name, 0)
+        phi(name, (1,) * n)
+        wrong = n + 1 if n == 0 else n - 1
+        with pytest.raises(ValueError, match=f"^{name} takes {n} parameters, got {wrong}$"):
+            phi(name, (1,) * wrong)
     with pytest.raises(ValueError):
         phi("phi9")
     with pytest.raises(ValueError):
@@ -94,10 +101,18 @@ def test_phi_arity_enforced():
 
 
 def test_phi_symbolic_substitution_consistency():
-    sym = phi("phi8", symbolic=True)
-    for params in ((1, 0, 0), (0, 1, 1), (0, 2, 3)):
-        point = dict(zip("pqr", (Fraction(x) for x in params)))
-        assert sym.substitute(point) == phi("phi8", params)
+    rng = random.Random(8)
+    for name in FAMILIES:
+        if name not in ARITY:
+            continue
+        sym = phi(name, symbolic=True)
+        points = [(1, 0, 0), (0, 1, 1), (0, 2, 3)]
+        points += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in "pqr")
+                   for _ in range(3)]
+        for params in points:
+            params = params[: ARITY[name]]
+            point = dict(zip("pqr", (Fraction(x) for x in params)))
+            assert sym.substitute(point) == phi(name, params)
 
 
 def test_phi7_000_is_minus_phi4_00_but_not_same_class():

@@ -612,6 +612,24 @@ def test_cli_catalog_emit_deformed_without_a_lie_member_is_negative(capsys):
     assert captured.err == "defect is nonzero at order 2; refusing to emit a non-Lie table\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["h2", "--deformed"], "--deformed"),
+        (["h2", "--params", "1,2"], "--params"),
+        (["h2", "--symbolic"], "--symbolic"),
+        (["representatives", "--symbolic"], "--symbolic"),
+        (["representatives", "--params", "1"], "--params"),
+        (["representatives", "--deformed"], "--deformed"),
+    ],
+)
+def test_cli_catalog_emit_refuses_family_options_for_other_names(capsys, argv, option):
+    assert main(["catalog", "emit", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {option}: {argv[0]} is not a cochain family\n"
+
+
 def test_cli_catalog_unknown(capsys):
     assert main(["catalog", "emit", "phi99"]) == 2
 

@@ -4,12 +4,15 @@ each command below, recorded from the program and pinned here.
 The commands cover `reproduce`, the cohomology of h_1..h_3 with
 representatives at every degree, and the class, extension, deformation,
 specialization, invariants and isomorphism commands on catalog cochains of
-h_2 and on the t = 1 members of their deformations, and `catalog emit` of
-every family.  Inputs come from `catalog emit` where it can write them (a
+h_2 and on the t = 1 members of their deformations, `catalog emit` of
+every family and `catalog list`.  Inputs come from `catalog emit` where it can write them (a
 deformation file wraps an emitted cochain as its order-1 term); the rest,
 such as a table that breaks the Jacobi identity or coefficient keys out of
 index order, are the literal documents in LITERALS.  A change that alters
 one of these outputs on purpose records the new digest here and says why.
+
+`PYTHONPATH=src python tests/test_cli_digests.py` prints the DIGESTS line of
+every case as the program now computes it.
 """
 
 import contextlib
@@ -71,42 +74,52 @@ def emit(path, argv):
     path.write_text(text, encoding="utf-8")
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """{name: path} of every input file, written through the CLI."""
-    d = tmp_path_factory.mktemp("digest_inputs")
+def write_inputs(directory):
+    """Write every input file into directory, through the CLI; {name: path}."""
     paths = {}
 
     def add(name, argv):
-        paths[name] = str(d / f"{name}.json")
-        emit(d / f"{name}.json", argv)
+        paths[name] = str(directory / f"{name}.json")
+        emit(directory / f"{name}.json", argv)
 
     for n in (1, 2, 3):
         add(f"h{n}", [f"h{n}"])
     for name, (obj, params) in POINTS.items():
         add(name, [obj] + (["--params", params] if params else []))
-        term = {"order": 1, "cochain": json.loads((d / f"{name}.json").read_text())}
-        paths[f"def_{name}"] = str(d / f"def_{name}.json")
-        (d / f"def_{name}.json").write_text(json.dumps({"base": "h2", "terms": [term]}))
+        term = {"order": 1, "cochain": json.loads((directory / f"{name}.json").read_text())}
+        paths[f"def_{name}"] = str(directory / f"def_{name}.json")
+        (directory / f"def_{name}.json").write_text(json.dumps({"base": "h2", "terms": [term]}))
     for name, (family, params) in MEMBERS.items():
         add(name, [family, "--params", params, "--deformed"])
     for name in ("phi4", "phi5", "phi6", "phi7", "phi8"):
         add(f"{name}_sym", [name, "--symbolic"])
     for name, doc in LITERALS.items():
-        paths[name] = str(d / f"{name}.json")
-        (d / f"{name}.json").write_text(json.dumps(doc))
+        paths[name] = str(directory / f"{name}.json")
+        (directory / f"{name}.json").write_text(json.dumps(doc))
     for name in EXTENDED:
         rc, text = run(["extend", paths[f"def_{name}"], "--json"])
         assert rc == 0
-        paths[f"ext_{name}"] = str(d / f"ext_{name}.json")
-        (d / f"ext_{name}.json").write_text(json.dumps(json.loads(text)["deformation"]))
+        paths[f"ext_{name}"] = str(directory / f"ext_{name}.json")
+        (directory / f"ext_{name}.json").write_text(json.dumps(json.loads(text)["deformation"]))
     # The order-2 defect of phi8(0:1:0) is a coboundary, so its check finds a preimage.
     rc, text = run(["deform", paths["h2"], paths["phi8_010"], "--json"])
     assert rc == 1
-    paths["defect_phi8_010"] = str(d / "defect_phi8_010.json")
+    paths["defect_phi8_010"] = str(directory / "defect_phi8_010.json")
     defect = json.loads(text)["defects"]["orders"][1]["defect"]
-    (d / "defect_phi8_010.json").write_text(json.dumps(defect))
+    (directory / "defect_phi8_010.json").write_text(json.dumps(defect))
     return paths
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """{name: path} of every input file, written through the CLI."""
+    return write_inputs(tmp_path_factory.mktemp("digest_inputs"))
+
+
+def digest(argv, inputs):
+    """(exit code, sha256 of stdout) of argv with its input names filled in."""
+    rc, out = run([arg.format(**inputs) for arg in argv])
+    return rc, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def cases():
@@ -166,6 +179,7 @@ def cases():
     # phi8(0:1:0) has no Lie member: exit 1 with nothing on stdout, as `specialize`.
     yield "catalog-phi8_010-deformed", ["catalog", "emit", "phi8", "--params", "0,1,0", "--deformed"]
     yield "catalog-representatives", ["catalog", "emit", "representatives"]
+    yield "catalog-list", ["catalog", "list"]
     for algebra in ("h3", "abelian3", "keys_out_of_order", "keys_2_10"):
         yield f"invariants-{algebra}-text", ["invariants", f"{{{algebra}}}"]
 
@@ -184,6 +198,7 @@ DIGESTS = {
     'catalog-h1_phi4-deformed': (0, 'bef1360ca7edf5075a8b2dc26b4a7f5c3cfaec99aa2b9d8ed17238b58a959d7d'),
     'catalog-h1_phi5': (0, '2cb47c8c78c78df34c9e7f9da3829a24f1593051290cbdd132a894329a301da4'),
     'catalog-h1_phi5-deformed': (0, '8a36a36fb88314d0fffd14e9f9d64be1b9464c3d9ce739eacde07a4c0199bcdb'),
+    'catalog-list': (0, '272828ad7891a1c57ae5aeb23dc85b0a1c714c35e7a15bbc804cfa50aaba98f7'),
     'catalog-phi1': (0, 'f6fc7d24af65134bbd2e8b47cea111e1f48c29486ee2d528cf247f71d523402b'),
     'catalog-phi1-deformed': (0, '02d33c3a19f3ed9f437a6e2d33ee27f3e5a75ee0a34b4cac4432c79ee20c6013'),
     'catalog-phi2': (0, '652cbdde63784d00cfea70e32f83ad2715999aeaca3626f2a28118f7d0858900'),
@@ -314,6 +329,15 @@ def test_every_case_has_a_digest():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_byte_identical(case, inputs):
-    argv = [arg.format(**inputs) for arg in CASES[case]]
-    rc, out = run(argv)
-    assert (rc, hashlib.sha256(out.encode("utf-8")).hexdigest()) == DIGESTS[case]
+    assert digest(CASES[case], inputs) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    # Print the DIGESTS line of every case, recorded from the program as it is.
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(pathlib.Path(tmp))
+        for case in sorted(CASES):
+            print(f"    {case!r}: {digest(CASES[case], paths)!r},")

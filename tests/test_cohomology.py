@@ -114,6 +114,9 @@ def test_cochain_alternating_evaluation():
     assert c.value((2, 0)) == {0: Fraction(-1), 1: Fraction(-2)}
     assert c.value((1, 1)) == {}
     assert c.value((0, 1)) == {}
+    for index in (3, -1):
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..2"):
+            c.value((0, index))
 
 
 def test_cochain_rejects_bad_entries():

@@ -232,6 +232,12 @@ def test_solve_shape_mismatch():
             ExactMatrix.identity(3).solve({index: Fraction(1)})
         with pytest.raises(ValueError, match=f"^column {index} out of range 0..2"):
             ExactMatrix.identity(3).mul_vector({index: Fraction(1)})
+        with pytest.raises(ValueError, match=f"^row {index} out of range 0..2"):
+            ExactMatrix.identity(3).entry(index, 0)
+        with pytest.raises(ValueError, match=f"^column {index} out of range 0..2"):
+            ExactMatrix.identity(3).entry(0, index)
+        with pytest.raises(ValueError, match=f"^column {index} out of range 0..2"):
+            ExactMatrix.identity(3).column(index)
 
 
 def test_rank_matches_naive_oracle_randomized():

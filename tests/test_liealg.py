@@ -59,6 +59,10 @@ def test_bracket_rejects_an_index_out_of_range():
             h2.bracket({index: Fraction(1)}, {0: Fraction(1)})
         with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..4"):
             h2.bracket({0: Fraction(1)}, {index: Fraction(1)})
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..4"):
+            h2.bracket_basis(0, index)
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..4"):
+            h2.bracket_basis(index, 0)
 
 
 # -- jacobi --------------------------------------------------------------------

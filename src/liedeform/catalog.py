@@ -124,6 +124,11 @@ def h1_cocycles() -> list[Cochain]:
     return [phi(f"h1_phi{k}") for k in range(1, 6)]
 
 
+def family_arity(name: str) -> int:
+    """The number of parameters of the family `name`, a key of FAMILIES."""
+    return FAMILIES[name][2].__code__.co_argcount
+
+
 def phi(
     name: str,
     params: Optional[Sequence[Union[Fraction, int]]] = None,
@@ -139,7 +144,7 @@ def phi(
     if family is None:
         raise ValueError(f"unknown family {name!r}")
     _, dim, table = family
-    arity = table.__code__.co_argcount
+    arity = family_arity(name)
     if symbolic:
         if params is not None:
             raise ValueError("symbolic construction takes no parameter values")

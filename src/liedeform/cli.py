@@ -5,17 +5,21 @@ Exit codes are uniform across subcommands: 0 for success or a true verdict,
 failed isomorphism), 2 for input errors (unreadable files, schema
 violations, out-of-range arguments).
 
-`main` registers only the subcommand named by its first argument: each job
-is a fresh process, and building all 17 subparsers cost more than a small
-job's mathematics. Help, --version and unknown commands get the full parser.
+Each command's arguments are stated once, in COMMANDS.  `main` reads a
+well-formed argv straight from that table: each job is a fresh process, and
+building even one argparse parser cost more than a small job's mathematics.
+argparse is imported and the full parser built only when that reader
+declines, which it does for help, --version, every error and the rarer
+spellings argparse accepts (abbreviated options, --opt=value, "--"), so
+their output is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__, catalog
@@ -413,10 +417,15 @@ def _cmd_iso(args) -> int:
 def _catalog_object(args):
     name = args.name
     if name in catalog.FAMILIES:
+        if args.symbolic and not catalog.family_arity(name):
+            raise SchemaError("--symbolic", f"{name} takes no parameters")
         params = None
         if args.params:
             params = [_option_rational(x, "--params") for x in args.params.split(",") if x.strip()]
-        c = catalog.phi(name, params, symbolic=args.symbolic)
+        try:
+            c = catalog.phi(name, params, symbolic=args.symbolic)
+        except ValueError as exc:  # the family and --params do not agree
+            raise SchemaError("--params", str(exc)) from None
         if args.deformed:
             if c.is_symbolic():
                 raise SchemaError(name, "cannot specialize a symbolic cochain")
@@ -493,125 +502,188 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, t: bool = False) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
-    if t:
-        p.add_argument("--t", default="1", metavar="VALUE",
-                       help="rational deformation parameter (default 1)")
+# -- argument table ------------------------------------------------------------
+#
+# An argument is (name, keyword arguments of ArgumentParser.add_argument).
+# build_parser adds each as it stands; _read_argv reads the keys action,
+# dest, default, choices, required, type and nargs of the same entries.
 
 
-def _positionals(*positionals: str, t: bool = False):
-    """Adds the arguments of a command that takes positionals, --json and maybe --t."""
-    def add(p) -> None:
-        for name in positionals:
-            p.add_argument(name)
-        _add_common(p, t)
-    return add
+def _arg(name: str, **kwargs):
+    return name, kwargs
 
 
-def _cohomology_arguments(p) -> None:
-    p.add_argument("algebra")
-    p.add_argument("degree", type=int)
-    p.add_argument("--representatives", action="store_true",
-                   help="emit representative cocycles")
-    _add_common(p)
+_JSON = _arg("--json", action="store_true", help="emit a JSON document")
+_T = _arg("--t", default="1", metavar="VALUE", help="rational deformation parameter (default 1)")
 
 
-def _span_arguments(p) -> None:
-    p.add_argument("algebra")
-    p.add_argument("cochains", nargs="+")
-    _add_common(p)
+def _arguments(*arguments) -> tuple:
+    """An argument table: the given arguments, a bare name being a plain
+    positional, then --json."""
+    return tuple(_arg(a) if isinstance(a, str) else a for a in arguments) + (_JSON,)
 
 
-def _iso_arguments(p) -> None:
-    iso_sub = p.add_subparsers(dest="iso_command", required=True)
-    pv = iso_sub.add_parser("verify", help="check a supplied basis change")
-    pv.add_argument("algebra_a")
-    pv.add_argument("algebra_b")
-    pv.add_argument("--map", required=True, help="matrix file with the basis change")
-    _add_common(pv)
-    ps = iso_sub.add_parser("search", help="enumerate a finite class of basis changes")
-    ps.add_argument("algebra_a")
-    ps.add_argument("algebra_b")
-    ps.add_argument("--class", dest="search_class", required=True,
-                    choices=SEARCH_CLASSES)
-    ps.add_argument("--bound", default="1,-1",
-                    help="comma-separated nonzero scales and transvection coefficients "
-                    "(default 1,-1); diagonal_signs always uses the signs 1,-1")
-    _add_common(ps)
-
-
-def _catalog_arguments(p) -> None:
-    cat_sub = p.add_subparsers(dest="catalog_command", required=True)
-    cat_sub.add_parser("list", help="list catalog object names")
-    pe = cat_sub.add_parser("emit", help="emit one catalog object")
-    pe.add_argument("name", help="hN, phi1..phi8, h1_phi1..h1_phi5, representatives")
-    pe.add_argument("--params", help="comma-separated rational parameters")
-    pe.add_argument("--symbolic", action="store_true", help="keep p, q, r symbolic")
-    pe.add_argument("--deformed", action="store_true",
-                    help="emit the deformed algebra at --t instead of the cochain")
-    _add_common(pe, t=True)
-
-
-# name: (help line, handler, adds the arguments), in the order of the help.
+# name: (help line, handler, arguments), in the order of the help.  The
+# arguments of iso and catalog are {subcommand: (help line, arguments)}.
 COMMANDS = {
     "jacobi": (
-        "validate the Jacobi identity of an algebra file", _cmd_jacobi, _positionals("algebra")
+        "validate the Jacobi identity of an algebra file", _cmd_jacobi, _arguments("algebra")
     ),
     "invariants": (
-        "center, series, solvability, nilpotency", _cmd_invariants, _positionals("algebra")
+        "center, series, solvability, nilpotency", _cmd_invariants, _arguments("algebra")
     ),
-    "cohomology": ("dim H^q by exact rank computation", _cmd_cohomology, _cohomology_arguments),
+    "cohomology": ("dim H^q by exact rank computation", _cmd_cohomology, _arguments(
+        "algebra",
+        _arg("degree", type=int),
+        _arg("--representatives", action="store_true", help="emit representative cocycles"),
+    )),
     "check-cocycle": (
-        "is d(c) = 0 (symbolic aware)", _cmd_check_cocycle, _positionals("algebra", "cochain")
+        "is d(c) = 0 (symbolic aware)", _cmd_check_cocycle, _arguments("algebra", "cochain")
     ),
     "check-coboundary": (
-        "find b with d(b) = c, if any", _cmd_check_coboundary, _positionals("algebra", "cochain")
+        "find b with d(b) = c, if any", _cmd_check_coboundary, _arguments("algebra", "cochain")
     ),
     "class-eq": (
         "do two cocycles differ by a coboundary", _cmd_class_eq,
-        _positionals("algebra", "cochain1", "cochain2"),
+        _arguments("algebra", "cochain1", "cochain2"),
     ),
-    "span": ("dimension of cocycle span inside H^q", _cmd_span, _span_arguments),
+    "span": (
+        "dimension of cocycle span inside H^q", _cmd_span,
+        _arguments("algebra", _arg("cochains", nargs="+")),
+    ),
     "deform": (
         "defects at orders 1..2 and the extendability verdict", _cmd_deform,
-        _positionals("algebra", "cochain"),
+        _arguments("algebra", "cochain"),
     ),
-    "extend": ("one order-by-order extension step", _cmd_extend, _positionals("deformation")),
+    "extend": ("one order-by-order extension step", _cmd_extend, _arguments("deformation")),
     "specialize": (
         "member algebra at a rational t, if defects 1..2m vanish", _cmd_specialize,
-        _positionals("deformation", t=True),
+        _arguments("deformation") + (_T,),
     ),
-    "iso": ("verify or search basis-change isomorphisms", _cmd_iso, _iso_arguments),
-    "catalog": ("emit built-in objects as JSON", _cmd_catalog, _catalog_arguments),
-    "reproduce": ("recompute the full classification table", _cmd_reproduce, _positionals()),
+    "iso": ("verify or search basis-change isomorphisms", _cmd_iso, {
+        "verify": ("check a supplied basis change", _arguments(
+            "algebra_a",
+            "algebra_b",
+            _arg("--map", required=True, help="matrix file with the basis change"),
+        )),
+        "search": ("enumerate a finite class of basis changes", _arguments(
+            "algebra_a",
+            "algebra_b",
+            _arg("--class", dest="search_class", required=True, choices=SEARCH_CLASSES),
+            _arg("--bound", default="1,-1",
+                 help="comma-separated nonzero scales and transvection coefficients "
+                 "(default 1,-1); diagonal_signs always uses the signs 1,-1"),
+        )),
+    }),
+    "catalog": ("emit built-in objects as JSON", _cmd_catalog, {
+        "list": ("list catalog object names", ()),
+        "emit": ("emit one catalog object", _arguments(
+            _arg("name", help="hN, phi1..phi8, h1_phi1..h1_phi5, representatives"),
+            _arg("--params", help="comma-separated rational parameters"),
+            _arg("--symbolic", action="store_true", help="keep p, q, r symbolic"),
+            _arg("--deformed", action="store_true",
+                 help="emit the deformed algebra at --t instead of the cochain"),
+        ) + (_T,)),
+    }),
+    "reproduce": ("recompute the full classification table", _cmd_reproduce, _arguments()),
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, or only `command` (a key of COMMANDS)."""
+def build_parser():
+    """The full CLI parser, built from COMMANDS."""
+    import argparse
+
+    def add_arguments(p, arguments) -> None:
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="liedeform",
         description="Exact workbench for Lie algebra cohomology and deformations.",
     )
     parser.add_argument("--version", action="version", version=f"liedeform {__version__}")
-    # One registered command would shorten the usage line to that command, so
-    # it names them all; the full build keeps argparse's default, whose errors
-    # say "argument command".
-    names = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
-    sub = parser.add_subparsers(dest="command", required=True, **names)
-    for name, (help_text, handler, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(arguments, dict):
+            inner = p.add_subparsers(dest=f"{name}_command", required=True)
+            for sub_name, (sub_help, sub_arguments) in arguments.items():
+                add_arguments(inner.add_parser(sub_name, help=sub_help), sub_arguments)
+        else:
+            add_arguments(p, arguments)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments that build_parser().parse_args(argv) gives, read straight
+    from COMMANDS, or None to leave argv to argparse.
+
+    It reads only the plain form: exact option strings, each valued option
+    followed by a value that does not start with "-", and the positionals in
+    one run.  Help, --version, abbreviations, --opt=value, "--", a value or
+    positional that starts with "-" and every error are argparse's.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    _, handler, arguments = COMMANDS[command]
+    values = {"command": command, "handler": handler}
+    if isinstance(arguments, dict):
+        if not rest or rest[0] not in arguments:
+            return None
+        values[f"{command}_command"] = rest[0]
+        arguments, rest = arguments[rest[0]][1], rest[1:]
+    options, positionals = {}, []
+    for name, kwargs in arguments:
+        if not name.startswith("-"):
+            positionals.append((name, kwargs))
+            continue
+        dest = kwargs.get("dest", name[2:])
+        options[name] = dest, kwargs
+        if not kwargs.get("required"):  # a required option has no value until given
+            values[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+    given, closed = [], False  # closed: an option has followed a positional
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        closed = bool(given)
+        dest, kwargs = options[token]
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused as one that starts with "-"
+        if value.startswith("-") or ("choices" in kwargs and value not in kwargs["choices"]):
+            return None
+        values[dest] = value
+    if positionals and positionals[-1][1].get("nargs") == "+":
+        last = len(positionals) - 1
+        if len(given) <= last:
+            return None
+        given[last:] = [given[last:]]
+    if len(given) != len(positionals) or any(dest not in values for dest, _ in options.values()):
+        return None
+    for (name, kwargs), value in zip(positionals, given):
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        values[name] = value
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     # A nonzero defect is a mathematical negative that the library raises.

@@ -364,6 +364,7 @@ class ExactMatrix:
         return cls._from_integer_rows([{i: 1} for i in range(n)], 1, n)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        _check_indices((i,), self.nrows, "row")
         return tuple(Fraction(self._rows[i].get(j, 0), self._den) for j in range(self.ncols))
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -5,6 +5,8 @@ covers the `python -m liedeform` entry point end to end.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -12,10 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liedeform
 from liedeform import catalog
-from liedeform.cli import COMMANDS, build_parser, main
+from liedeform.cli import COMMANDS, _read_argv, build_parser, main
 from liedeform.cohomology import Cochain
 from liedeform.deform import Deformation
 from liedeform.exact import ExactMatrix
@@ -630,6 +634,24 @@ def test_cli_catalog_emit_refuses_family_options_for_other_names(capsys, argv, o
     assert captured.err == f"input error: {option}: {argv[0]} is not a cochain family\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi4", "--symbolic", "--params", "1,2"],
+         "--params: symbolic construction takes no parameter values"),
+        (["h1_phi1", "--params", "1"], "--params: h1_phi1 takes 0 parameters, got 1"),
+        (["phi4", "--params", "1"], "--params: phi4 takes 2 parameters, got 1"),
+        (["phi1", "--symbolic"], "--symbolic: phi1 takes no parameters"),
+        (["h1_phi3", "--symbolic", "--json"], "--symbolic: h1_phi3 takes no parameters"),
+    ],
+)
+def test_cli_catalog_emit_locates_parameter_errors(capsys, argv, message):
+    assert main(["catalog", "emit", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_cli_catalog_unknown(capsys):
     assert main(["catalog", "emit", "phi99"]) == 2
 
@@ -788,7 +810,7 @@ def test_import_loads_no_introspection_modules():
     )
     added = set(proc.stdout.split())
     assert "liedeform.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "copy"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "copy", "argparse"}
 
 
 def test_star_import_binds_every_public_name():
@@ -808,25 +830,20 @@ def _exit_of(run, argv, capsys):
     return out, err, exc.value.code
 
 
-def test_main_builds_only_the_invoked_subcommand(h1_file, monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_main_builds_no_parser_for_the_benchmark_jobs(h1_file, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     assert main(["cohomology", h1_file, "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["dim_H"] == 1
-    assert len(built) == 2  # the top-level parser and the cohomology parser
-
-    iso = build_parser("iso")
-    verify = iso.parse_args(["iso", "verify", "a.json", "b.json", "--map", "m.json"])
-    assert (verify.iso_command, verify.map) == ("verify", "m.json")
-    search = iso.parse_args(["iso", "search", "a.json", "b.json", "--class", "monomial"])
-    assert (search.iso_command, search.search_class) == ("search", "monomial")
-    assert verify.handler is search.handler is COMMANDS["iso"][1]
+    assert main(["cohomology", h1_file, "1", "--json", "--representatives"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["representatives"]) == 4
+    iso = ["iso", "search", h1_file, h1_file, "--class", "diagonal_signs", "--json"]
+    assert main(iso) == 0
+    assert json.loads(capsys.readouterr().out)["found"]
+    assert main(["reproduce", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["classes"] == 20
 
 
 _PARSER_OUTPUT_ARGVS = [[name, "-h"] for name in COMMANDS] + [
@@ -852,6 +869,77 @@ _PARSER_OUTPUT_ARGVS = [[name, "-h"] for name in COMMANDS] + [
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
     expected = _exit_of(build_parser().parse_args, argv, capsys)
     assert _exit_of(main, argv, capsys) == expected
+
+
+def _parsed(argv):
+    """vars() of the full parser's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _reads_as_the_full_parser(argv) -> bool:
+    """Whether _read_argv reads argv: when it does, its namespace is argparse's."""
+    read = _read_argv(argv)
+    if read is not None:
+        assert vars(read) == _parsed(argv), argv
+    return read is not None
+
+
+def test_reader_reads_every_digest_command_as_the_full_parser():
+    from test_cli_digests import CASES
+
+    assert [argv for argv in CASES.values() if not _reads_as_the_full_parser(argv)] == []
+    for argv in _PARSER_OUTPUT_ARGVS:
+        _reads_as_the_full_parser(argv)
+
+
+def _argument_tables():
+    for _, _, arguments in COMMANDS.values():
+        if isinstance(arguments, dict):
+            yield from (sub_arguments for _, sub_arguments in arguments.values())
+        else:
+            yield arguments
+
+
+_OPTIONS = sorted({name for table in _argument_tables() for name, _ in table if name[0] == "-"})
+_VALUES = ["a.json", "0", "3", "x", "", "1,-1", "1/2", "phi4", "monomial", "bogus", "-1"]
+_TOKENS = _OPTIONS + _VALUES + [
+    "verify", "search", "list", "emit", "-h", "--help", "--version", "--", "-2/3", "-",
+    "--rep", "--js", "--cl", "--par", "--sym", "--de", "--b", "--m", "--t=2", "--json=1",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv in the form a command's table allows, then with up to two stray tokens."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv, arguments = [command], COMMANDS[command][2]
+    if isinstance(arguments, dict):
+        sub = draw(st.sampled_from(sorted(arguments)))
+        argv.append(sub)
+        arguments = arguments[sub][1]
+    positionals, options = [], []
+    for name, kwargs in arguments:
+        values = st.sampled_from([*kwargs.get("choices", ()), *_VALUES])
+        if name[0] != "-":
+            positionals += draw(st.lists(values, min_size=1, max_size=1 + 2 * ("nargs" in kwargs)))
+        elif draw(st.booleans()):
+            options.append([name] if "action" in kwargs else [name, draw(values)])
+    pieces = draw(st.permutations(options))
+    pieces.insert(draw(st.integers(0, len(pieces))), positionals)
+    argv += [token for piece in pieces for token in piece]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_reader_agrees_with_the_full_parser(argv):
+    _reads_as_the_full_parser(argv)
 
 
 def test_top_level_help_version_and_errors(capsys):

@@ -240,6 +240,14 @@ def test_solve_shape_mismatch():
             ExactMatrix.identity(3).column(index)
 
 
+def test_row_checks_its_index():
+    # -1 would otherwise read the last row, and 5 raise IndexError.
+    for index in (-1, 3, 5):
+        with pytest.raises(ValueError, match=f"^row {index} out of range 0..2$"):
+            ExactMatrix.identity(3).row(index)
+    assert ExactMatrix.identity(3).row(2) == (0, 0, 1)
+
+
 def test_rank_matches_naive_oracle_randomized():
     rng = random.Random(99)
     for _ in range(60):

@@ -26,7 +26,6 @@ from .cohomology import (
 from .deform import (
     DefectReport,
     Deformation,
-    ExtendabilityVerdict,
     ExtendOutcome,
     defect,
     defect_report,
@@ -48,7 +47,6 @@ __all__ = [
     "DegreeCapExceeded",
     "ExactMatrix",
     "ExtendOutcome",
-    "ExtendabilityVerdict",
     "JacobiError",
     "LieAlgebra",
     "NotACocycleError",

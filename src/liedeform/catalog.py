@@ -15,12 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .cohomology import (
-    Cochain,
-    _image_echelon,
-    cohomology_dim,
-    is_coboundary,
-)
+from .cohomology import Cochain, _image_echelon, cohomology_dim
 from .deform import Deformation, specialize, strict_extendability, verify_isomorphism
 from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _coerce_rational
 from .liealg import LieAlgebra
@@ -251,26 +246,22 @@ def reproduce() -> tuple[list[PaperRow], ReproduceSummary]:
     members: dict[str, LieAlgebra] = {}  # the t = 1 member of each extendable row
     for rep, c in zip(reps, cochains):
         D = Deformation(h2, {1: c})
-        verdict = strict_extendability(D)
-        if verdict.exact_lie_bracket:
-            obstruction_zero = True
+        report = strict_extendability(D)
+        order = report.first_nonzero
+        nilp: Optional[bool] = None
+        solv: Optional[bool] = None
+        if order is None:
             member = members[rep.label] = specialize(D, 1)
-            nilp: Optional[bool] = member.is_nilpotent()
-            solv: Optional[bool] = member.is_solvable()
-        else:
-            d = D.defect(verdict.obstructed_at)
-            obstruction_zero = is_coboundary(h2, d) is not None
-            nilp = None
-            solv = None
+            nilp, solv = member.is_nilpotent(), member.is_solvable()
         rows.append(
             PaperRow(
                 label=rep.label,
                 fp2_alias=FAMILIES[rep.family][0],
-                # d mu_1 = -defect_1, which strict_extendability has computed.
-                is_cocycle=D.defect(1).is_zero,
-                strict_extendable=verdict.exact_lie_bracket,
-                obstructed_at=verdict.obstructed_at,
-                obstruction_class_zero=obstruction_zero,
+                # d mu_1 = -defect_1, the report's first order.
+                is_cocycle=report.status(1).is_zero,
+                strict_extendable=order is None,
+                obstructed_at=order,
+                obstruction_class_zero=order is None or report.status(order).is_coboundary,
                 nilpotent_at_t1=nilp,
                 solvable_at_t1=solv,
             )

@@ -36,7 +36,6 @@ from .deform import (
     Deformation,
     NonzeroDefectError,
     bound_scales,
-    defect_report,
     extend_step,
     search_isomorphism,
     specialize,
@@ -84,6 +83,10 @@ def _load_json(path: str):
         raise SchemaError(path, f"cannot read file ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise SchemaError(path, "JSON nested too deeply") from None
 
 
 def _option_rational(text: str, option: str) -> Fraction:
@@ -326,17 +329,16 @@ def _cmd_deform(args) -> int:
                 print(f"  {x}")
         return EXIT_NEGATIVE
     D = Deformation(A, {1: mu1})
-    report = defect_report(D)
-    verdict = strict_extendability(D)
+    report = strict_extendability(D)
+    order = report.first_nonzero
     doc = {
-        "verdict": str(verdict),
-        "exact_lie_bracket": verdict.exact_lie_bracket,
-        "obstructed_at": verdict.obstructed_at,
+        "verdict": "exact_Lie_bracket" if order is None else f"obstructed_at({order})",
+        "exact_lie_bracket": order is None,
+        "obstructed_at": order,
         "defects": defect_report_to_dict(report),
     }
-    if not verdict.exact_lie_bracket:
-        status = report.status(verdict.obstructed_at)
-        doc["obstruction_class_zero"] = status.is_coboundary
+    if order is not None:
+        doc["obstruction_class_zero"] = report.status(order).is_coboundary
     if args.json:
         _emit_json(doc)
     else:
@@ -344,16 +346,12 @@ def _cmd_deform(args) -> int:
         for st in report.orders:
             state = "zero" if st.is_zero else "nonzero"
             print(f"  order {st.order}: defect {state}")
-        if verdict.exact_lie_bracket:
+        if order is None:
             print("exact Lie bracket (real deformation)")
         else:
-            zero = doc["obstruction_class_zero"]
-            kind = "zero" if zero else "nonzero"
-            print(
-                f"obstructed at order {verdict.obstructed_at}; "
-                f"obstruction class {kind} in H^3"
-            )
-    return EXIT_OK if verdict.exact_lie_bracket else EXIT_NEGATIVE
+            kind = "zero" if doc["obstruction_class_zero"] else "nonzero"
+            print(f"obstructed at order {order}; obstruction class {kind} in H^3")
+    return EXIT_OK if order is None else EXIT_NEGATIVE
 
 
 def _cmd_extend(args) -> int:
@@ -416,6 +414,8 @@ def _cmd_iso(args) -> int:
 
 def _catalog_object(args):
     name = args.name
+    if args.t is not None and not args.deformed:
+        raise SchemaError("--t", "applies only with --deformed")
     if name in catalog.FAMILIES:
         if args.symbolic and not catalog.family_arity(name):
             raise SchemaError("--symbolic", f"{name} takes no parameters")
@@ -430,7 +430,8 @@ def _catalog_object(args):
             if c.is_symbolic():
                 raise SchemaError(name, "cannot specialize a symbolic cochain")
             D = Deformation(catalog.heisenberg((c.dim - 1) // 2), {1: c})
-            return algebra_to_dict(specialize(D, _option_rational(args.t, "--t")))
+            t = "1" if args.t is None else args.t
+            return algebra_to_dict(specialize(D, _option_rational(t, "--t")))
         return cochain_to_dict(c)
     for option in ("params", "symbolic", "deformed"):
         if getattr(args, option):
@@ -583,7 +584,9 @@ COMMANDS = {
             _arg("--symbolic", action="store_true", help="keep p, q, r symbolic"),
             _arg("--deformed", action="store_true",
                  help="emit the deformed algebra at --t instead of the cochain"),
-        ) + (_T,)),
+            _arg("--t", metavar="VALUE",
+                 help="rational deformation parameter for --deformed (default 1)"),
+        )),
     }),
     "reproduce": ("recompute the full classification table", _cmd_reproduce, _arguments()),
 }

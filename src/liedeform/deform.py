@@ -15,6 +15,13 @@ pairs to an integer table over one common denominator D, so every pair is
 over D² and the defect is read over D² once.  The Jacobi identity of an
 algebra is the same call with mu_0 in both slots.  A Deformation does not
 change, so D.defect(n) computes each order once, for every check below.
+
+The verdict on a deformation is its DefectReport: one OrderStatus per order
+1..2m, holding the defect and whether its class in H^3 is zero.  The first
+order with a nonzero defect is where the deformation is obstructed, and
+there is none exactly when the bracket is a Lie bracket.  For a deformation
+by mu_1 alone (strict_extendability) the order-1 defect is -d mu_1, which
+must vanish, so order 2 decides.
 """
 
 from __future__ import annotations
@@ -103,16 +110,25 @@ def defect(D: Deformation, n: int) -> Cochain:
 
 
 class OrderStatus(NamedTuple):
-    """Status of one defect order: the defect cochain and its class data."""
+    """One defect order: the defect cochain and whether its class in H^3 is zero."""
 
     order: int
     defect: Cochain
-    is_zero: bool
     is_coboundary: bool
-    obstruction: Optional[Cochain]  # the defect itself when its class is nonzero
+
+    @property
+    def is_zero(self) -> bool:
+        return self.defect.is_zero
+
+    @property
+    def obstruction(self) -> Optional[Cochain]:
+        """The defect itself when its class is nonzero, else None."""
+        return None if self.is_coboundary else self.defect
 
 
 class DefectReport(NamedTuple):
+    """The verdict on a deformation: its defects at orders 1..2m, in order."""
+
     orders: tuple[OrderStatus, ...]
 
     def status(self, n: int) -> OrderStatus:
@@ -120,6 +136,7 @@ class DefectReport(NamedTuple):
 
     @property
     def first_nonzero(self) -> Optional[int]:
+        """The first order with a nonzero defect; None iff the bracket is a Lie bracket."""
         for st in self.orders:
             if not st.is_zero:
                 return st.order
@@ -127,46 +144,27 @@ class DefectReport(NamedTuple):
 
 
 def defect_report(D: Deformation) -> DefectReport:
-    """Per-order defect statuses for orders 1..2m (m the top order)."""
+    """Per-order defect statuses for orders 1..2m (m the top order); the
+    class of each nonzero defect is tested with is_coboundary."""
     statuses = []
     for n in D.defect_orders():
         d = D.defect(n)
-        if d.is_zero:
-            statuses.append(OrderStatus(n, d, True, True, None))
-        else:
-            cob = is_coboundary(D.base, d) is not None
-            statuses.append(OrderStatus(n, d, False, cob, None if cob else d))
+        statuses.append(OrderStatus(n, d, d.is_zero or is_coboundary(D.base, d) is not None))
     return DefectReport(tuple(statuses))
 
 
-class ExtendabilityVerdict(NamedTuple):
-    """Outcome of the strict extendability check for a single-cocycle deformation."""
-
-    exact_lie_bracket: bool
-    obstructed_at: Optional[int] = None
-
-    def __str__(self):
-        if self.exact_lie_bracket:
-            return "exact_Lie_bracket"
-        return f"obstructed_at({self.obstructed_at})"
-
-
-def strict_extendability(D: Deformation) -> ExtendabilityVerdict:
-    """Exact-Lie-bracket verdict for a deformation with only mu_1.
+def strict_extendability(D: Deformation) -> DefectReport:
+    """The defect report of a deformation with only mu_1.
 
     d mu_1 = -defect_1, so a nonzero order 1 means mu_1 is not a cocycle and
-    raises NotACocycleError.  The defect vanishes identically above order
-    2, so order 2 decides the verdict.
+    raises NotACocycleError before any class is tested.  The defect vanishes
+    identically above order 2, so order 2 decides the verdict.
     """
     if not D.is_single_term():
         raise ValueError("strict extendability applies to single-term deformations")
-    for n in D.defect_orders():
-        if D.defect(n).is_zero:
-            continue
-        if n == 1:
-            raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
-        return ExtendabilityVerdict(False, obstructed_at=n)
-    return ExtendabilityVerdict(True)
+    if not D.defect(1).is_zero:
+        raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
+    return defect_report(D)
 
 
 class ExtendOutcome(NamedTuple):

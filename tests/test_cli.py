@@ -144,6 +144,24 @@ def test_cli_invalid_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.load recurses once per bracket; too deep a file is refused, not a crash.
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        ("{}".encode("utf-16"), "not UTF-8 text (invalid start byte)"),  # bytes ff fe {
+    ],
+    ids=["deeply-nested", "utf-16"],
+)
+def test_cli_unreadable_json_is_located_at_its_path(tmp_path, capsys, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["jacobi", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: {message}\n"
+
+
 # -- invariants -------------------------------------------------------------------
 
 
@@ -608,6 +626,34 @@ def test_cli_catalog_emit_deformed(capsys):
     assert member.is_nilpotent()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "emit", "phi4", "--params", "1,0", "--t", "5"],
+        ["catalog", "emit", "h2", "--t", "x"],
+        ["catalog", "emit", "representatives", "--t", "1"],
+        ["catalog", "emit", "phi3", "--t="],
+    ],
+)
+def test_cli_catalog_emit_refuses_t_without_deformed(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --t: applies only with --deformed\n"
+
+
+def test_cli_catalog_emit_deformed_reads_t(capsys):
+    emitted = {}
+    for t in (None, "1", "1/2"):
+        argv = ["catalog", "emit", "phi6", "--params", "1,0", "--deformed"]
+        assert main(argv + ([] if t is None else ["--t", t])) == 0
+        emitted[t] = capsys.readouterr().out
+    assert emitted[None] == emitted["1"] != emitted["1/2"]
+    # Only an absent --t means 1; an empty one is refused as a rational.
+    assert main(["catalog", "emit", "phi6", "--params", "1,0", "--deformed", "--t="]) == 2
+    assert capsys.readouterr().err == "input error: --t: not a rational number: ''\n"
+
+
 def test_cli_catalog_emit_deformed_without_a_lie_member_is_negative(capsys):
     # phi8(0:1:0) has a nonzero order-2 defect, as `specialize` reports with exit 1.
     assert main(["catalog", "emit", "phi8", "--params", "0,1,0", "--deformed"]) == 1
@@ -940,6 +986,16 @@ def _argvs(draw):
 @given(argv=_argvs())
 def test_reader_agrees_with_the_full_parser(argv):
     _reads_as_the_full_parser(argv)
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_the_package_version_is_stated_once():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    # pyproject.toml reads the version from liedeform.__version__, offline.
+    config = read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == liedeform.__version__
 
 
 def test_top_level_help_version_and_errors(capsys):

@@ -21,6 +21,7 @@ from liedeform.cohomology import (
     NotACocycleError,
     apply_differential,
     class_eq,
+    cohomology_dim,
     is_coboundary,
     is_cocycle,
 )
@@ -177,7 +178,7 @@ def test_a_deformation_computes_each_defect_once(monkeypatch):
     first = [D.defect(n) for n in D.defect_orders()]
     monkeypatch.setattr(deform, "defect", None)  # a second computation would fail
     assert [D.defect(n) for n in D.defect_orders()] == first
-    assert strict_extendability(D).obstructed_at == 2
+    assert strict_extendability(D).first_nonzero == 2
     with pytest.raises(deform.NonzeroDefectError):
         specialize(D, 1)
     monkeypatch.undo()
@@ -244,11 +245,14 @@ def test_defect_report_statuses():
 def test_defect_report_record():
     zero, nonzero = Cochain.zero(3, 5), Cochain(3, 5, {(1, 2, 3): {4: 1}})
     report = deform.DefectReport((
-        deform.OrderStatus(1, zero, True, True, None),
-        deform.OrderStatus(2, zero, True, True, None),
-        deform.OrderStatus(3, nonzero, False, False, nonzero),
+        deform.OrderStatus(1, zero, True),
+        deform.OrderStatus(2, zero, True),
+        deform.OrderStatus(3, nonzero, False),
     ))
+    assert [st.is_zero for st in report.orders] == [True, True, False]
+    assert report.status(2).obstruction is None
     assert report.status(3).obstruction == nonzero
+    assert deform.OrderStatus(3, nonzero, True).obstruction is None
     assert report.first_nonzero == 3
     assert deform.DefectReport(report.orders[:2]).first_nonzero is None
     with pytest.raises(AttributeError):
@@ -261,11 +265,13 @@ def test_extend_outcome_and_verdict_records():
     c = phi("phi3")
     assert deform.ExtendOutcome(single(c), None).ok
     assert not deform.ExtendOutcome(None, c).ok
-    assert str(deform.ExtendabilityVerdict(True)) == "exact_Lie_bracket"
-    assert str(deform.ExtendabilityVerdict(False, obstructed_at=2)) == "obstructed_at(2)"
-    verdict = deform.ExtendabilityVerdict(False, 2)
+    # The strict verdict is the defect report itself; there is no second record.
+    assert not hasattr(deform, "ExtendabilityVerdict")
+    verdict = strict_extendability(single(phi("phi8", (0, 1, 0))))
+    assert isinstance(verdict, deform.DefectReport)
+    assert verdict == defect_report(single(phi("phi8", (0, 1, 0))))
     with pytest.raises(AttributeError):
-        verdict.exact_lie_bracket = True
+        verdict.orders = ()
 
 
 # -- strict extendability -----------------------------------------------------------
@@ -274,21 +280,21 @@ def test_extend_outcome_and_verdict_records():
 def test_strict_extendability_of_singles():
     for name in ("phi1", "phi2", "phi3"):
         verdict = strict_extendability(single(phi(name)))
-        assert verdict.exact_lie_bracket and verdict.obstructed_at is None
+        assert verdict.first_nonzero is None
+        assert [st.order for st in verdict.orders] == [1, 2]
 
 
 def test_strict_extendability_of_obstructed_points():
     for params in ((0, 1, 0), (0, 0, 1)):
         verdict = strict_extendability(single(phi("phi8", params)))
-        assert not verdict.exact_lie_bracket
-        assert verdict.obstructed_at == 2
+        assert verdict.first_nonzero == 2
 
 
 def test_h1_deformations_are_real():
     h1 = heisenberg(1)
     for c in h1_cocycles():
         verdict = strict_extendability(single(c, base=h1))
-        assert verdict.exact_lie_bracket
+        assert verdict.first_nonzero is None
 
 
 def test_strict_extendability_rejects_non_cocycle():
@@ -302,6 +308,50 @@ def test_strict_extendability_rejects_multi_term():
     D = Deformation(heisenberg(2), {1: c, 2: c})
     with pytest.raises(ValueError):
         strict_extendability(D)
+
+
+def test_strict_extendability_tests_no_class_of_a_non_cocycle(monkeypatch):
+    monkeypatch.setattr(deform, "is_coboundary", None)  # a class test would fail
+    with pytest.raises(NotACocycleError):
+        strict_extendability(single(Cochain(2, 5, {(3, 4): {4: 1}})))
+
+
+H2 = heisenberg(2)
+H2_CLASSES = cohomology_dim(H2, 2, representatives=True).representatives
+
+
+def _bracket_at(mu1, t):
+    """The table of mu_0 + t mu_1 on h_2, summed here and left unchecked."""
+    table = {key: dict(vec) for key, vec in H2.brackets.items()}
+    for key, vec in mu1.entries.items():
+        row = table.setdefault(key, {})
+        for k, x in vec.items():
+            row[k] = row.get(k, 0) + t * x
+    return LieAlgebra(H2.dim, table, check=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    combination=st.lists(
+        st.tuples(st.integers(0, len(H2_CLASSES) - 1), st.integers(-2, 2)), max_size=3
+    ),
+    boundary=st.dictionaries(st.integers(0, H2.dim**2 - 1), st.integers(-1, 1), max_size=3),
+)
+def test_verdict_matches_the_jacobi_identity_of_the_deformed_bracket(combination, boundary):
+    """mu_1 is a combination of H^2 representatives plus the coboundary of a
+    sparse 1-cochain: sparse draws give both Lie and obstructed brackets."""
+    mu1 = apply_differential(H2, Cochain.from_coords(1, H2.dim, boundary))
+    for k, a in combination:
+        mu1 = mu1 + H2_CLASSES[k].scale(a)
+    D = single(mu1)
+    report = strict_extendability(D)
+    # The Jacobi expression of mu_0 + t mu_1 is t defect_1 + t^2 defect_2 (the base
+    # is Lie): no constant term and degree 2, so two nonzero values of t decide it.
+    lie = all(not _bracket_at(mu1, t).jacobi_violations() for t in (1, 2))
+    assert (report.first_nonzero is None) == lie
+    if not lie:
+        assert report.first_nonzero == 2
+        assert report.status(2).is_coboundary == (is_coboundary(H2, D.defect(2)) is not None)
 
 
 # -- extension steps -----------------------------------------------------------------

@@ -403,7 +403,7 @@ def catalog_algebras():
     algebras = [heisenberg(n) for n in (1, 2, 3)]
     for rep in paper_representatives():
         D = Deformation(heisenberg(2), {1: rep.cochain()})
-        if strict_extendability(D).exact_lie_bracket:
+        if strict_extendability(D).first_nonzero is None:
             algebras.append(specialize(D, 1))
     return algebras
 

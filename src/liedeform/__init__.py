@@ -8,9 +8,8 @@ from .exact import (
     SingularMatrixError,
     parse_scalar,
 )
-from .liealg import JacobiError, LieAlgebra
+from .liealg import Cochain, JacobiError, LieAlgebra
 from .cohomology import (
-    Cochain,
     CohomologyReport,
     NotACocycleError,
     apply_differential,

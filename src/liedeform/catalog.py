@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .cohomology import Cochain, _image_echelon, cohomology_dim
+from .cohomology import _image_echelon, cohomology_dim
 from .deform import Deformation, specialize, strict_extendability, verify_isomorphism
 from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _coerce_rational
-from .liealg import LieAlgebra
+from .liealg import Cochain, LieAlgebra
 
 _P = PolyScalar.variable("p")
 _Q = PolyScalar.variable("q")

@@ -85,6 +85,10 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not UTF-8 text ({exc.reason})") from None
+    except SchemaError:  # a repeated key, raised by unique_keys
+        raise
+    except ValueError as exc:  # such as an integer of more digits than int() converts
+        raise SchemaError(path, f"invalid JSON ({exc})") from None
     except RecursionError:
         raise SchemaError(path, "JSON nested too deeply") from None
 

@@ -1,187 +1,37 @@
 """Chevalley-Eilenberg cochain complex with adjoint coefficients.
 
-A degree-q cochain stores its values on strictly increasing index tuples
-only, each as {k: value} holding the nonzero coefficients of e_k, the one
-vector format of the package.  Evaluation on permuted arguments applies the
-permutation sign and repeated arguments give zero.  The differential
-follows the convention
+This module owns the differential d_q and the classes of H^q; the cochains
+themselves, a Lie bracket included, are liealg's Cochain, and their skew
+table is liealg's format.  The differential follows the convention
 
     dc(g_1,...,g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c([g_s,g_t], ..^s..^t..)
                         + sum_s    (-1)^s       [g_s, c(..^s..)]
 
 with 1-based positions s, t; no alternative sign conventions are supported.
-Coordinates on C^q are ordered by tuple (lexicographic), then target basis
-index, which keeps every matrix and report deterministic.  The basis images
-d(e^key (x) e_m) are read from the algebra's signed integer table (the one
-its Jacobi check uses), as ints over the table's denominator D: d_q keeps
-them as the integer rows of its matrix over D, apply_differential divides
-by D at the end, and the image echelon of d_(q-1) takes the integer
-columns as they are, since scaling does not change a span.
+d_q acts on the coordinates of Cochain (by tuple, then target index).  The
+basis images d(e^key (x) e_m) are read from the algebra's signed integer
+table (the one its Jacobi check uses), as ints over the table's denominator
+D: d_q keeps them as the integer rows of its matrix over D,
+apply_differential divides by D at the end, and the image echelon of
+d_(q-1) takes the integer columns as they are, since scaling does not
+change a span.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from typing import Collection, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Collection, NamedTuple, Optional, Sequence
 
-from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _check_indices, _coerce_entry
-from .liealg import LieAlgebra, Table
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar
+from .liealg import Cochain, LieAlgebra, Table, _first_coords, _tuples
 
 _ZERO = Fraction(0)
 
 
 class NotACocycleError(ValueError):
     """An operation defined on cocycles received a non-cocycle."""
-
-
-def _perm_sign(args: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(args)):
-        for b in range(a + 1, len(args)):
-            if args[a] > args[b]:
-                sign = -sign
-    return sign
-
-
-class Cochain:
-    """Alternating multilinear map g^q -> g, stored on increasing tuples.
-
-    entries is {key: {k: value}}: the nonzero coefficients of e_k in the
-    value on each increasing tuple key, by ascending key and k.  Zero values
-    and tuples with no nonzero value are dropped, so equal cochains have
-    equal entries.
-    """
-
-    __slots__ = ("degree", "dim", "entries")
-
-    def __init__(
-        self,
-        degree: int,
-        dim: int,
-        entries: Mapping[tuple[int, ...], Mapping[int, Scalar]] = (),
-    ):
-        if degree < 0 or dim < 1:
-            raise ValueError("degree must be >= 0 and dimension >= 1")
-        self.degree = degree
-        self.dim = dim
-        clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
-        for key, vec in dict(entries).items():
-            key = tuple(int(i) for i in key)
-            if len(key) != degree:
-                raise ValueError(f"tuple {key} has length {len(key)}, expected {degree}")
-            if any(not (0 <= i < dim) for i in key):
-                raise ValueError(f"tuple {key} out of range for dimension {dim}")
-            if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
-                raise ValueError(f"tuple {key} is not strictly increasing")
-            _check_indices(vec, dim, f"tuple {key}: value index")
-            v = {k: _coerce_entry(x, "cochain entries") for k, x in vec.items()}
-            v = {k: v[k] for k in sorted(v) if v[k]}
-            if v:
-                clean[key] = v
-        self.entries = dict(sorted(clean.items()))
-
-    @classmethod
-    def zero(cls, degree: int, dim: int) -> "Cochain":
-        return cls(degree, dim, {})
-
-    def value(self, args: Sequence[int]) -> dict[int, Scalar]:
-        """Evaluate on basis indices in any order (sign applied, repeats -> 0),
-        as {k: value}."""
-        if len(args) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        _check_indices(args, self.dim, "basis index")
-        vec = self.entries.get(tuple(sorted(args)), {})  # repeated args: no such key
-        if _perm_sign(args) == 1:
-            return dict(vec)
-        return {k: -x for k, x in vec.items()}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def is_symbolic(self) -> bool:
-        return any(
-            isinstance(x, PolyScalar) for vec in self.entries.values() for x in vec.values()
-        )
-
-    def _merge(self, other: "Cochain", op) -> "Cochain":
-        if (self.degree, self.dim) != (other.degree, other.dim):
-            raise ValueError("cochain degree/dimension mismatch")
-        out = {}
-        for key in self.entries.keys() | other.entries.keys():
-            a, b = self.entries.get(key, {}), other.entries.get(key, {})
-            out[key] = {k: op(a.get(k, _ZERO), b.get(k, _ZERO)) for k in a.keys() | b.keys()}
-        return Cochain(self.degree, self.dim, out)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        return self._merge(other, operator.add)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self._merge(other, operator.sub)
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(-1)
-
-    def scale(self, c: Scalar) -> "Cochain":
-        entries = {key: {k: c * x for k, x in v.items()} for key, v in self.entries.items()}
-        return Cochain(self.degree, self.dim, entries)
-
-    def substitute(self, point: Mapping[str, Union[Fraction, int]]) -> "Cochain":
-        """Substitute rational values for p, q, r in all entries."""
-        out = {}
-        for key, vec in self.entries.items():
-            out[key] = {
-                k: x.evaluate(point) if isinstance(x, PolyScalar) else x for k, x in vec.items()
-            }
-        return Cochain(self.degree, self.dim, out)
-
-    def coords(self) -> dict[int, Scalar]:
-        """The nonzero coordinates on C^q as {index: value}, ascending."""
-        first = _first_coords(self.dim, self.degree)
-        return {first[key] + k: x for key, vec in self.entries.items() for k, x in vec.items()}
-
-    @classmethod
-    def from_coords(cls, degree: int, dim: int, coords: Mapping[int, Scalar]) -> "Cochain":
-        """The cochain with the given {index: value} coordinates, all others zero."""
-        tuples = _tuples(dim, degree)
-        _check_indices(coords, len(tuples) * dim, "coordinate")
-        entries: dict[tuple[int, ...], dict[int, Scalar]] = {}
-        for i, x in coords.items():
-            t, k = divmod(i, dim)
-            entries.setdefault(tuples[t], {})[k] = x
-        return cls(degree, dim, entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        values = tuple((key, frozenset(v.items())) for key, v in self.entries.items())
-        return hash((self.degree, self.dim, values))
-
-    def __repr__(self):
-        return f"Cochain(degree={self.degree}, dim={self.dim}, {len(self.entries)} entries)"
-
-
-@lru_cache(maxsize=None)
-def _tuples(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(dim), degree))
-
-
-@lru_cache(maxsize=None)
-def _first_coords(dim: int, degree: int) -> dict[tuple[int, ...], int]:
-    """The coordinate index of (key, 0) for each increasing tuple key (shared: read only)."""
-    return {key: t * dim for t, key in enumerate(_tuples(dim, degree))}
 
 
 def _basis_images(table: Table, key: tuple[int, ...], targets: Collection[int]):

@@ -6,15 +6,16 @@ order-n defect is the coefficient of t^n in the deformed Jacobi expression,
 
     sum_{i+j=n} mu_i(x, mu_j(y,z)) + mu_i(y, mu_j(z,x)) + mu_i(z, mu_j(x,y))
 
-with mu_0 the base bracket.  When the top order is m, every pair i+j=n
-with n > 2m involves a missing term, so the defects above 2m vanish
-identically, and the deformed bracket is a Lie bracket iff the defects
-vanish for 1 <= n <= 2m.  Each defect is one call of liealg.jacobiator on
-the (mu_i, mu_j) pairs.  liealg.signed_tables scales every mu of the
-pairs to an integer table over one common denominator D, so every pair is
-over D² and the defect is read over D² once.  The Jacobi identity of an
-algebra is the same call with mu_0 in both slots.  A Deformation does not
-change, so D.defect(n) computes each order once, for every check below.
+with mu_0 the base bracket, the 2-cochain base.mu.  When the top order is
+m, every pair i+j=n with n > 2m involves a missing term, so the defects
+above 2m vanish identically, and the deformed bracket is a Lie bracket iff
+the defects vanish for 1 <= n <= 2m.  Each defect is one call of
+liealg.jacobiator on the (mu_i, mu_j) pairs.  liealg.signed_tables scales
+every mu of the pairs to an integer table over one common denominator D,
+so every pair is over D² and the defect is read over D² once.  The Jacobi
+identity of an algebra is the same call with mu_0 in both slots.  A
+Deformation does not change, so D.defect(n) computes each order once, for
+every check below.
 
 The verdict on a deformation is its DefectReport: one OrderStatus per order
 1..2m, holding the defect and whether its class in H^3 is zero.  The first
@@ -29,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .cohomology import Cochain, NotACocycleError, differential, is_coboundary
+from .cohomology import NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, _coerce_rational
-from .liealg import LieAlgebra, jacobiator, signed_tables
+from .liealg import Cochain, LieAlgebra, jacobiator, signed_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,14 +83,6 @@ class Deformation:
         """1..2m for top order m: the only orders whose defect can be nonzero."""
         return range(1, 2 * self.top_order + 1)
 
-    def with_term(self, order: int, c: Cochain) -> "Deformation":
-        terms = dict(self.terms)
-        terms[order] = c
-        return Deformation(self.base, terms)
-
-    def is_single_term(self) -> bool:
-        return set(self.terms) <= {1}
-
     def __repr__(self):
         orders = sorted(self.terms) or [0]
         return f"Deformation(base dim {self.base.dim}, orders {orders})"
@@ -99,7 +92,7 @@ def defect(D: Deformation, n: int) -> Cochain:
     """The order-n defect as a 3-cochain (zero iff the t^n Jacobi terms cancel)."""
     if n < 1:
         raise ValueError("defect order must be >= 1")
-    maps = {0: D.base.brackets, **{i: c.entries for i, c in D.terms.items()}}
+    maps = {0: D.base.mu, **D.terms}
     orders = sorted(i for i in maps if n - i in maps)
     tables, den = signed_tables([maps[i] for i in orders])
     table = dict(zip(orders, tables))
@@ -160,7 +153,7 @@ def strict_extendability(D: Deformation) -> DefectReport:
     raises NotACocycleError before any class is tested.  The defect vanishes
     identically above order 2, so order 2 decides the verdict.
     """
-    if not D.is_single_term():
+    if set(D.terms) - {1}:
         raise ValueError("strict extendability applies to single-term deformations")
     if not D.defect(1).is_zero:
         raise NotACocycleError("the infinitesimal term must be a 2-cocycle")
@@ -199,7 +192,7 @@ def extend_step(D: Deformation) -> ExtendOutcome:
     if x is None:
         return ExtendOutcome(extended=None, obstruction=partial)
     mu_n = Cochain.from_coords(2, dim, x)
-    extended = D.with_term(n, mu_n)
+    extended = Deformation(D.base, {**D.terms, n: mu_n})
     residual = extended.defect(n)
     if not residual.is_zero:
         raise RuntimeError(f"extension left a nonzero defect at order {n}")

@@ -55,9 +55,17 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible is singular."""
 
 
+# The one grammar of an unsigned rational in text: ASCII digits only, so no decimal
+# point, exponent, digit separator or non-ASCII digit, whose value can cost time.
+_UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "a" or "a/b" (unicode minus tolerated) into a Fraction."""
-    return Fraction(text.strip().replace("−", "-"))
+    """Parse "a" or "a/b", signed, into a Fraction (unicode minus tolerated)."""
+    text = text.strip().replace("−", "-")
+    if not re.fullmatch(f"[+-]?{_UNSIGNED}", text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
 
 
 def _exp_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -229,7 +237,7 @@ Scalar = Union[Fraction, PolyScalar]
 
 # Signed terms covering the whole text: a sign never stands alone.
 _TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
-_FACTOR_RE = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[pqr])(?:\^(?P<exp>\d+))?)$")
+_FACTOR_RE = re.compile(rf"^(?:(?P<num>{_UNSIGNED})|(?P<var>[pqr])(?:\^(?P<exp>[0-9]+))?)$")
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -244,7 +252,7 @@ def parse_scalar(text: str) -> Scalar:
     if not text:
         raise ValueError("empty scalar string")
     if not re.search(r"[pqr]", text):
-        return Fraction(text)
+        return parse_rational(text)
     if not _TERMS_RE.fullmatch(text):
         raise ValueError(f"malformed scalar string {text!r}")
 

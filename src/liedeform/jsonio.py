@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from .catalog import named_algebra
-from .cohomology import Cochain, CohomologyReport
+from .cohomology import CohomologyReport
 from .deform import DefectReport, Deformation
 from .exact import ExactMatrix, PolyScalar, Scalar, parse_scalar
-from .liealg import LieAlgebra
+from .liealg import Cochain, LieAlgebra
 
 
 class SchemaError(ValueError):
@@ -155,10 +155,8 @@ def cochain_from_dict(doc) -> Cochain:
         entries[key] = _parse_coeff_vector(
             entry.get("coeffs", {}), dim, f"{loc}.coeffs"
         )
-    try:
-        c = Cochain(q, dim, {tuple(a - 1 for a in key): vec for key, vec in entries.items()})
-    except ValueError as exc:
-        raise SchemaError("entries", str(exc)) from None
+    # Every key and index is checked above, so Cochain refuses none of them.
+    c = Cochain(q, dim, {tuple(a - 1 for a in key): vec for key, vec in entries.items()})
     params_doc = doc.get("params")
     if params_doc is not None:
         params_doc = _expect_dict(params_doc, "params")
@@ -178,8 +176,12 @@ def cochain_from_dict(doc) -> Cochain:
 
 
 def deformation_to_dict(D: Deformation) -> dict:
+    try:  # the base goes by name only where named_algebra reads it back as D.base
+        named = D.base.name is not None and named_algebra(D.base.name) == D.base
+    except ValueError:  # not a catalog name
+        named = False
     return {
-        "base": D.base.name if D.base.name else algebra_to_dict(D.base),
+        "base": D.base.name if named else algebra_to_dict(D.base),
         "terms": [
             {"order": n, "cochain": cochain_to_dict(c)}
             for n, c in sorted(D.terms.items())

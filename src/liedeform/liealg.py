@@ -1,43 +1,200 @@
-"""Lie algebras presented by structure constants.
+"""Skew tables: cochains, Lie algebras by structure constants, the Jacobiator.
 
-An algebra of dimension n stores the vectors [e_i, e_j] only for i < j
-(0-based internally; all file formats and printed output are 1-based to
-match the usual e_1..e_n notation).  Brackets for j > i follow by
-skew-symmetry.  Every vector of the algebra, in or out, is {index: value}
-holding only the nonzeros: the brackets, bracket's arguments and value, the
-Jacobi defects and the center's basis.  Construction validates the Jacobi
-identity unless the caller explicitly asks for an unchecked instance, which
-exists only so negative tests can build broken tables.
+This module owns the one format of a skew table.  A degree-q Cochain stores
+its values on strictly increasing index tuples only, each as {k: value}
+holding the nonzero coefficients of e_k, the one vector format of the
+package; permuted arguments apply the permutation sign and repeated ones
+give zero.  Coordinates on C^q are ordered by tuple (lexicographic), then
+target index.  Indices are 0-based here, 1-based (e_1..e_n) in files and
+printed output.  A Lie bracket is its 2-cochain mu_0: LieAlgebra holds its
+constants [e_i, e_j], i < j, as the Cochain mu, and validates the Jacobi
+identity unless the caller asks for an unchecked instance, which exists
+only so negative tests can build broken tables.
 
-Any skew bilinear map given as {(i, j): {k: value}} for i < j (a bracket table,
-or the entries of a 2-cochain) is composed through one format:
-signed_tables scales a list of such maps by one common denominator D to
-Python ints and turns each into the sparse {(a, b): {k: c}} table holding
-both orders.  jacobiator sums the cyclic compositions
-outer(x, inner(y, z)) + outer(y, inner(z, x)) + outer(z, inner(x, y)) over
-pairs of such tables with int arithmetic only; every pair is scaled by D²,
-so its values are read over D² once, at the end.  With the bracket in both
-slots this is the Jacobi identity; deform uses it for the defects of a
-formal deformation, and cohomology builds d_q from the same integer table.
-bracket, series, center and change_basis read it too: [x, y] is the sum of
-x_a y_b [e_a, e_b] over the nonzero entries of x and y, over D.
+signed_tables scales a list of 2-cochains (a bracket, deformation terms) by
+one common denominator D to Python ints and turns each into the sparse
+{(a, b): {k: c}} table holding both orders.  jacobiator sums the cyclic
+compositions outer(x, inner(y, z)) + outer(y, inner(z, x)) +
+outer(z, inner(x, y)) over pairs of such tables with int arithmetic only;
+every pair is scaled by D², so its values are read over D² once, at the end.
+With the bracket in both slots this is the Jacobi identity; deform uses it
+for the defects of a formal deformation, and cohomology builds d_q from the
+same integer table.  bracket, series, center and change_basis read it too:
+[x, y] is the sum of x_a y_b [e_a, e_b] over the nonzero entries of x and y,
+over D.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .exact import EchelonBasis, ExactMatrix, SingularMatrixError, _check_indices, _coerce_rational
+from .exact import (
+    EchelonBasis,
+    ExactMatrix,
+    PolyScalar,
+    Scalar,
+    SingularMatrixError,
+    _check_indices,
+    _coerce_entry,
+)
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b),
 # as integers over the table's denominator.
 Table = dict[tuple[int, int], dict[int, int]]
 Coeff = Union[Fraction, int]  # a value of a sparse {index: value} vector
+
+
+def _perm_sign(args: Sequence[int]) -> int:
+    sign = 1
+    for a in range(len(args)):
+        for b in range(a + 1, len(args)):
+            if args[a] > args[b]:
+                sign = -sign
+    return sign
+
+
+class Cochain:
+    """Alternating multilinear map g^q -> g, stored on increasing tuples.
+
+    entries is {key: {k: value}}: the nonzero coefficients of e_k in the
+    value on each increasing tuple key, by ascending key and k.  Zero values
+    and tuples with no nonzero value are dropped, so equal cochains have
+    equal entries.
+    """
+
+    __slots__ = ("degree", "dim", "entries")
+
+    def __init__(
+        self,
+        degree: int,
+        dim: int,
+        entries: Mapping[tuple[int, ...], Mapping[int, Scalar]] = (),
+    ):
+        if degree < 0 or dim < 1:
+            raise ValueError("degree must be >= 0 and dimension >= 1")
+        self.degree = degree
+        self.dim = dim
+        clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for key, vec in dict(entries).items():
+            key = tuple(map(int, key))
+            if len(key) != degree:
+                raise ValueError(f"tuple {key} has length {len(key)}, expected {degree}")
+            if key and not (0 <= min(key) and max(key) < dim):
+                raise ValueError(f"tuple {key} out of range for dimension {dim}")
+            if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
+                raise ValueError(f"tuple {key} is not strictly increasing")
+            _check_indices(vec, dim, f"tuple {key}: value index")
+            v = {k: _coerce_entry(x, "cochain entries") for k, x in vec.items()}
+            v = {k: v[k] for k in sorted(v) if v[k]}
+            if v:
+                clean[key] = v
+        self.entries = dict(sorted(clean.items()))
+
+    @classmethod
+    def zero(cls, degree: int, dim: int) -> "Cochain":
+        return cls(degree, dim, {})
+
+    def value(self, args: Sequence[int]) -> dict[int, Scalar]:
+        """Evaluate on basis indices in any order (sign applied, repeats -> 0),
+        as {k: value}."""
+        if len(args) != self.degree:
+            raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
+        _check_indices(args, self.dim, "basis index")
+        vec = self.entries.get(tuple(sorted(args)), {})  # repeated args: no such key
+        if _perm_sign(args) == 1:
+            return dict(vec)
+        return {k: -x for k, x in vec.items()}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def is_symbolic(self) -> bool:
+        return any(
+            isinstance(x, PolyScalar) for vec in self.entries.values() for x in vec.values()
+        )
+
+    def _merge(self, other: "Cochain", op) -> "Cochain":
+        if (self.degree, self.dim) != (other.degree, other.dim):
+            raise ValueError("cochain degree/dimension mismatch")
+        out = {}
+        for key in self.entries.keys() | other.entries.keys():
+            a, b = self.entries.get(key, {}), other.entries.get(key, {})
+            out[key] = {k: op(a.get(k, _ZERO), b.get(k, _ZERO)) for k in a.keys() | b.keys()}
+        return Cochain(self.degree, self.dim, out)
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self._merge(other, operator.sub)
+
+    def __neg__(self) -> "Cochain":
+        return self.scale(-1)
+
+    def scale(self, c: Scalar) -> "Cochain":
+        entries = {key: {k: c * x for k, x in v.items()} for key, v in self.entries.items()}
+        return Cochain(self.degree, self.dim, entries)
+
+    def substitute(self, point: Mapping[str, Union[Fraction, int]]) -> "Cochain":
+        """Substitute rational values for p, q, r in all entries."""
+        out = {}
+        for key, vec in self.entries.items():
+            out[key] = {
+                k: x.evaluate(point) if isinstance(x, PolyScalar) else x for k, x in vec.items()
+            }
+        return Cochain(self.degree, self.dim, out)
+
+    def coords(self) -> dict[int, Scalar]:
+        """The nonzero coordinates on C^q as {index: value}, ascending."""
+        first = _first_coords(self.dim, self.degree)
+        return {first[key] + k: x for key, vec in self.entries.items() for k, x in vec.items()}
+
+    @classmethod
+    def from_coords(cls, degree: int, dim: int, coords: Mapping[int, Scalar]) -> "Cochain":
+        """The cochain with the given {index: value} coordinates, all others zero."""
+        tuples = _tuples(dim, degree)
+        _check_indices(coords, len(tuples) * dim, "coordinate")
+        entries: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for i, x in coords.items():
+            t, k = divmod(i, dim)
+            entries.setdefault(tuples[t], {})[k] = x
+        return cls(degree, dim, entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.dim == other.dim
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        values = tuple((key, frozenset(v.items())) for key, v in self.entries.items())
+        return hash((self.degree, self.dim, values))
+
+    def __repr__(self):
+        return f"Cochain(degree={self.degree}, dim={self.dim}, {len(self.entries)} entries)"
+
+
+@lru_cache(maxsize=None)
+def _tuples(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(combinations(range(dim), degree))
+
+
+@lru_cache(maxsize=None)
+def _first_coords(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+    """The coordinate index of (key, 0) for each increasing tuple key (shared: read only)."""
+    return {key: t * dim for t, key in enumerate(_tuples(dim, degree))}
 
 
 class JacobiError(ValueError):
@@ -50,21 +207,18 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails at triples {triples}{more}")
 
 
-def signed_tables(
-    maps: Sequence[Mapping[tuple[int, int], Mapping[int, Coeff]]]
-) -> tuple[list[Table], int]:
-    """The integer tables of skew maps given on pairs i < j, and their denominator D.
+def signed_tables(maps: Sequence[Cochain]) -> tuple[list[Table], int]:
+    """The integer tables of rational 2-cochains, and their denominator D.
 
-    The maps hold nonzero values only, as LieAlgebra.brackets and
-    Cochain.entries do.  D is the lcm of every denominator in the maps, and
-    each table holds D times its map in both orders, signed.  A lookup miss
-    means zero (also for a = b).
+    D is the lcm of every denominator in the maps, and each table holds D
+    times its map in both orders, signed.  A lookup miss means zero (also
+    for a = b).
     """
-    den = lcm(1, *(x.denominator for pairs in maps for vec in pairs.values() for x in vec.values()))
+    den = lcm(1, *(x.denominator for mu in maps for v in mu.entries.values() for x in v.values()))
     tables = []
-    for pairs in maps:
+    for mu in maps:
         table: Table = {}
-        for (i, j), vec in pairs.items():
+        for (i, j), vec in mu.entries.items():
             col = table[(i, j)] = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
             table[(j, i)] = {k: -c for k, c in col.items()}
         tables.append(table)
@@ -108,14 +262,12 @@ def jacobiator(
 class LieAlgebra:
     """A finite-dimensional Lie algebra over the rationals.
 
-    _table is the signed integer table of the brackets over the denominator
-    _den (see signed_tables).  The Jacobi check, d_q, bracket, the series,
-    the center and basis changes all read it; brackets is the public
-    {(i, j): {k: value}} view of the same constants, nonzeros only, by
-    ascending (i, j) and k.
+    mu is the bracket as a rational 2-cochain, and brackets its entries.
+    _table is mu's signed integer table over the denominator _den, which the
+    Jacobi check, d_q, bracket, the series, the center and basis changes read.
     """
 
-    __slots__ = ("dim", "brackets", "name", "_table", "_den")
+    __slots__ = ("dim", "mu", "name", "_table", "_den")
 
     def __init__(
         self,
@@ -124,34 +276,26 @@ class LieAlgebra:
         check: bool = True,
         name: Optional[str] = None,
     ):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        self.mu = Cochain(2, dim, brackets)
+        if self.mu.is_symbolic():
+            raise TypeError("structure constants must be rational, got PolyScalar")
         self.dim = dim
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), coeffs in brackets.items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            _check_indices(coeffs, dim, "basis index")
-            vec = {k: _coerce_rational(x, "structure constants") for k, x in coeffs.items()}
-            vec = {k: vec[k] for k in sorted(vec) if vec[k]}
-            if vec:
-                table[(i, j)] = vec
-        self.brackets = dict(sorted(table.items()))
         self.name = name
-        (self._table,), self._den = signed_tables([self.brackets])
+        (self._table,), self._den = signed_tables([self.mu])
         if check:
             violations = self.jacobi_violations()
             if violations:
                 raise JacobiError(violations)
 
+    @property
+    def brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        return self.mu.entries
+
     # -- bracket evaluation ---------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as {k: value} (any order; i = j gives zero)."""
-        _check_indices((i, j), self.dim, "basis index")
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -x for k, x in self.brackets.get((j, i), {}).items()}
+        return self.mu.value((i, j))
 
     def bracket(self, x: Mapping[int, Coeff], y: Mapping[int, Coeff]) -> dict[int, Fraction]:
         """[x, y] for {index: value} vectors, as {index: value} nonzeros."""
@@ -251,11 +395,10 @@ class LieAlgebra:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self.brackets == other.brackets
+        return self.mu == other.mu
 
     def __hash__(self):
-        values = tuple((key, frozenset(v.items())) for key, v in self.brackets.items())
-        return hash((self.dim, values))
+        return hash(self.mu)
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"

@@ -86,6 +86,23 @@ def test_deformation_round_trip():
     assert doc["base"] == "h2"  # named base algebras serialize by reference
 
 
+@pytest.mark.parametrize(
+    "base, named",
+    [
+        (catalog.heisenberg(2), True),
+        (LieAlgebra(5, {}, name="h2"), False),  # an abelian table that is not h2
+        (LieAlgebra(5, catalog.heisenberg(2).brackets, name="my h2"), False),
+    ],
+    ids=["catalog h2", "abelian named h2", "unknown name"],
+)
+def test_deformation_base_is_written_by_name_only_when_the_name_reads_back(base, named):
+    D = Deformation(base, {1: catalog.phi("phi3")})
+    doc = deformation_to_dict(D)
+    assert (doc["base"] == base.name) is named
+    back = deformation_from_dict(json.loads(json.dumps(doc)))
+    assert back.base == base and back.terms == D.terms
+
+
 def test_matrix_round_trip():
     m = ExactMatrix([[Fraction(1, 2), 0], [3, -1]])
     assert matrix_from_dict(matrix_to_dict(m)) == m
@@ -144,14 +161,23 @@ def test_cli_invalid_json(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def int_error(text):
+    """The message of int()'s refusal of text."""
+    with pytest.raises(ValueError) as err:
+        int(text)
+    return str(err.value)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
         # json.load recurses once per bracket; too deep a file is refused, not a crash.
         (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
         ("{}".encode("utf-16"), "not UTF-8 text (invalid start byte)"),  # bytes ff fe {
+        # json.load reads an integer with int(), which refuses more than 4,300 digits.
+        (b'{"dim": ' + b"1" * 5000 + b"}", f"invalid JSON ({int_error('1' * 5000)})"),
     ],
-    ids=["deeply-nested", "utf-16"],
+    ids=["deeply-nested", "utf-16", "long-integer"],
 )
 def test_cli_unreadable_json_is_located_at_its_path(tmp_path, capsys, content, message):
     path = tmp_path / "doc.json"
@@ -184,6 +210,16 @@ def test_cli_invariants_computes_each_series_once(h2_file, capsys, monkeypatch):
 
 
 PHI3_DEFORMATION = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi3")})
+
+
+def bracket_doc(coeffs):
+    """An algebra of dimension 3 whose one bracket [e1, e2] has the given coefficients."""
+    return {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]}
+
+
+def args_doc(args, value="1"):
+    """A 2-cochain on dimension 5 whose one entry has the given args and value at e1."""
+    return {"q": 2, "dim": 5, "entries": [{"args": args, "coeffs": {"1": value}}]}
 
 
 def duplicated(doc, key, position):
@@ -225,12 +261,91 @@ def duplicated(doc, key, position):
             {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "5"}}]},
             "brackets[0].coeffs.03: duplicate index 3",
         ),
+        ("jacobi", {"dim": "3"}, "dim: expected an integer, got '3'"),
+        ("jacobi", {"dim": 3, "brackets": {}}, "brackets: expected a list, got dict"),
+        ("jacobi", [], "algebra: expected an object, got list"),
+        ("jacobi", bracket_doc({"3": 1}), "brackets[0].coeffs.3: scalars must be strings, got 1"),
+        ("jacobi", bracket_doc({"x": "1"}), "brackets[0].coeffs.x: keys must be basis indices"),
+        ("jacobi", bracket_doc({"4": "1"}), "brackets[0].coeffs.4: index out of range 1..3"),
+        (
+            "jacobi",
+            bracket_doc({"3": "1.5"}),
+            "brackets[0].coeffs.3: bad scalar '1.5' (not a rational number: '1.5')",
+        ),
+        ("jacobi", {"dim": 0}, "dim: dimension must be at least 1"),
+        (
+            "jacobi",
+            {"dim": 3, "brackets": [{"i": 1, "j": 4, "coeffs": {}}]},
+            "brackets[0]: indices must lie in 1..3",
+        ),
+        ("jacobi", bracket_doc({"3": "p"}), "brackets[0].coeffs: algebra tables must be rational"),
+        ("jacobi", {"dim": 3, "name": 3}, "name: name must be a string"),
+        ("check-cocycle", {"q": -1, "dim": 5}, "q: need q >= 0 and dim >= 1"),
+        ("check-cocycle", args_doc([1, 6]), "entries[0].args: indices must lie in 1..5"),
+        ("check-cocycle", args_doc([2, 1]), "entries[0].args: indices must be strictly increasing"),
+        (
+            "check-cocycle",
+            {"q": 2, "dim": 5, "params": {"s": "1"}},
+            "params.s: parameters are p, q, r",
+        ),
+        (
+            "check-cocycle",
+            {"q": 2, "dim": 5, "params": {"p": "q"}},
+            "params.p: parameter values must be rational",
+        ),
+        ("specialize", {"base": "my h2"}, "base: unknown algebra name 'my h2'"),
+        (
+            "specialize",
+            {"base": "h2", "terms": [{"order": 1, "cochain": args_doc([1, 2], "p")}]},
+            "terms[0].cochain: deformation terms must be rational (use params)",
+        ),
+        (
+            "specialize",
+            {"base": "h2", "terms": [{"order": 1, "cochain": {"q": 2, "dim": 3}}]},
+            "terms: term at order 1 must be a 2-cochain on the base",
+        ),
+        ("iso", {"rows": []}, "rows: matrix must have at least one row"),
+        ("iso", {"rows": [["p"]]}, "rows[0]: matrices must be rational"),
+        ("iso", {"rows": [["1", "0"], ["1"]]}, "rows: rows have differing lengths"),
     ],
-    ids=["bracket", "cochain args", "deformation order", "coeff index jacobi", "coeff index invariants"],
+    ids=[
+        "bracket",
+        "cochain args",
+        "deformation order",
+        "coeff index jacobi",
+        "coeff index invariants",
+        "dim not an integer",
+        "brackets not a list",
+        "algebra not an object",
+        "scalar not a string",
+        "coeff key not an index",
+        "coeff index out of range",
+        "decimal scalar",
+        "dim zero",
+        "bracket index out of range",
+        "polynomial algebra table",
+        "name not a string",
+        "negative degree",
+        "args out of range",
+        "args decreasing",
+        "unknown parameter",
+        "polynomial parameter value",
+        "unknown named base",
+        "symbolic term",
+        "term of another dimension",
+        "empty matrix",
+        "polynomial matrix",
+        "ragged matrix",
+    ],
 )
-def test_cli_duplicate_entries_are_input_errors(tmp_path, h2_file, capsys, command, doc, location):
-    path = write(tmp_path, "dup.json", doc)
-    argv = [command, h2_file, path] if command == "check-cocycle" else [command, path]
+def test_cli_malformed_documents_are_located_input_errors(
+    tmp_path, h2_file, capsys, command, doc, location
+):
+    path = write(tmp_path, "doc.json", doc)
+    argv = {
+        "check-cocycle": [command, h2_file, path],
+        "iso": [command, "verify", h2_file, h2_file, "--map", path],
+    }.get(command, [command, path])
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -583,6 +698,11 @@ def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
         ("--params", ["catalog", "emit", "phi4", "--params", "1/0,0"]),
         ("--t", ["catalog", "emit", "phi6", "--params", "0,0", "--deformed", "--t", "1/0"]),
         ("--t", ["specialize", "{deformation}", "--t", "x"]),
+        # Only ASCII digits: a decimal, exponent, separator or other script is refused.
+        ("--t", ["specialize", "{deformation}", "--t", "1.5"]),
+        ("--t", ["specialize", "{deformation}", "--t", "1e-4000000"]),
+        ("--bound", ["iso", "search", "{h2}", "{h2}", "--class", "monomial", "--bound", "1_000"]),
+        ("--params", ["catalog", "emit", "phi4", "--params", "١/٢,0"]),
     ],
 )
 def test_cli_bad_option_rationals_name_the_option(tmp_path, h2_file, capsys, option, argv):

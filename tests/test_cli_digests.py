@@ -58,6 +58,23 @@ LITERALS = {
     "keys_2_10": {"dim": 11, "brackets": [{"i": 1, "j": 3, "coeffs": {"10": "1", "2": "-1"}}]},
     # e^4 wedge e^5 (x) e_5 on h_2, which is not a cocycle.
     "e45_5": {"q": 2, "dim": 5, "entries": [{"args": [4, 5], "coeffs": {"5": "1"}}]},
+    # phi5(0:0) + phi8(0:1:1) on h_2: a cocycle whose order-2 defect has a nonzero class.
+    "def_obstructed": {
+        "base": "h2",
+        "terms": [
+            {
+                "order": 1,
+                "cochain": {
+                    "q": 2,
+                    "dim": 5,
+                    "entries": [
+                        {"args": [2, 3], "coeffs": {"1": "2", "2": "1", "4": "1"}},
+                        {"args": [2, 4], "coeffs": {"1": "1", "2": "1"}},
+                    ],
+                },
+            }
+        ],
+    },
 }
 
 
@@ -140,6 +157,8 @@ def cases():
         yield f"specialize-{point}-half", ["specialize", f"{{def_{point}}}", "--t", "1/2", "--json"]
     yield "check-coboundary-defect", ["check-coboundary", "{h2}", "{defect_phi8_010}"]
     yield "check-coboundary-defect-json", ["check-coboundary", "{h2}", "{defect_phi8_010}", "--json"]
+    yield "extend-obstructed", ["extend", "{def_obstructed}"]
+    yield "extend-obstructed-json", ["extend", "{def_obstructed}", "--json"]
     for point in EXTENDED:
         yield f"extend-again-{point}", ["extend", f"{{ext_{point}}}", "--json"]
         yield f"specialize-extended-{point}", ["specialize", f"{{ext_{point}}}", "--json"]
@@ -277,6 +296,8 @@ DIGESTS = {
     'deform-phi8_100-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
     'extend-again-phi3': (0, '3b5f5cd1f9e179d0f81a8fcafd334a63dea53be87949fcf4d89497912a05ab93'),
     'extend-again-phi8_010': (0, '51d8e3edc823fc29ca1c11f3ac5d82329f5f61786584409f9f5b0b14ee5e6022'),
+    'extend-obstructed': (1, '56134a8e11b32bf8df44b66c1a98ee863b8262a4db31966e5879b7986e21b899'),
+    'extend-obstructed-json': (1, '6b40bf6c4993fe7adc7404d6fb48a3e3091e306452033ee95b33817fec6a32f4'),
     'extend-phi3': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
     'extend-phi3-json': (0, '8ba08a0f0b8eff6a2938ba4ee333e8a27fbc5c2f8e6a09473665c9ad3f89d76d'),
     'extend-phi6_10': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),

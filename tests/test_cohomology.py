@@ -210,6 +210,17 @@ def test_apply_differential_matches_matrix():
         c = random_cochain(rng, q, 5)
         dc = apply_differential(A, c)
         assert dc.coords() == differential(A, q).mul_vector(c.coords())
+    # Over a denominator: h_2 in a basis with entries 1/2, and sparse cochains.
+    half = Fraction(1, 2)
+    basis = [[1, half, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, half], [half, 0, 0, 1, 0]]
+    basis.append([0, 0, 0, 0, 1])
+    A = heisenberg(2).change_basis(ExactMatrix(basis))
+    assert A._den == 8
+    for q in range(4):
+        size = math.comb(5, q) * 5
+        coords = {i: Fraction(rng.randint(-3, 3), 2) for i in rng.sample(range(size), 4)}
+        c = Cochain.from_coords(q, 5, coords)
+        assert apply_differential(A, c).coords() == differential(A, q).mul_vector(c.coords())
 
 
 def assert_columns_match_reference(A, q):

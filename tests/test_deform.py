@@ -383,6 +383,17 @@ def test_extend_step_on_exact_defect_finds_correction():
     assert defect(out.extended, 2).is_zero
 
 
+def test_extend_step_reports_an_obstruction_class():
+    # phi5(0:0) + phi8(0:1:1) is a cocycle whose order-2 defect has a nonzero class.
+    mu1 = phi("phi5", (0, 0)) + phi("phi8", (0, 1, 1))
+    assert is_cocycle(heisenberg(2), mu1)
+    D = single(mu1)
+    out = extend_step(D)
+    assert not out.ok and out.extended is None
+    assert out.obstruction == D.defect(2) == Cochain(3, 5, {(1, 2, 3): {0: 1, 3: 1}})
+    assert is_coboundary(heisenberg(2), out.obstruction) is None
+
+
 def test_extend_step_requires_clean_lower_orders():
     h2 = heisenberg(2)
     D = Deformation(h2, {1: phi("phi8", (0, 1, 0)), 2: Cochain.zero(2, 5)})

@@ -125,6 +125,22 @@ def test_poly_parse_round_trip():
         parse_scalar("p + (q)")
 
 
+@pytest.mark.parametrize(
+    "text", ["1.5", "1e3", "1e-3000000", "1_000", "١/٢", " 1 / 2", "0x10", "inf", "", "-"]
+)
+def test_parse_rational_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^not a rational number: "):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["1.5*p", "١*p", "p^١", "1e3*q", "1_0*r"])
+def test_polynomial_coefficients_read_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^malformed factor "):
+        parse_scalar(text)
+
+
 @pytest.mark.parametrize("text", ["p -+ q", "p ++ q", "-+p", "--p", "p - - q", "p +", "- p -"])
 def test_parse_scalar_rejects_a_sign_that_begins_no_term(text):
     with pytest.raises(ValueError, match="^malformed scalar string"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from liedeform.catalog import heisenberg, paper_representatives, phi
 from liedeform.deform import Deformation, specialize, strict_extendability
-from liedeform.exact import ExactMatrix, SingularMatrixError
+from liedeform.exact import ExactMatrix, PolyScalar, SingularMatrixError
 from liedeform.liealg import JacobiError, LieAlgebra
 
 from test_exact import dense, naive_rank
@@ -92,8 +92,14 @@ def test_invalid_bracket_keys():
     with pytest.raises(ValueError):
         LieAlgebra(3, {(2, 1): {0: 1}})
     for index in (3, -1):
-        with pytest.raises(ValueError, match=f"^basis index {index} out of range 0..2"):
+        message = rf"^tuple \(0, 1\): value index {index} out of range 0..2"
+        with pytest.raises(ValueError, match=message):
             LieAlgebra(3, {(0, 1): {2: 1, index: 1}})
+
+
+def test_structure_constants_must_be_rational():
+    with pytest.raises(TypeError, match="^structure constants must be rational, got PolyScalar$"):
+        LieAlgebra(3, {(0, 1): {2: PolyScalar.variable("p")}})
 
 
 def test_zero_coefficients_are_dropped():

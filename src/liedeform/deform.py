@@ -96,7 +96,7 @@ def defect(D: Deformation, n: int) -> Cochain:
     orders = sorted(i for i in maps if n - i in maps)
     tables, den = signed_tables([maps[i] for i in orders])
     table = dict(zip(orders, tables))
-    found = jacobiator([(table[i], table[n - i]) for i in orders], D.base.dim)
+    found = jacobiator([(table[i], table[n - i]) for i in orders])
     scale = den**2
     entries = {key: {k: Fraction(x, scale) for k, x in v.items()} for key, v in found.items()}
     return Cochain(3, D.base.dim, entries)
@@ -252,6 +252,17 @@ def search_isomorphism(
     M is built column by column, rows increasing and scales in bound order,
     pruned at every structure constant whose indices are placed.  The
     identity is found first whenever it works and the bound starts with 1.
+
+    B's integer constants are transported by U^-1 in place (_sheared), so a
+    candidate builds no matrix and no algebra; only the map found is built
+    and confirmed by verify_isomorphism.  The scales are nonzero, so under
+    M the target constant at (a, b, k) is nonzero exactly when the source
+    constant at (perm a, perm b, perm k) is.  Hence index i and perm(i) have
+    the same zero-pattern signature (_signatures), and a U whose target
+    signatures are not a reordering of the source's is skipped, and perm(i)
+    only runs over the source indices with i's signature.  What this prunes
+    can never match the constants, so the first hit in the order above is
+    unchanged.
     """
     if A.dim != B.dim:
         raise ValueError("algebras must have equal dimension")
@@ -262,24 +273,27 @@ def search_isomorphism(
     rows: Sequence[Sequence[int]] = [range(n)] * n
     if search_class == "diagonal_signs":
         rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
-    shears = [(ExactMatrix.identity(n),) * 2]  # (U, U^-1)
+    shears: list[Optional[tuple[int, int, Fraction]]] = [None]
     if search_class == "monomial_plus_one_transvection":
-        shears += [
-            (_shear(n, i0, j0, c), _shear(n, i0, j0, -c))
-            for i0 in range(n)
-            for j0 in range(n)
-            if i0 != j0
-            for c in scales
-        ]
-    source = _structure_constants(A)
-    for U, U_inv in shears:
-        target = _structure_constants(B.change_basis(U_inv))
-        found = _monomial_map(source, target, rows, scales)
+        shears += [(i0, j0, c) for i0 in range(n) for j0 in range(n) if i0 != j0 for c in scales]
+    source, target = _structure_constants(A), _structure_constants(B)
+    source_sigs = _signatures(source[0])
+    checks = [
+        [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n) if max(b, k) == i]
+        for i in range(n)
+    ]
+    for shear in shears:
+        moved = target if shear is None else _sheared(target, *shear)
+        sigs = _signatures(moved[0])
+        if sorted(sigs) != sorted(source_sigs):
+            continue
+        allowed = [[r for r in rows[i] if source_sigs[r] == sigs[i]] for i in range(n)]
+        found = _monomial_map(source, moved, allowed, scales, checks)
         if found is None:
             continue
         perm, scale = found
         M = ExactMatrix([[scale[j] if perm[j] == r else _ZERO for j in range(n)] for r in range(n)])
-        T = M * U
+        T = M if shear is None else M * _shear(n, *shear)
         if not verify_isomorphism(A, B, T):
             raise RuntimeError("isomorphism search built a map that fails verification")
         return T
@@ -317,26 +331,69 @@ def _structure_constants(A: LieAlgebra) -> Constants:
     return [[[col.get(k, 0) for k in range(n)] for col in row] for row in cols], A._den
 
 
+def _sheared(constants: Constants, i0: int, j0: int, c: Fraction) -> Constants:
+    """The constants in the basis f_i0 = e_i0 - c e_j0, f_m = e_m otherwise:
+    the algebra moved by the inverse of the shear e_i0 -> e_i0 + c e_j0.
+
+    With c = p/q, q^2 [f_a, f_b] is q^2 w minus p q [e_j0, e_b] when a = i0
+    and p q [e_a, e_j0] when b = i0, for w = [e_a, e_b]; since e_i0 = f_i0 +
+    c f_j0, q times that vector plus p times its e_i0 entry at j0 is its
+    f-coordinates times q^3.  The result is over D q^3, not reduced.
+    """
+    table, den = constants
+    p, q = c.numerator, c.denominator
+    moved = []
+    for a, row in enumerate(table):
+        new_row = []
+        for b, w in enumerate(row):
+            v = [q * q * x for x in w]
+            if a == i0:
+                v = [x - p * q * y for x, y in zip(v, table[j0][b])]
+            if b == i0:
+                v = [x - p * q * y for x, y in zip(v, row[j0])]
+            v_i0 = v[i0]
+            v = [q * x for x in v]
+            v[j0] += p * v_i0
+            new_row.append(v)
+        moved.append(new_row)
+    return moved, den * q**3
+
+
+def _signatures(table: list[list[list[int]]]) -> list[tuple[int, int, int]]:
+    """Per index i: how many nonzero constants (a < b, k) have i as an
+    argument, as the output k, and as both."""
+    n = len(table)
+    sigs = [[0, 0, 0] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k, x in enumerate(table[a][b]):
+                if x:
+                    sigs[a][0] += 1
+                    sigs[b][0] += 1
+                    sigs[k][1] += 1
+                    if k == a or k == b:
+                        sigs[k][2] += 1
+    return [tuple(sig) for sig in sigs]
+
+
 def _monomial_map(
     source: Constants,
     target: Constants,
     rows: Sequence[Sequence[int]],
     scales: Sequence[Fraction],
+    checks: Sequence[Sequence[tuple[int, int, int]]],
 ) -> Optional[tuple[list[int], list[Fraction]]]:
     """First monomial map, as (perm, scale), carrying source to target.
 
     Column i is s_i e_perm(i), with perm(i) in rows[i].  Under such a map the
     constants match iff s_k t/D_t = s_a s_b c/D_c for t = target[a][b][k],
     c = source[pa][pb][pk] and all a < b and k, that is iff
-    s_k t D_c = s_a s_b c D_t; each triple is checked when its largest index
-    is placed.  Zeros are tested on the ints.
+    s_k t D_c = s_a s_b c D_t; checks[i] holds the triples (a, b, k), a < b,
+    whose largest index is i, checked when column i is placed.  Zeros are
+    tested on the ints.
     """
     (source, den_c), (target, den_t) = source, target
     n = len(rows)
-    checks = [
-        [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n) if max(b, k) == i]
-        for i in range(n)
-    ]
     perm = [0] * n
     scale = [_ONE] * n
     used = [False] * n

@@ -225,36 +225,41 @@ def signed_tables(maps: Sequence[Cochain]) -> tuple[list[Table], int]:
     return tables, den
 
 
-def jacobiator(
-    pairs: Sequence[tuple[Table, Table]], dim: int
-) -> dict[tuple[int, int, int], dict[int, int]]:
+def jacobiator(pairs: Sequence[tuple[Table, Table]]) -> dict[tuple[int, int, int], dict[int, int]]:
     """Sum over (outer, inner) of outer(x, inner(y, z)) + cyclic, per triple.
 
     The value at a < b < c takes outer(x, inner(y, z)) for the three
-    rotations (x, y, z) of (a, b, c); the signed inner table holds the
-    reversed pair (c, a) too, so each entry of it feeds the one triple whose
-    rotation it completes, with no sign.  The sums are ints over D² when
-    every table is over D.  Each value is {k: sum} of the nonzero sums, and
-    only triples with a nonzero sum are kept, in lexicographic triple order.
+    rotations (x, y, z) of (a, b, c).  Each entry inner(y, z), y < z, feeds
+    every x outside {y, z} once: x < y and x > z are rotations as they
+    stand, and y < x < z is the rotation (x, z, y), which reads inner(z, y)
+    = -inner(y, z).  outer is indexed once per pair by its second slot,
+    m -> [(x, outer(x, m))], so inner(y, z) = sum w_m e_m visits only the x
+    with outer(x, m) nonzero: the work follows the nonzero compositions,
+    not the dimension.  The sums are ints over D² when every table is over
+    D.  Each value is {k: sum} of the nonzero sums, and only triples with a
+    nonzero sum are kept, in lexicographic triple order.
     """
     acc: dict[tuple[int, int, int], dict[int, int]] = {}
     for outer, inner in pairs:
+        by_second: dict[int, list[tuple[int, dict[int, int]]]] = {}
+        for (x, m), col in outer.items():
+            by_second.setdefault(m, []).append((x, col))
         for (y, z), w in inner.items():
-            for x in range(dim):
-                if x < y < z:
-                    key = (x, y, z)
-                elif y < z < x:
-                    key = (y, z, x)
-                elif z < x < y:
-                    key = (z, x, y)
-                else:
-                    continue
-                for m, wm in w.items():
-                    col = outer.get((x, m))
-                    if col:
-                        vec = acc.setdefault(key, {})
-                        for k, c in col.items():
-                            vec[k] = vec.get(k, 0) + wm * c
+            if y > z:
+                continue
+            for m, wm in w.items():
+                for x, col in by_second.get(m, ()):
+                    if x < y:
+                        key, f = (x, y, z), wm
+                    elif x > z:
+                        key, f = (y, z, x), wm
+                    elif y < x < z:
+                        key, f = (y, x, z), -wm
+                    else:
+                        continue
+                    vec = acc.setdefault(key, {})
+                    for k, c in col.items():
+                        vec[k] = vec.get(k, 0) + f * c
     nonzero = ((key, {k: x for k, x in v.items() if x}) for key, v in sorted(acc.items()))
     return {key: v for key, v in nonzero if v}
 
@@ -320,7 +325,7 @@ class LieAlgebra:
     def jacobi_violations(self) -> list[tuple[int, int, int, dict[int, Fraction]]]:
         """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero,
         each with that sum as {index: value}."""
-        found = jacobiator([(self._table, self._table)], self.dim)
+        found = jacobiator([(self._table, self._table)])
         scale = self._den**2
         return [(*t, {m: Fraction(x, scale) for m, x in d.items()}) for t, d in found.items()]
 

@@ -248,9 +248,9 @@ def test_reproduce_computes_each_defect_once(monkeypatch):
     # and the obstruction check read the defects the deformation keeps.
     calls = []
 
-    def counting(pairs, dim):
+    def counting(pairs):
         calls.append(pairs)
-        return jacobiator(pairs, dim)
+        return jacobiator(pairs)
 
     monkeypatch.setattr(deform, "jacobiator", counting)
     reproduce()

@@ -34,11 +34,16 @@ def heisenberg(n: int) -> LieAlgebra:
     return LieAlgebra(dim, brackets, check=True, name=f"h{n}")
 
 
+def named_dim(name: str) -> int:
+    """The dimension of named_algebra(name), read from the name alone."""
+    if name.startswith("h") and name[1:].isdigit():
+        return 2 * int(name[1:]) + 1
+    raise ValueError(f"unknown algebra name {name!r}")
+
+
 def named_algebra(name: str) -> LieAlgebra:
     """Resolve an algebra reference like "h2" used in deformation files."""
-    if name.startswith("h") and name[1:].isdigit():
-        return heisenberg(int(name[1:]))
-    raise ValueError(f"unknown algebra name {name!r}")
+    return heisenberg(named_dim(name) // 2)
 
 
 def _cochain(dim: int, table: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> Cochain:

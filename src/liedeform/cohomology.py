@@ -2,83 +2,31 @@
 
 This module owns the differential d_q and the classes of H^q; the cochains
 themselves, a Lie bracket included, are liealg's Cochain, and their skew
-table is liealg's format.  The differential follows the convention
-
-    dc(g_1,...,g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c([g_s,g_t], ..^s..^t..)
-                        + sum_s    (-1)^s       [g_s, c(..^s..)]
-
-with 1-based positions s, t; no alternative sign conventions are supported.
-d_q acts on the coordinates of Cochain (by tuple, then target index).  The
-basis images d(e^key (x) e_m) are read from the algebra's signed integer
-table (the one its Jacobi check uses), as ints over the table's denominator
-D: d_q keeps them as the integer rows of its matrix over D,
-apply_differential divides by D at the end, and the image echelon of
-d_(q-1) takes the integer columns as they are, since scaling does not
-change a span.
+table is liealg's format.  The differential is liealg's d_mu for the
+algebra's bracket (sign convention stated there) on the coordinates of
+Cochain, by tuple, then target index.  Its basis images are ints over the
+table's denominator D: d_q keeps them as integer rows over D,
+apply_differential divides by D, and the image echelon of d_(q-1) takes
+the integer columns as they are, since scaling does not change a span.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar
-from .liealg import Cochain, LieAlgebra, Table, _first_coords, _tuples
-
-_ZERO = Fraction(0)
+from .exact import EchelonBasis, ExactMatrix, PolyScalar
+from .liealg import Cochain, LieAlgebra, _basis_images, _first_coords, _tuples, d_mu
 
 
 class NotACocycleError(ValueError):
     """An operation defined on cocycles received a non-cocycle."""
 
 
-def _basis_images(table: Table, key: tuple[int, ...], targets: Collection[int]):
-    """Terms (m, tau, k, coefficient) of d(e^key (x) e_m) for each m in targets.
-
-    table is the algebra's signed integer table, so coefficients are ints
-    over its denominator; a (tau, k) may repeat.  Pair term:
-    c([g_s, g_t], rest') is nonzero only when {k} + rest' = key, so for each
-    k in key and rest = key minus k, every c_ij^k with i, j outside rest adds
-    at (tau, m) for tau = rest + {i, j}, whatever m is; these terms are found
-    once per key.  The sign is (-1)^(s+t-1) with 1-based positions of i, j in
-    tau, times (-1)^p for moving k from the front to its position p in key.
-    Action term: each i outside key adds (-1)^s [e_i, e_m] at tau = key + {i},
-    with i at 1-based position s.
-    """
-    pair_terms = []
-    for (i, j), col in table.items():
-        if i > j:
-            continue
-        for p, k in enumerate(key):
-            c = col.get(k)
-            if c is None:
-                continue
-            rest = key[:p] + key[p + 1 :]
-            if i in rest or j in rest:
-                continue
-            s = bisect_left(rest, i)  # 0-based positions of i and j in tau
-            t = bisect_left(rest, j) + 1
-            tau = rest[:s] + (i,) + rest[s : t - 1] + (j,) + rest[t - 1 :]
-            pair_terms.append((tau, c if (s + t + 1 + p) % 2 == 0 else -c))
-    for m in targets:
-        for tau, c in pair_terms:
-            yield m, tau, m, c
-    for (i, m), col in table.items():
-        if m not in targets or i in key:
-            continue
-        s = bisect_left(key, i)
-        tau = key[:s] + (i,) + key[s:]
-        for k, c in col.items():
-            yield m, tau, k, c if s % 2 else -c
-
-
 def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
-    """The Chevalley-Eilenberg differential of c, with adjoint coefficients.
-
-    Sums x * d(e^key (x) e_m) over the nonzero entries x of c, with the
-    integer basis images, and divides by the table's denominator at the end.
+    """The Chevalley-Eilenberg differential of c, with adjoint coefficients:
+    liealg.d_mu on the algebra's signed table, divided by its denominator.
     The basis images are rational, so this works for symbolic (PolyScalar)
     cochains.
     """
@@ -88,20 +36,13 @@ def apply_differential(algebra: LieAlgebra, c: Cochain) -> Cochain:
     n = algebra.dim
     if q > n:
         raise ValueError(f"degree {q} exceeds dimension {n}")
-    out: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for key, vec in c.entries.items():
-        for m, tau, k, coeff in _basis_images(algebra._table, key, vec):
-            acc = out.setdefault(tau, {})
-            acc[k] = acc.get(k, _ZERO) + vec[m] * coeff
-    if algebra._den > 1:
-        scale = Fraction(1, algebra._den)
-        out = {tau: {k: scale * x for k, x in acc.items()} for tau, acc in out.items()}
-    return Cochain(q + 1, n, out)
+    dc = Cochain(q + 1, n, d_mu(algebra._table, c.entries))
+    return dc if algebra._den == 1 else dc.scale(Fraction(1, algebra._den))
 
 
 def _columns(algebra: LieAlgebra, q: int):
     """The columns of d_q in order, each as {row: int coefficient} over the
-    algebra's denominator (cancelled terms read 0).
+    algebra's denominator (cancelled terms read 0), from liealg's basis images.
 
     Column (key, m) is the image of e^key (x) e_m; row (tau, k) of C^(q+1)
     has index (position of tau) * n + k.
@@ -109,14 +50,19 @@ def _columns(algebra: LieAlgebra, q: int):
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
-    first_row = _first_coords(n, q + 1)
-    for key in _tuples(n, q):
-        cols: list[dict[int, int]] = [{} for _ in range(n)]
-        for m, tau, k, coeff in _basis_images(algebra._table, key, range(n)):
-            col = cols[m]
-            r = first_row[tau] + k
-            col[r] = col.get(r, 0) + coeff
-        yield from cols
+    first_row, first_col = _first_coords(n, q + 1), _first_coords(n, q)
+    cols: list[dict[int, int]] = [{} for _ in range(len(first_col) * n)]
+    targets = dict.fromkeys(first_col, range(n))  # every key, every m
+    for key, pairs, actions in _basis_images(algebra._table, targets):
+        for tau, c in pairs:
+            for m, r in enumerate(range(first_row[tau], first_row[tau] + n)):
+                col = cols[first_col[key] + m]
+                col[r] = col.get(r, 0) + c
+        for m, tau, sign, images in actions:
+            col, r = cols[first_col[key] + m], first_row[tau]
+            for k, c in images.items():
+                col[r + k] = col.get(r + k, 0) + sign * c
+    return cols
 
 
 def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
@@ -124,8 +70,8 @@ def differential(algebra: LieAlgebra, q: int) -> ExactMatrix:
 
     The nonzero integer basis images from _columns are added straight into
     the {column: int} rows of the matrix, over the algebra's denominator, so
-    no zero entry and no Fraction is built; the same basis images serve
-    apply_differential and the image echelon of class questions.
+    no zero entry and no Fraction is built; the same columns serve the image
+    echelon of class questions.
     """
     n = algebra.dim
     rows: list[dict[int, int]] = [{} for _ in range(len(_tuples(n, q + 1)) * n)]

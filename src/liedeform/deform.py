@@ -9,13 +9,11 @@ order-n defect is the coefficient of t^n in the deformed Jacobi expression,
 with mu_0 the base bracket, the 2-cochain base.mu.  When the top order is
 m, every pair i+j=n with n > 2m involves a missing term, so the defects
 above 2m vanish identically, and the deformed bracket is a Lie bracket iff
-the defects vanish for 1 <= n <= 2m.  Each defect is one call of
-liealg.jacobiator on the (mu_i, mu_j) pairs.  liealg.signed_tables scales
-every mu of the pairs to an integer table over one common denominator D,
-so every pair is over D² and the defect is read over D² once.  The Jacobi
-identity of an algebra is the same call with mu_0 in both slots.  A
-Deformation does not change, so D.defect(n) computes each order once, for
-every check below.
+the defects vanish for 1 <= n <= 2m.  defect computes it by liealg's
+identity for defects, one liealg.d_mu call per pair i <= n - i, on tables
+that liealg.signed_tables scales to ints over one common denominator D, so
+the sum is read over 2D² once.  A Deformation does not change, so D.defect(n)
+computes each order once, for every check below.
 
 The verdict on a deformation is its DefectReport: one OrderStatus per order
 1..2m, holding the defect and whether its class in H^3 is zero.  The first
@@ -32,7 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, _coerce_rational
-from .liealg import Cochain, LieAlgebra, jacobiator, signed_tables
+from .liealg import Cochain, LieAlgebra, d_mu, signed_tables, table_entries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -96,9 +94,15 @@ def defect(D: Deformation, n: int) -> Cochain:
     orders = sorted(i for i in maps if n - i in maps)
     tables, den = signed_tables([maps[i] for i in orders])
     table = dict(zip(orders, tables))
-    found = jacobiator([(table[i], table[n - i]) for i in orders])
-    scale = den**2
-    entries = {key: {k: Fraction(x, scale) for k, x in v.items()} for key, v in found.items()}
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    for i in orders[: (len(orders) + 1) // 2]:  # the pairs i <= n - i
+        weight = 1 if 2 * i == n else 2
+        for tau, vec in d_mu(table[i], table_entries(table[n - i])).items():
+            sums = acc.setdefault(tau, {})
+            for k, x in vec.items():
+                sums[k] = sums.get(k, 0) + weight * x
+    scale = -2 * den**2
+    entries = {key: {k: Fraction(x, scale) for k, x in v.items()} for key, v in acc.items()}
     return Cochain(3, D.base.dim, entries)
 
 
@@ -187,8 +191,8 @@ def extend_step(D: Deformation) -> ExtendOutcome:
             )
     dim = D.base.dim
     partial = D.defect(n)
-    d2 = differential(D.base, 2)
-    x = d2.solve(partial.coords())
+    # solve gives zero for a zero right-hand side, so d_2 is not assembled then.
+    x = {} if partial.is_zero else differential(D.base, 2).solve(partial.coords())
     if x is None:
         return ExtendOutcome(extended=None, obstruction=partial)
     mu_n = Cochain.from_coords(2, dim, x)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .catalog import named_algebra
+from .catalog import named_algebra, named_dim
 from .cohomology import CohomologyReport
 from .deform import DefectReport, Deformation
 from .exact import ExactMatrix, PolyScalar, Scalar, parse_scalar
@@ -176,8 +176,10 @@ def cochain_from_dict(doc) -> Cochain:
 
 
 def deformation_to_dict(D: Deformation) -> dict:
+    name = D.base.name
     try:  # the base goes by name only where named_algebra reads it back as D.base
-        named = D.base.name is not None and named_algebra(D.base.name) == D.base
+        named = name is not None and named_dim(name) == D.base.dim  # builds nothing
+        named = named and named_algebra(name) == D.base
     except ValueError:  # not a catalog name
         named = False
     return {

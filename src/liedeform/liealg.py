@@ -1,4 +1,4 @@
-"""Skew tables: cochains, Lie algebras by structure constants, the Jacobiator.
+"""Skew tables: cochains, Lie algebras by structure constants, the differential d_mu.
 
 This module owns the one format of a skew table.  A degree-q Cochain stores
 its values on strictly increasing index tuples only, each as {k: value}
@@ -11,27 +11,43 @@ constants [e_i, e_j], i < j, as the Cochain mu, and validates the Jacobi
 identity unless the caller asks for an unchecked instance, which exists
 only so negative tests can build broken tables.
 
-signed_tables scales a list of 2-cochains (a bracket, deformation terms) by
-one common denominator D to Python ints and turns each into the sparse
-{(a, b): {k: c}} table holding both orders.  jacobiator sums the cyclic
-compositions outer(x, inner(y, z)) + outer(y, inner(z, x)) +
-outer(z, inner(x, y)) over pairs of such tables with int arithmetic only;
-every pair is scaled by D², so its values are read over D² once, at the end.
-With the bracket in both slots this is the Jacobi identity; deform uses it
-for the defects of a formal deformation, and cohomology builds d_q from the
-same integer table.  bracket, series, center and change_basis read it too:
-[x, y] is the sum of x_a y_b [e_a, e_b] over the nonzero entries of x and y,
-over D.
+signed_tables scales 2-cochains (a bracket, deformation terms) by one
+common denominator D to ints, each as the sparse {(a, b): {k: c}} table of
+both orders; table_entries reads the 2-cochain back, over D.
+
+The one bracket kernel is d_mu, the Chevalley-Eilenberg differential with
+adjoint coefficients taken with respect to any skew table mu, Lie or not:
+
+    d_mu c(g_1,...,g_{q+1}) = sum_{s<t} (-1)^(s+t-1) c(mu(g_s,g_t), ..^s..^t..)
+                            + sum_s    (-1)^s       mu(g_s, c(..^s..))
+
+with 1-based positions s, t; no other sign convention is supported.  With
+the insertion (a o b)(x, y, z) = -(a(x, b(y, z)) + a(y, b(z, x)) +
+a(z, b(x, y))) of 2-cochains (Nijenhuis-Richardson), the pair term is
+c o mu and the action term (-1)^q mu o c, so d_mu(nu) = mu o nu + nu o mu
+= d_nu(mu) for 2-cochains.  Hence d_mu is cohomology's d_q for the
+algebra's bracket; the Jacobi sum of mu (a = b = mu above) is -d_mu(mu)/2;
+the order-n defect of a deformation with terms mu_i is -(the sum of
+d_mu_i(mu_j) over i < j, i + j = n, plus d_mu_h(mu_h)/2 when n = 2h); and
+the order-1 defect of {1: c} is -d c.
+
+_basis_images, the one function that composes tables, follows the nonzero
+compositions; d_mu sums its images over a cochain's entries, times D, and
+cohomology routes them into the columns of d_q.  bracket, series, center
+and change_basis read the table too: [x, y] is the sum of x_a y_b
+[e_a, e_b] over the nonzero entries of x and y, over D.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import (
     EchelonBasis,
@@ -225,43 +241,66 @@ def signed_tables(maps: Sequence[Cochain]) -> tuple[list[Table], int]:
     return tables, den
 
 
-def jacobiator(pairs: Sequence[tuple[Table, Table]]) -> dict[tuple[int, int, int], dict[int, int]]:
-    """Sum over (outer, inner) of outer(x, inner(y, z)) + cyclic, per triple.
+def _basis_images(table: Table, targets: Mapping[tuple[int, ...], Iterable[int]]):
+    """Per key of targets, (key, pairs, actions): d_mu(e^key (x) e_m) for the
+    m in targets[key], from mu's signed table, indexed once per call by output
+    index (k -> [(i, j, c_ij^k)], i < j) and by second slot (m -> [(i, [e_i, e_m])]).
 
-    The value at a < b < c takes outer(x, inner(y, z)) for the three
-    rotations (x, y, z) of (a, b, c).  Each entry inner(y, z), y < z, feeds
-    every x outside {y, z} once: x < y and x > z are rotations as they
-    stand, and y < x < z is the rotation (x, z, y), which reads inner(z, y)
-    = -inner(y, z).  outer is indexed once per pair by its second slot,
-    m -> [(x, outer(x, m))], so inner(y, z) = sum w_m e_m visits only the x
-    with outer(x, m) nonzero: the work follows the nonzero compositions,
-    not the dimension.  The sums are ints over D² when every table is over
-    D.  Each value is {k: sum} of the nonzero sums, and only triples with a
-    nonzero sum are kept, in lexicographic triple order.
+    A pair (tau, c) adds c at (tau, m) for every m: for k in key, rest = key
+    minus k and c_ij^k with i, j outside rest, tau = rest + {i, j} with sign
+    (-1)^(s+t-1) for the 1-based positions s, t of i, j in tau, times (-1)^p
+    for k at position p in key.  An action (m, tau, sign, mu(e_i, e_m)) is for
+    i outside key: tau = key + {i}, sign (-1)^s for i at 1-based position s.
     """
-    acc: dict[tuple[int, int, int], dict[int, int]] = {}
-    for outer, inner in pairs:
-        by_second: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        for (x, m), col in outer.items():
-            by_second.setdefault(m, []).append((x, col))
-        for (y, z), w in inner.items():
-            if y > z:
-                continue
-            for m, wm in w.items():
-                for x, col in by_second.get(m, ()):
-                    if x < y:
-                        key, f = (x, y, z), wm
-                    elif x > z:
-                        key, f = (y, z, x), wm
-                    elif y < x < z:
-                        key, f = (y, x, z), -wm
-                    else:
-                        continue
-                    vec = acc.setdefault(key, {})
-                    for k, c in col.items():
-                        vec[k] = vec.get(k, 0) + f * c
-    nonzero = ((key, {k: x for k, x in v.items() if x}) for key, v in sorted(acc.items()))
-    return {key: v for key, v in nonzero if v}
+    by_output: dict[int, list[tuple[int, int, int]]] = {}
+    by_second: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for (i, j), col in table.items():
+        by_second.setdefault(j, []).append((i, col))
+        if i < j:
+            for k, c in col.items():
+                by_output.setdefault(k, []).append((i, j, c))
+    for key, ms in targets.items():
+        pairs = []
+        for p, k in enumerate(key):
+            rest = key[:p] + key[p + 1 :]
+            for i, j, c in by_output.get(k, ()):
+                if i in rest or j in rest:
+                    continue
+                s = bisect_left(rest, i)  # 0-based positions of i and j in tau
+                t = bisect_left(rest, j) + 1
+                tau = rest[:s] + (i,) + rest[s : t - 1] + (j,) + rest[t - 1 :]
+                pairs.append((tau, c if (s + t + 1 + p) % 2 == 0 else -c))
+        actions = []
+        for m in ms:
+            for i, col in by_second.get(m, ()):
+                if i not in key:
+                    s = bisect_left(key, i)
+                    actions.append((m, key[:s] + (i,) + key[s:], 1 if s % 2 else -1, col))
+        yield key, pairs, actions
+
+
+def d_mu(table: Table, entries: Mapping[tuple[int, ...], Mapping[int, Scalar]]):
+    """D times d_mu(c), for mu's signed table over D and the entries of c, as
+    {tau: {k: value}} nonzeros: the sum of x * d_mu(e^key (x) e_m) over the
+    entries x of c, of any type (int, Fraction, PolyScalar).  For integer
+    entries over D, as table_entries gives, the values are ints over D^2."""
+    out: dict[tuple[int, ...], dict[int, Scalar]] = defaultdict(dict)
+    for key, pairs, actions in _basis_images(table, entries):
+        vec = entries[key]
+        for tau, c in pairs:
+            acc = out[tau]
+            for m, x in vec.items():
+                acc[m] = acc.get(m, 0) + c * x
+        for m, tau, sign, col in actions:
+            acc, f = out[tau], sign * vec[m]
+            for k, c in col.items():
+                acc[k] = acc.get(k, 0) + f * c
+    return {tau: v for tau, acc in out.items() if (v := {k: x for k, x in acc.items() if x})}
+
+
+def table_entries(table: Table) -> dict[tuple[int, int], dict[int, int]]:
+    """The entries of a signed table's 2-cochain: its pairs (i, j), i < j."""
+    return {key: col for key, col in table.items() if key[0] < key[1]}
 
 
 class LieAlgebra:
@@ -323,11 +362,14 @@ class LieAlgebra:
     # -- validation -------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, dict[int, Fraction]]]:
-        """All triples (i, j, k), i<j<k, where the Jacobi sum is nonzero,
-        each with that sum as {index: value}."""
-        found = jacobiator([(self._table, self._table)])
-        scale = self._den**2
-        return [(*t, {m: Fraction(x, scale) for m, x in d.items()}) for t, d in found.items()]
+        """All triples (i, j, k), i<j<k, where the Jacobi sum -d_mu(mu)/2 is
+        nonzero, each with that sum as {index: value}."""
+        found = d_mu(self._table, table_entries(self._table))
+        scale = -2 * self._den**2
+        return [
+            (*t, {m: Fraction(x, scale) for m, x in sorted(d.items())})
+            for t, d in sorted(found.items())
+        ]
 
     # -- invariants ---------------------------------------------------------
 

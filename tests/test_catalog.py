@@ -27,7 +27,7 @@ from liedeform.cohomology import (
 )
 from liedeform import catalog, deform
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
-from liedeform.liealg import jacobiator
+from liedeform.liealg import d_mu
 
 
 def test_heisenberg_tables():
@@ -246,13 +246,14 @@ def test_reproduce_checks_each_representative_once_for_the_cocycle_condition(mon
 def test_reproduce_computes_each_defect_once(monkeypatch):
     # 20 rows x orders 1..2, all computed by strict_extendability; specialize
     # and the obstruction check read the defects the deformation keeps.
+    # One d_mu call per pair i <= n - i: (0, 1) at order 1, (1, 1) at order 2.
     calls = []
 
-    def counting(pairs):
-        calls.append(pairs)
-        return jacobiator(pairs)
+    def counting(table, entries):
+        calls.append(entries)
+        return d_mu(table, entries)
 
-    monkeypatch.setattr(deform, "jacobiator", counting)
+    monkeypatch.setattr(deform, "d_mu", counting)
     reproduce()
     assert len(calls) == 40
 
@@ -339,3 +340,28 @@ def test_phi8_family_spans_four_dimensions():
     h2 = heisenberg(2)
     cocycles = [phi("phi8", p) for p in ((1, 0, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1))]
     assert span_in_cohomology(h2, 2, cocycles) == 4
+
+
+@pytest.mark.parametrize(
+    "params, top", [((0, 1, 0), 2), ((0, 0, 1), 4)], ids=["d8(0:1:0)", "d8(0:0:1)"]
+)
+def test_the_rows_counted_infinitesimal_only_extend_to_polynomial_deformations(
+    reproduced, params, top
+):
+    # reproduce reports d8(0:1:0) and d8(0:0:1) as not extendable at order 2:
+    # mu_0 + t mu_1 is not a Lie bracket.  Yet repeated extend_step closes
+    # both, so "2 infinitesimal-only" counts non-linear rows, not rows with a
+    # proved obstruction.
+    rows, summary = reproduced
+    label = f"d8({':'.join(map(str, params))})"
+    row = next(r for r in rows if r.label == label)
+    assert (row.strict_extendable, row.obstructed_at) == (False, 2)
+    assert summary.obstructed == 2
+    D = Deformation(heisenberg(2), {1: phi("phi8", params)})
+    while deform.defect_report(D).first_nonzero is not None:
+        D = deform.extend_step(D).extended
+    assert D.top_order == top
+    assert all(D.defect(n).is_zero for n in D.defect_orders())
+    assert D.defect_orders() == range(1, 2 * top + 1)
+    for t in (1, 2, Fraction(-1, 3)):
+        assert specialize(D, t).dim == 5  # LieAlgebra checks the Jacobi identity

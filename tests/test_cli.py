@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liedeform
-from liedeform import catalog
+from liedeform import catalog, jsonio
 from liedeform.cli import COMMANDS, _read_argv, build_parser, main
 from liedeform.cohomology import Cochain
 from liedeform.deform import Deformation
@@ -101,6 +101,20 @@ def test_deformation_base_is_written_by_name_only_when_the_name_reads_back(base,
     assert (doc["base"] == base.name) is named
     back = deformation_from_dict(json.loads(json.dumps(doc)))
     assert back.base == base and back.terms == D.terms
+
+
+def test_a_base_named_for_another_dimension_is_written_inline_without_building_it(
+    monkeypatch,
+):
+    # "h20000" names a 40001-dimensional algebra; the 5-dimensional base is
+    # compared by dimension first, so named_algebra is never called.
+    base = LieAlgebra(5, catalog.heisenberg(2).brackets, name="h20000")
+    D = Deformation(base, {1: catalog.phi("phi3")})
+    monkeypatch.setattr(jsonio, "named_algebra", None)
+    assert deformation_to_dict(D) == {
+        "base": algebra_to_dict(base),
+        "terms": [{"order": 1, "cochain": cochain_to_dict(catalog.phi("phi3"))}],
+    }
 
 
 def test_matrix_round_trip():

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +260,43 @@ def test_apply_differential_matches_the_defining_formula(name):
         symbolic = Cochain.from_coords(q, A.dim, {i: rng.choice(symbols) for i in range(size)})
         for c in (rational, symbolic):
             assert apply_differential(A, c) == reference_differential(A, c)
+
+
+def test_the_differential_of_a_linear_map_is_its_action_on_the_bracket():
+    # (D.mu)(x, y) = D mu(x, y) - mu(Dx, y) - mu(x, Dy), evaluated here
+    # through bracket_basis, for random D in C^1(h_2) = gl(5).
+    A, rng = heisenberg(2), random.Random(3)
+    n = A.dim
+    for _ in range(20):
+        D = random_cochain(rng, 1, n)
+
+        def apply(x):  # D of a dense vector
+            out = [Fraction(0)] * n
+            for i, xi in enumerate(x):
+                for k, v in D.value((i,)).items():
+                    out[k] += xi * v
+            return out
+
+        def bracket(x, y):  # mu of two dense vectors
+            out = [Fraction(0)] * n
+            for (i, xi), (j, yj) in product(enumerate(x), enumerate(y)):
+                for k, v in A.bracket_basis(i, j).items():
+                    out[k] += xi * yj * v
+            return out
+
+        unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        expected = {
+            (a, b): dict(enumerate(
+                u - v - w
+                for u, v, w in zip(
+                    apply(bracket(unit[a], unit[b])),
+                    bracket(apply(unit[a]), unit[b]),
+                    bracket(unit[a], apply(unit[b])),
+                )
+            ))
+            for a, b in combinations(range(n), 2)
+        }
+        assert apply_differential(A, D) == Cochain(2, n, expected)
 
 
 @pytest.mark.parametrize("name", sorted(TEST_ALGEBRAS))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedeform import deform
+from liedeform import cli, deform
 from liedeform.catalog import (
     d5_d6_basis_change,
     h1_cocycles,
@@ -211,6 +211,25 @@ def test_defects_of_extended_d8_match_the_reference_jacobiator():
         D = extend_step(D).extended
     assert D.defect_orders() == range(1, 9)
     assert nonzero  # the kernel met nonzero defects, not only zeros
+
+
+# Every bracket of h_n lands in the center; the phi2 member at t = 1 is
+# solvable but not nilpotent, so d_mu meets non-central outputs too.
+KERNEL_BASES = {
+    "h1": heisenberg(1),
+    "h2": heisenberg(2),
+    "h3": heisenberg(3),
+    "phi2 member": specialize(single(phi("phi2")), 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_BASES)), data=st.data())
+def test_the_order_one_defect_is_minus_the_differential(name, data):
+    # One kernel: the order-1 defect is -d_mu0(c), and d_mu0 is the algebra's d.
+    A = KERNEL_BASES[name]
+    c = data.draw(_cochains(A.dim, st.sampled_from(MIXED)))
+    assert defect(Deformation(A, {1: c}), 1) == -apply_differential(A, c)
 
 
 @pytest.mark.parametrize("dim", [4, 5])
@@ -488,6 +507,24 @@ def test_specialize_many_t_values():
     for t in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(-2, 7)):
         member = specialize(D, t)  # constructor validates Jacobi
         assert member.dim == 5
+
+
+def test_extending_an_empty_deformation_of_a_large_base_assembles_no_differential(
+    tmp_path, capsys, monkeypatch
+):
+    # The order-1 defect of {"base": "h30", "terms": []} is zero, so the step
+    # adds the zero term without assembling d_2 (61 * 1830 columns).
+    monkeypatch.setattr(deform, "differential", None)
+    path = tmp_path / "h30.json"
+    path.write_text('{"base": "h30", "terms": []}')
+    start = time.perf_counter()
+    assert cli.main(["extend", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        "extended with a term at order 1\nmu1: degree 2 cochain on dim 61\n  (zero)\n"
+    )
+    outcome = extend_step(Deformation(named_algebra("h30")))
+    assert outcome.extended.terms == {1: Cochain.zero(2, 61)}
 
 
 def test_a_large_named_base_specializes_within_seconds():

@@ -11,6 +11,7 @@ internal 0-based convention.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -31,12 +32,13 @@ def heisenberg(n: int) -> LieAlgebra:
         raise ValueError("heisenberg rank must be at least 1")
     dim = 2 * n + 1
     brackets = {(i, n + i): {dim - 1: 1} for i in range(n)}
-    return LieAlgebra(dim, brackets, check=True, name=f"h{n}")
+    # Every bracket is central, so every double bracket and Jacobi sum is zero.
+    return LieAlgebra(dim, brackets, check=False, name=f"h{n}")
 
 
 def named_dim(name: str) -> int:
     """The dimension of named_algebra(name), read from the name alone."""
-    if name.startswith("h") and name[1:].isdigit():
+    if re.fullmatch("h[0-9]+", name):
         return 2 * int(name[1:]) + 1
     raise ValueError(f"unknown algebra name {name!r}")
 

@@ -211,16 +211,10 @@ def specialize(D: Deformation, t_value: Union[Fraction, int]) -> LieAlgebra:
             raise NonzeroDefectError(
                 f"defect is nonzero at order {n}; refusing to emit a non-Lie table"
             )
-    dim = D.base.dim
-    brackets = {key: dict(vec) for key, vec in D.base.brackets.items()}
-    for order, c in D.terms.items():
-        tn = t**order
-        for key, v in c.entries.items():
-            vec = brackets.setdefault(key, {})
-            for k, vk in v.items():
-                vec[k] = vec.get(k, _ZERO) + tn * vk
+    mu = sum((c.scale(t**order) for order, c in D.terms.items()), D.base.mu)
     name = f"{D.base.name} deformed at t={t}" if D.base.name else None
-    return LieAlgebra(dim, brackets, check=True, name=name)
+    # The defects of orders 1..2m vanish, so mu is a Lie bracket at every t.
+    return LieAlgebra(D.base.dim, mu.entries, check=False, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -617,10 +617,5 @@ class EchelonBasis:
         scale = w.pop(-1)
         return {j: Fraction(w[j], scale) for j in sorted(w)}
 
-    @property
-    def integer_rows(self) -> list[dict[int, int]]:
-        """The kept rows by leading index, as {index: value} integer nonzeros."""
-        return [row for _, row in self._rows]
-
     def __len__(self) -> int:
         return len(self._rows)

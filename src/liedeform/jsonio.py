@@ -18,10 +18,10 @@ from .liealg import Cochain, LieAlgebra
 
 
 class SchemaError(ValueError):
-    """A file failed schema validation; carries the offending location."""
+    """A file failed schema validation; carries the offending location and the message."""
 
     def __init__(self, location: str, message: str):
-        self.location = location
+        self.location, self.message = location, message
         super().__init__(f"{location}: {message}")
 
 
@@ -191,17 +191,24 @@ def deformation_to_dict(D: Deformation) -> dict:
     }
 
 
+def _nested(parse, doc, location: str):
+    """parse(doc) for the name or object at location, its errors located at or below it."""
+    try:
+        return parse(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{location}.{exc.location}", exc.message) from None
+    except ValueError as exc:  # a refusal of the whole: an unknown name, a Jacobi failure
+        raise SchemaError(location, str(exc)) from None
+
+
 def deformation_from_dict(doc) -> Deformation:
     """Parse a deformation file; the defect range is derived from its terms."""
     doc = _expect_dict(doc, "deformation")
     base_doc = doc.get("base")
     if isinstance(base_doc, str):
-        try:
-            base = named_algebra(base_doc)
-        except ValueError as exc:
-            raise SchemaError("base", str(exc)) from None
+        base = _nested(named_algebra, base_doc, "base")
     else:
-        base = algebra_from_dict(base_doc, check=True)
+        base = _nested(algebra_from_dict, _expect_dict(base_doc, "base"), "base")
     # Older files carry a "truncation_order" key; it is accepted and ignored.
     terms = {}
     for idx, entry in enumerate(_expect_list(doc.get("terms", []), "terms")):
@@ -212,11 +219,10 @@ def deformation_from_dict(doc) -> Deformation:
             raise SchemaError(f"{loc}.order", "orders start at 1")
         if order in terms:
             raise SchemaError(f"{loc}.order", f"duplicate order {order}")
-        c = cochain_from_dict(entry.get("cochain"))
+        where = f"{loc}.cochain"
+        c = _nested(cochain_from_dict, _expect_dict(entry.get("cochain"), where), where)
         if c.is_symbolic():
-            raise SchemaError(
-                f"{loc}.cochain", "deformation terms must be rational (use params)"
-            )
+            raise SchemaError(where, "deformation terms must be rational (use params)")
         terms[order] = c
     try:
         return Deformation(base, terms)

@@ -8,8 +8,7 @@ give zero.  Coordinates on C^q are ordered by tuple (lexicographic), then
 target index.  Indices are 0-based here, 1-based (e_1..e_n) in files and
 printed output.  A Lie bracket is its 2-cochain mu_0: LieAlgebra holds its
 constants [e_i, e_j], i < j, as the Cochain mu, and validates the Jacobi
-identity unless the caller asks for an unchecked instance, which exists
-only so negative tests can build broken tables.
+identity unless built with check=False (see LieAlgebra for when).
 
 signed_tables scales 2-cochains (a bracket, deformation terms) by one
 common denominator D to ints, each as the sparse {(a, b): {k: c}} table of
@@ -50,13 +49,13 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import (
-    EchelonBasis,
     ExactMatrix,
     PolyScalar,
     Scalar,
     SingularMatrixError,
     _check_indices,
     _coerce_entry,
+    _echelon,
 )
 
 _ZERO = Fraction(0)
@@ -309,6 +308,8 @@ class LieAlgebra:
     mu is the bracket as a rational 2-cochain, and brackets its entries.
     _table is mu's signed integer table over the denominator _den, which the
     Jacobi check, d_q, bracket, the series, the center and basis changes read.
+    check=False skips the Jacobi check, which is right only for a table proven
+    Lie (h_n, a member whose defects vanish, a moved Lie table) or a negative test.
     """
 
     __slots__ = ("dim", "mu", "name", "_table", "_den")
@@ -398,8 +399,7 @@ class LieAlgebra:
         dims = [len(current)]
         while True:
             pairs = product(full, current) if kind == "lower_central" else combinations(current, 2)
-            products = (self._product(u, v) for u, v in pairs)
-            nxt = EchelonBasis(products).integer_rows
+            nxt = list(_echelon(self._product(u, v) for u, v in pairs).values())  # int rows
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
@@ -435,7 +435,8 @@ class LieAlgebra:
                     new_brackets[(i, j)] = {
                         k: x / self._den for k, x in Tinv.mul_vector(acc).items()
                     }
-        return LieAlgebra(self.dim, new_brackets, check=True, name=None)
+        # T^-1 mu(T., T.) satisfies the Jacobi identity exactly when mu does.
+        return LieAlgebra(self.dim, new_brackets, check=False, name=None)
 
     # -- structural equality ----------------------------------------------
 

@@ -27,7 +27,9 @@ from liedeform.cohomology import (
 )
 from liedeform import catalog, deform
 from liedeform.deform import Deformation, specialize, strict_extendability, verify_isomorphism
-from liedeform.liealg import d_mu
+from liedeform.liealg import LieAlgebra, d_mu
+
+from test_liealg import lie
 
 
 def test_heisenberg_tables():
@@ -258,6 +260,22 @@ def test_reproduce_computes_each_defect_once(monkeypatch):
     assert len(calls) == 40
 
 
+def test_reproduce_checks_no_jacobi_identity(monkeypatch):
+    # Each member is built once its defects of orders 1..2m vanish, which
+    # proves the Jacobi identity, and h_2 and a basis change of a Lie table
+    # are Lie; so reproduce checks no table.
+    calls = []
+    jacobi_violations = LieAlgebra.jacobi_violations
+
+    def counting(A):
+        calls.append(A)
+        return jacobi_violations(A)
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_violations", counting)
+    reproduce()
+    assert calls == []
+
+
 def test_reproduce_specializes_each_extendable_row_once(monkeypatch):
     # The isomorphism facts reuse the row loop's t = 1 members of d4(0:0),
     # d7(0:0:0), d5(0:0) and d6(0:0) instead of building them again.
@@ -265,7 +283,7 @@ def test_reproduce_specializes_each_extendable_row_once(monkeypatch):
 
     def counting(D, t):
         members.append(D.term(1))
-        return specialize(D, t)
+        return lie(specialize(D, t))
 
     for name, module in list(sys.modules.items()):
         if name.startswith("liedeform") and getattr(module, "specialize", None) is specialize:
@@ -323,16 +341,16 @@ def test_reproduce_verifies_recorded_maps_and_runs_no_search(monkeypatch):
 def test_d6_and_d7_generic_members_are_not_isomorphic():
     # Their lower central series differ, so no basis change can identify them.
     h2 = heisenberg(2)
-    B6 = specialize(Deformation(h2, {1: phi("phi6", (0, 0))}), 1)
-    B7 = specialize(Deformation(h2, {1: phi("phi7", (0, 0, 0))}), 1)
+    B6 = lie(specialize(Deformation(h2, {1: phi("phi6", (0, 0))}), 1))
+    B7 = lie(specialize(Deformation(h2, {1: phi("phi7", (0, 0, 0))}), 1))
     assert B6.series("lower_central") == [5, 2, 1, 0]
     assert B7.series("lower_central") == [5, 3, 2, 1, 0]
 
 
 def test_d5_d6_explicit_change_verifies():
     h2 = heisenberg(2)
-    A = specialize(Deformation(h2, {1: phi("phi5", (0, 0))}), 1)
-    B = specialize(Deformation(h2, {1: phi("phi6", (0, 0))}), 1)
+    A = lie(specialize(Deformation(h2, {1: phi("phi5", (0, 0))}), 1))
+    B = lie(specialize(Deformation(h2, {1: phi("phi6", (0, 0))}), 1))
     assert verify_isomorphism(A, B, d5_d6_basis_change())
 
 
@@ -364,4 +382,6 @@ def test_the_rows_counted_infinitesimal_only_extend_to_polynomial_deformations(
     assert all(D.defect(n).is_zero for n in D.defect_orders())
     assert D.defect_orders() == range(1, 2 * top + 1)
     for t in (1, 2, Fraction(-1, 3)):
-        assert specialize(D, t).dim == 5  # LieAlgebra checks the Jacobi identity
+        member = specialize(D, t)
+        assert member.dim == 5
+        assert member.jacobi_violations() == []

@@ -36,6 +36,8 @@ from liedeform.jsonio import (
 )
 from liedeform.liealg import LieAlgebra
 
+from test_liealg import lie
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -318,6 +320,37 @@ def duplicated(doc, key, position):
             {"base": "h2", "terms": [{"order": 1, "cochain": {"q": 2, "dim": 3}}]},
             "terms: term at order 1 must be a 2-cochain on the base",
         ),
+        (
+            "specialize",
+            {"base": {"dim": 3, "brackets": [{"i": 1, "j": 5, "coeffs": {}}]}, "terms": []},
+            "base.brackets[0]: indices must lie in 1..3",
+        ),
+        (
+            "specialize",
+            {"base": "h2", "terms": [{"order": 1, "cochain": args_doc([1, 6])}]},
+            "terms[0].cochain.entries[0].args: indices must lie in 1..5",
+        ),
+        (
+            "specialize",
+            # [e1, e2] = e1 and [e1, e3] = e2: the Jacobi sum at (1, 2, 3) is e2.
+            {
+                "base": {
+                    "dim": 3,
+                    "brackets": [
+                        {"i": 1, "j": 2, "coeffs": {"1": "1"}},
+                        {"i": 1, "j": 3, "coeffs": {"2": "1"}},
+                    ],
+                },
+                "terms": [],
+            },
+            "base: Jacobi identity fails at triples (1, 2, 3)",
+        ),
+        ("specialize", {"base": 5}, "base: expected an object, got int"),
+        (
+            "specialize",
+            {"base": "h2", "terms": [{"order": 1, "cochain": "phi3"}]},
+            "terms[0].cochain: expected an object, got str",
+        ),
         ("iso", {"rows": []}, "rows: matrix must have at least one row"),
         ("iso", {"rows": [["p"]]}, "rows[0]: matrices must be rational"),
         ("iso", {"rows": [["1", "0"], ["1"]]}, "rows: rows have differing lengths"),
@@ -347,6 +380,11 @@ def duplicated(doc, key, position):
         "unknown named base",
         "symbolic term",
         "term of another dimension",
+        "inline base bracket out of range",
+        "term args out of range",
+        "inline base not Lie",
+        "base not an object",
+        "term cochain not an object",
         "empty matrix",
         "polynomial matrix",
         "ragged matrix",
@@ -621,7 +659,7 @@ def deformed_file(tmp_path, name, family, params, fname):
     D = Deformation(catalog.heisenberg(2), {1: catalog.phi(family, params)})
     from liedeform.deform import specialize
 
-    return write(tmp_path, fname, algebra_to_dict(specialize(D, 1)))
+    return write(tmp_path, fname, algebra_to_dict(lie(specialize(D, 1))))
 
 
 def test_cli_iso_verify(tmp_path, capsys):
@@ -834,6 +872,20 @@ def test_cli_catalog_emit_locates_parameter_errors(capsys, argv, message):
 
 def test_cli_catalog_unknown(capsys):
     assert main(["catalog", "emit", "phi99"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["h\u0663", "h\u00b2"], ids=["arabic-indic three", "superscript two"]
+)
+def test_cli_algebra_names_take_ascii_digits_only(tmp_path, capsys, name):
+    # str.isdigit accepts both; int() reads the first as 3 and refuses the second.
+    message = f"unknown algebra name {name!r}"
+    assert main(["catalog", "emit", name]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: name: {message}\n")
+    assert main(["specialize", write(tmp_path, "named.json", {"base": name, "terms": []})]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: base: {message}\n")
 
 
 def test_cli_reproduce_summary_line(capsys):

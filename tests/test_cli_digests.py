@@ -58,6 +58,21 @@ LITERALS = {
     "keys_2_10": {"dim": 11, "brackets": [{"i": 1, "j": 3, "coeffs": {"10": "1", "2": "-1"}}]},
     # e^4 wedge e^5 (x) e_5 on h_2, which is not a cocycle.
     "e45_5": {"q": 2, "dim": 5, "entries": [{"args": [4, 5], "coeffs": {"5": "1"}}]},
+    # [e1,e2] = e3 inline, with no name, deformed by t*(e1 - e3): the member at
+    # t = 1 has [e1,e2] = e1, its e3 coefficient cancelled.
+    "def_inline": {
+        "base": {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]},
+        "terms": [
+            {
+                "order": 1,
+                "cochain": {
+                    "q": 2,
+                    "dim": 3,
+                    "entries": [{"args": [1, 2], "coeffs": {"1": "1", "3": "-1"}}],
+                },
+            }
+        ],
+    },
     # phi5(0:0) + phi8(0:1:1) on h_2: a cocycle whose order-2 defect has a nonzero class.
     "def_obstructed": {
         "base": "h2",
@@ -158,6 +173,9 @@ def cases():
     yield "check-coboundary-defect", ["check-coboundary", "{h2}", "{defect_phi8_010}"]
     yield "check-coboundary-defect-json", ["check-coboundary", "{h2}", "{defect_phi8_010}", "--json"]
     yield "extend-obstructed", ["extend", "{def_obstructed}"]
+    yield "extend-inline-json", ["extend", "{def_inline}", "--json"]
+    yield "specialize-inline", ["specialize", "{def_inline}"]
+    yield "specialize-inline-half-json", ["specialize", "{def_inline}", "--t", "1/2", "--json"]
     yield "extend-obstructed-json", ["extend", "{def_obstructed}", "--json"]
     for point in EXTENDED:
         yield f"extend-again-{point}", ["extend", f"{{ext_{point}}}", "--json"]
@@ -296,6 +314,7 @@ DIGESTS = {
     'deform-phi8_100-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
     'extend-again-phi3': (0, '3b5f5cd1f9e179d0f81a8fcafd334a63dea53be87949fcf4d89497912a05ab93'),
     'extend-again-phi8_010': (0, '51d8e3edc823fc29ca1c11f3ac5d82329f5f61786584409f9f5b0b14ee5e6022'),
+    'extend-inline-json': (0, '38afe0d39cbee5da9fcf06f359063930b5a069d8acb0343f824d085f16ee7813'),
     'extend-obstructed': (1, '56134a8e11b32bf8df44b66c1a98ee863b8262a4db31966e5879b7986e21b899'),
     'extend-obstructed-json': (1, '6b40bf6c4993fe7adc7404d6fb48a3e3091e306452033ee95b33817fec6a32f4'),
     'extend-phi3': (0, 'a0c4fe4801ecec3ce36789aa00254404d3d4b51ca8879e351e607ad80bc598d0'),
@@ -329,6 +348,8 @@ DIGESTS = {
     'span-points': (0, '18d04fd54a7a8e8ff838b173c6ca577075466e09a4a2fe47470e986640fd22ab'),
     'specialize-extended-phi3': (0, '4ea1163eaf352766feb864493634554237462e36ed4d17c1c17bcc8c6705ccc0'),
     'specialize-extended-phi8_010': (0, 'a31fd109621c73da90c273a1a15fcb6bf7578bd028a74fc13cfa3980af85ab70'),
+    'specialize-inline': (0, 'cfe0c9f8afd32b9b9a44fa3b280300bf25e4fcc267bda4490d344a589699bc46'),
+    'specialize-inline-half-json': (0, '2857efecbedeca1ad6eddb5e675d96b8326308ad7ffb2822e1c39e37c974b588'),
     'specialize-phi3': (0, '0364ae092de6050c2600bdd11b3124c0cae83d8cbcf40fe302c9068cdaf22b7b'),
     'specialize-phi3-half': (0, '011c91da6e25c1c2eeb15c4393f9a36af70c447fb94c8c9a6caa43f8956a92e9'),
     'specialize-phi3-json': (0, '4ea1163eaf352766feb864493634554237462e36ed4d17c1c17bcc8c6705ccc0'),

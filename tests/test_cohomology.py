@@ -29,6 +29,7 @@ from liedeform.exact import ExactMatrix, PolyScalar
 from liedeform.liealg import LieAlgebra
 
 from test_exact import dense, is_rational_multiple, naive_rank, sparse
+from test_liealg import lie
 
 
 def abelian(n):
@@ -77,7 +78,7 @@ def unit_cochain(n, q, j):
 
 
 def member(family, params):
-    return specialize(Deformation(heisenberg(2), {1: phi(family, params)}), 1)
+    return lie(specialize(Deformation(heisenberg(2), {1: phi(family, params)}), 1))
 
 
 # Non-Heisenberg tables: brackets land on several basis vectors, so the
@@ -214,7 +215,7 @@ def test_apply_differential_matches_matrix():
     half = Fraction(1, 2)
     basis = [[1, half, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, half], [half, 0, 0, 1, 0]]
     basis.append([0, 0, 0, 0, 1])
-    A = heisenberg(2).change_basis(ExactMatrix(basis))
+    A = lie(heisenberg(2).change_basis(ExactMatrix(basis)))
     assert A._den == 8
     for q in range(4):
         size = math.comb(5, q) * 5
@@ -309,7 +310,7 @@ def test_d_compose_d_is_zero_non_heisenberg(name):
 @settings(max_examples=10, deadline=None)
 @given(M=h2_bases, q=st.integers(0, 5))
 def test_differential_of_a_changed_h2_basis_matches_the_defining_formula(M, q):
-    A = heisenberg(2).change_basis(M)
+    A = lie(heisenberg(2).change_basis(M))
     assert_columns_match_reference(A, q)
     if q < A.dim:
         assert (differential(A, q + 1) * differential(A, q)).is_zero()
@@ -393,7 +394,7 @@ def test_adjoint_cohomology_of_sl2_and_r2_vanishes(A):
 @settings(max_examples=10, deadline=None)
 @given(M=h2_bases, q=st.integers(0, 5))
 def test_h2_cohomology_is_invariant_under_basis_change(M, q):
-    A = heisenberg(2).change_basis(M)
+    A = lie(heisenberg(2).change_basis(M))
     assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(2, q)
 
 
@@ -411,7 +412,7 @@ DENSE_H3_BASIS = [
 
 
 def test_dense_h3_cohomology_matches_the_closed_form():
-    A = heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS))
+    A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
     assert all(len(vec) == 7 for vec in A.brackets.values()) and len(A.brackets) == 21
     for q in range(4):
         assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(3, q)
@@ -440,7 +441,7 @@ def assert_both_paths_agree(A, q):
 
 
 def test_representatives_path_agrees_on_a_dense_h2():
-    A = heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS))
+    A = lie(heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS)))
     assert all(len(vec) == 5 for vec in A.brackets.values()) and len(A.brackets) == 10
     for q in range(6):
         assert_both_paths_agree(A, q)
@@ -449,7 +450,7 @@ def test_representatives_path_agrees_on_a_dense_h2():
 @settings(max_examples=10, deadline=None)
 @given(M=h2_bases, q=st.integers(0, 5))
 def test_representatives_path_agrees_under_basis_change(M, q):
-    assert_both_paths_agree(heisenberg(2).change_basis(M), q)
+    assert_both_paths_agree(lie(heisenberg(2).change_basis(M)), q)
 
 
 def test_dim_h_abelian():
@@ -488,7 +489,7 @@ def test_image_echelon_spans_the_columns_of_the_previous_differential(name):
     # Terms of a basis image can cancel (sl2, r2 and the dense h_3 have such
     # columns); the echelon, read from the basis images, must match d_(q-1).
     if name == "dense h3":
-        A = heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS))
+        A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
     else:
         A = TEST_ALGEBRAS[name]
     for q in range(1, min(A.dim, 2) + 1):

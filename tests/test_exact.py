@@ -474,7 +474,7 @@ def test_echelon_basis_grows_exactly_with_the_sympy_rank(m):
         assert echelon.add(sparse(row)) is grew
     rank = to_sympy(rows, m.ncols).rank()
     for built in (echelon, EchelonBasis(sparse(row) for row in rows)):
-        kept = built.integer_rows
+        kept = [row for _, row in built._rows]
         assert len(kept) == len(built) == rank
         leads = [min(row) for row in kept]
         assert leads == sorted(set(leads))
@@ -518,7 +518,7 @@ def test_batch_and_row_by_row_echelon_bases_agree(m, data):
     for row in rows:
         grown.add(sparse(row))
     assert len(batch) == len(grown)
-    assert {min(row) for row in batch.integer_rows} == {min(row) for row in grown.integer_rows}
+    assert {min(row) for _, row in batch._rows} == {min(row) for _, row in grown._rows}
     vectors = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4))
     for v in [*rows, *vectors]:
         assert batch.normal_form(sparse(v)) == grown.normal_form(sparse(v))

@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 for success or a true verdict,
 1 for a mathematical negative (Jacobi violation, non-cocycle, obstruction,
 failed isomorphism), 2 for input errors (unreadable files, schema
-violations, out-of-range arguments).
+violations, out-of-range arguments), 141 (128 + SIGPIPE, as a shell reports
+it) when the reader of standard output closed it before the output ended.
 
 Each command's arguments are stated once, in COMMANDS.  `main` reads a
 well-formed argv straight from that table: each job is a fresh process, and
@@ -17,6 +18,7 @@ their output is argparse's own.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -62,6 +64,7 @@ from .liealg import LieAlgebra
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 def _load_json(path: str):
@@ -692,7 +695,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     # A nonzero defect is a mathematical negative that the library raises.
     except NonzeroDefectError as exc:
         print(str(exc), file=sys.stderr)

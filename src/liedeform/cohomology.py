@@ -142,7 +142,13 @@ class CohomologyReport(NamedTuple):
 def cohomology_dim(
     algebra: LieAlgebra, q: int, representatives: bool = False
 ) -> CohomologyReport:
-    """Compute dim H^q(g; g) by exact rank computations."""
+    """Compute dim H^q(g; g) by exact rank computations.
+
+    Without representatives, rank d_q is taken on C^q / im d_(q-1), as
+    d_q.rank(kernel=d_(q-1)): im d_(q-1) lies in ker d_q, so the columns of
+    d_q at the leads of d_(q-1)'s column echelon are skipped, and
+    d_(q-1).rank() reads those leads back (see ExactMatrix.rank).
+    """
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
@@ -161,8 +167,9 @@ def cohomology_dim(
             Cochain.from_coords(q, n, v) for v in kernel if echelon.add(v)
         )
     else:
-        rank_d = d_q.rank()
-        rank_prev = differential(algebra, q - 1).rank() if q else 0
+        d_prev = differential(algebra, q - 1) if q else None
+        rank_d = d_q.rank(kernel=d_prev)
+        rank_prev = d_prev.rank() if d_prev is not None else 0
     return CohomologyReport(
         degree=q,
         dim_cochain=size,

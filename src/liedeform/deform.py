@@ -103,7 +103,7 @@ def defect(D: Deformation, n: int) -> Cochain:
                 sums[k] = sums.get(k, 0) + weight * x
     scale = -2 * den**2
     entries = {key: {k: Fraction(x, scale) for k, x in v.items()} for key, v in acc.items()}
-    return Cochain(3, D.base.dim, entries)
+    return Cochain._canonical(3, D.base.dim, entries)  # d_mu's keys are valid tuples
 
 
 class OrderStatus(NamedTuple):

@@ -95,9 +95,7 @@ class Cochain:
     ):
         if degree < 0 or dim < 1:
             raise ValueError("degree must be >= 0 and dimension >= 1")
-        self.degree = degree
-        self.dim = dim
-        clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        checked: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, vec in dict(entries).items():
             key = tuple(map(int, key))
             if len(key) != degree:
@@ -107,11 +105,24 @@ class Cochain:
             if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
                 raise ValueError(f"tuple {key} is not strictly increasing")
             _check_indices(vec, dim, f"tuple {key}: value index")
-            v = {k: _coerce_entry(x, "cochain entries") for k, x in vec.items()}
-            v = {k: v[k] for k in sorted(v) if v[k]}
-            if v:
-                clean[key] = v
-        self.entries = dict(sorted(clean.items()))
+            checked[key] = {k: _coerce_entry(x, "cochain entries") for k, x in vec.items()}
+        self._set(degree, dim, checked)
+
+    @classmethod
+    def _canonical(cls, degree: int, dim: int, entries) -> "Cochain":
+        """The cochain of {key: {k: value}} entries, exact values on valid keys
+        and indices, without __init__'s checks: for arithmetic of valid cochains."""
+        c = cls.__new__(cls)
+        c._set(degree, dim, entries)
+        return c
+
+    def _set(self, degree: int, dim: int, entries) -> None:
+        """Hold the entries by ascending key and k, zero values and empty tuples dropped."""
+        self.degree, self.dim, self.entries = degree, dim, {}
+        for key in sorted(entries):
+            vec = entries[key]
+            if v := {k: vec[k] for k in sorted(vec) if vec[k]}:
+                self.entries[key] = v
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> "Cochain":
@@ -144,7 +155,7 @@ class Cochain:
         for key in self.entries.keys() | other.entries.keys():
             a, b = self.entries.get(key, {}), other.entries.get(key, {})
             out[key] = {k: op(a.get(k, _ZERO), b.get(k, _ZERO)) for k in a.keys() | b.keys()}
-        return Cochain(self.degree, self.dim, out)
+        return Cochain._canonical(self.degree, self.dim, out)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         return self._merge(other, operator.add)
@@ -156,8 +167,9 @@ class Cochain:
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Cochain":
+        c = _coerce_entry(c, "cochain entries")
         entries = {key: {k: c * x for k, x in v.items()} for key, v in self.entries.items()}
-        return Cochain(self.degree, self.dim, entries)
+        return Cochain._canonical(self.degree, self.dim, entries)
 
     def substitute(self, point: Mapping[str, Union[Fraction, int]]) -> "Cochain":
         """Substitute rational values for p, q, r in all entries."""
@@ -166,7 +178,7 @@ class Cochain:
             out[key] = {
                 k: x.evaluate(point) if isinstance(x, PolyScalar) else x for k, x in vec.items()
             }
-        return Cochain(self.degree, self.dim, out)
+        return Cochain._canonical(self.degree, self.dim, out)
 
     def coords(self) -> dict[int, Scalar]:
         """The nonzero coordinates on C^q as {index: value}, ascending."""

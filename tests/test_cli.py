@@ -1,7 +1,8 @@
 """CLI and file-format tests.
 
-Most invocations call main() in process for speed; one subprocess test
-covers the `python -m liedeform` entry point end to end.
+Most invocations call main() in process for speed; subprocess tests cover
+the `python -m liedeform` entry point end to end, a closed output pipe
+included.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import liedeform
 from liedeform import catalog, jsonio
-from liedeform.cli import COMMANDS, _read_argv, build_parser, main
+from liedeform.cli import COMMANDS, EXIT_PIPE, _read_argv, build_parser, main
 from liedeform.cohomology import Cochain
 from liedeform.deform import Deformation
 from liedeform.exact import ExactMatrix
@@ -1021,6 +1022,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "dim H^2 = 20" in proc.stdout
+
+
+def test_a_reader_that_closes_the_pipe_gets_the_pipe_exit_code(tmp_path):
+    # About 106 KB of output, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after 10 bytes.
+    path = write(tmp_path, "h4.json", algebra_to_dict(catalog.heisenberg(4)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liedeform", "cohomology", path, "3", "--json", "--representatives"],
+        cwd=Path(liedeform.__file__).resolve().parents[1],  # the package's own src/
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE == 141
+    assert err == b""
 
 
 def test_import_loads_no_introspection_modules():

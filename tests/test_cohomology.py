@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedeform import cohomology
+from liedeform import cohomology, exact
 from liedeform.catalog import h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
     Cochain,
@@ -429,28 +429,60 @@ DENSE_H2_BASIS = [
 
 
 def assert_both_paths_agree(A, q):
-    """cohomology_dim of a basis of h_2 gives the same ranks with and without
-    representatives, and as many representatives as the closed form."""
+    """cohomology_dim gives the same ranks with and without representatives,
+    each the rank of d_q or d_(q-1) eliminated in full, and dim H^q
+    representatives; returns dim H^q.  The plain path ranks d_q modulo
+    im d_(q-1), the representatives path does not."""
     plain, reps = cohomology_dim(A, q), cohomology_dim(A, q, representatives=True)
     assert (plain.rank_d, plain.rank_d_prev, plain.dim_H) == (
         reps.rank_d,
         reps.rank_d_prev,
         reps.dim_H,
     )
-    assert len(reps.representatives) == reps.dim_H == heisenberg_hp_formula(2, q)
+    assert plain.rank_d == differential(A, q).rank()
+    assert plain.rank_d_prev == (differential(A, q - 1).rank() if q else 0)
+    assert len(reps.representatives) == reps.dim_H
+    return reps.dim_H
 
 
 def test_representatives_path_agrees_on_a_dense_h2():
     A = lie(heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS)))
     assert all(len(vec) == 5 for vec in A.brackets.values()) and len(A.brackets) == 10
     for q in range(6):
-        assert_both_paths_agree(A, q)
+        assert assert_both_paths_agree(A, q) == heisenberg_hp_formula(2, q)
 
 
 @settings(max_examples=10, deadline=None)
 @given(M=h2_bases, q=st.integers(0, 5))
 def test_representatives_path_agrees_under_basis_change(M, q):
-    assert_both_paths_agree(lie(heisenberg(2).change_basis(M)), q)
+    A = lie(heisenberg(2).change_basis(M))
+    assert assert_both_paths_agree(A, q) == heisenberg_hp_formula(2, q)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ALGEBRAS))
+def test_both_paths_agree_on_non_heisenberg_algebras(name):
+    # sl2 and r2 are not nilpotent; d_(q-1) is tall at low q and wide at high q.
+    A = TEST_ALGEBRAS[name]
+    for q in range(A.dim + 1):
+        assert_both_paths_agree(A, q)
+
+
+def test_plain_rank_of_d2_skips_the_columns_that_d1_makes_dependent(monkeypatch):
+    # On the dense h_3, d_1 is 147x49 of rank 21 and d_2 is 245x147: the 49
+    # columns of d_1 are eliminated once, and d_2 hands the eliminator its
+    # 147 - 21 = 126 columns outside the leads of d_1's column echelon.
+    A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
+    batches, echelon = [], exact._echelon
+
+    def recording(rows):
+        rows = list(rows)
+        batches.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(exact, "_echelon", recording)
+    report = cohomology_dim(A, 2)
+    assert batches == [49, 126]
+    assert (report.rank_d, report.rank_d_prev) == (56, 21)
 
 
 def test_dim_h_abelian():

@@ -473,6 +473,23 @@ def test_specialize_structure_flags():
     assert d4_10.is_solvable() and not d4_10.is_nilpotent()
 
 
+def test_specialize_validates_the_member_table_once(monkeypatch):
+    # The defects and the sum mu_0 + t mu_1 are arithmetic of valid cochains,
+    # built unchecked; only LieAlgebra checks the member's table.
+    D, init, built = single(phi("phi3")), Cochain.__init__, []
+
+    def counting(self, degree, dim, entries=()):
+        built.append(degree)
+        init(self, degree, dim, entries)
+
+    monkeypatch.setattr(Cochain, "__init__", counting)
+    member = specialize(D, Fraction(1, 2))
+    assert built == [2]
+    monkeypatch.undo()
+    expected = Cochain(2, 5, D.base.brackets) + phi("phi3").scale(Fraction(1, 2))
+    assert member.mu == expected
+
+
 EXACT_SCALAR_INPUTS = {
     "ExactMatrix": lambda x: ExactMatrix([[x]]),
     "Cochain": lambda x: Cochain(2, 3, {(0, 1): {2: x}}),

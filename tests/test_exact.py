@@ -428,6 +428,51 @@ def test_rank_of_tall_matrices_matches_sympy(m):
     assert m.rank() == sparse_twin(m).rank() == transpose.rank() == rank
 
 
+@st.composite
+def matrices_with_kernels(draw):
+    """An integer matrix m of rank at most 3, and a kernel matrix k whose
+    columns are integer combinations of m's nullspace vectors: tall (more
+    rows than columns) or wide, as drawn."""
+    nrows, ncols, inner = draw(st.integers(0, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 3))
+    ints = lambda r, c: draw(  # noqa: E731
+        st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
+    )
+    left, right = ints(nrows, inner), ints(inner, ncols)
+    m = ExactMatrix(
+        [[Fraction(sum(a * b for a, b in zip(row, col))) for col in zip(*right)] for row in left]
+        if inner else [[Fraction(0)] * ncols for _ in range(nrows)],
+        ncols=ncols,
+    )
+    null = m.nullspace()
+    width = draw(st.integers(0, ncols - 1) if draw(st.booleans()) else st.integers(ncols, ncols + 3))
+    combos = ints(width, len(null))
+    k = ExactMatrix(
+        [[sum((c * v.get(i, 0) for c, v in zip(cs, null)), Fraction(0)) for cs in combos]
+         for i in range(ncols)],
+        ncols=width,
+    )
+    return m, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=matrices_with_kernels())
+def test_rank_modulo_a_kernel_matches_sympy(pair):
+    # A tall kernel's leads are skipped, a wide one is ignored; either way the
+    # rank is sympy's, and the kernel's own rank, read back from the leads it
+    # kept, is too.
+    m, k = pair
+    assert (m * k).is_zero()
+    rank = to_sympy(m.rows(), m.ncols).rank()
+    assert m.rank(kernel=k) == rank == sparse_twin(m).rank()
+    assert k.rank() == (to_sympy(k.rows(), k.ncols).rank() if k.ncols else 0)
+
+
+def test_rank_modulo_a_kernel_checks_its_shape():
+    m = ExactMatrix([[Fraction(1), Fraction(1)]])
+    with pytest.raises(ValueError, match="kernel has 1 rows, expected 2"):
+        m.rank(kernel=ExactMatrix([[Fraction(1)]]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(m=rational_matrices(), data=st.data())
 def test_solve_matches_the_sympy_rref(m, data):

@@ -11,14 +11,13 @@ internal 0-based convention.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import _image_echelon, cohomology_dim
 from .deform import Deformation, specialize, strict_extendability, verify_isomorphism
-from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _coerce_rational
+from .exact import EchelonBasis, ExactMatrix, PolyScalar, Scalar, _coerce_rational, _is_digits
 from .liealg import Cochain, LieAlgebra
 
 _P = PolyScalar.variable("p")
@@ -38,7 +37,7 @@ def heisenberg(n: int) -> LieAlgebra:
 
 def named_dim(name: str) -> int:
     """The dimension of named_algebra(name), read from the name alone."""
-    if re.fullmatch("h[0-9]+", name):
+    if name[:1] == "h" and _is_digits(name[1:]):
         return 2 * int(name[1:]) + 1
     raise ValueError(f"unknown algebra name {name!r}")
 

@@ -13,6 +13,9 @@ argparse is imported and the full parser built only when that reader
 declines, which it does for help, --version, every error and the rarer
 spellings argparse accepts (abbreviated options, --opt=value, "--"), so
 their output is argparse's own.
+
+--json output is byte for byte json.dumps(doc, indent=2, sort_keys=True), a Fraction
+as its str, written by _emit_json: json.dumps indents with its slow pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -104,14 +108,40 @@ def _option_rational(text: str, option: str) -> Fraction:
         raise SchemaError(option, f"not a rational number: {text.strip()!r}") from None
 
 
-def _json_default(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
+    """Print json.dumps(doc, indent=2, sort_keys=True), a Fraction as its str; a key not a
+    str, or a value not a str, int, bool, None, Fraction, list, tuple or dict, is a TypeError."""
+    out: list[str] = []
+    emit = out.append
+
+    def walk(x, indent: str) -> None:
+        if isinstance(x, str):
+            emit(encode_basestring_ascii(x))
+        elif x is None or x is True or x is False:
+            emit("null" if x is None else "true" if x else "false")
+        elif isinstance(x, int):
+            emit(int.__repr__(x))
+        elif isinstance(x, dict):
+            inner, sep = indent + "  ", "{"
+            for key in sorted(x):  # encode_basestring_ascii refuses a key not a str
+                emit(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+                walk(x[key], inner)
+                sep = ","
+            emit(indent + "}" if x else "{}")
+        elif isinstance(x, (list, tuple)):
+            inner, sep = indent + "  ", "["
+            for value in x:
+                emit(sep + inner)
+                walk(value, inner)
+                sep = ","
+            emit(indent + "]" if x else "[]")
+        elif isinstance(x, Fraction):
+            emit(encode_basestring_ascii(str(x)))
+        else:
+            raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    walk(doc, "\n")
+    print("".join(out))
 
 
 def _combo(vec) -> str:
@@ -326,7 +356,9 @@ def _cmd_deform(args) -> int:
     mu1 = cochain_from_dict(_load_json(args.cochain))
     if mu1.degree != 2:
         raise ValueError("the infinitesimal term must be a 2-cochain")
-    constraints = cocycle_constraints(A, mu1)
+    # The report's order-1 defect, -d mu_1, is a rational mu_1's cocycle test.
+    D = Deformation(A, {1: mu1}) if mu1.dim == A.dim and not mu1.is_symbolic() else None
+    constraints = [] if D and D.defect(1).is_zero else cocycle_constraints(A, mu1)
     if constraints:
         if args.json:
             _emit_json({"is_cocycle": False, "constraints": [str(x) for x in constraints]})
@@ -335,7 +367,7 @@ def _cmd_deform(args) -> int:
             for x in constraints:
                 print(f"  {x}")
         return EXIT_NEGATIVE
-    D = Deformation(A, {1: mu1})
+    D = D or Deformation(A, {1: mu1})  # refuses a symbolic cocycle
     report = strict_extendability(D)
     order = report.first_nonzero
     doc = {

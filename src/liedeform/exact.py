@@ -26,11 +26,14 @@ Results do not depend on which row serves as a pivot: the rank, the reduced
 row echelon form from which nullspace, solve (free variables zero) and
 inverse are read, the set of leading indices of a span and the normal form
 of a vector modulo it are all unique.
+
+A rational in text has one grammar, read with string methods: an optional sign
+("+", "-" or the Unicode minus), ASCII digits, optionally "/" and ASCII digits, with
+whitespace around it allowed; no decimal point, exponent, separator or non-ASCII digit.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from fractions import Fraction
 from itertools import count
@@ -59,17 +62,26 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible is singular."""
 
 
-# The one grammar of an unsigned rational in text: ASCII digits only, so no decimal
-# point, exponent, digit separator or non-ASCII digit, whose value can cost time.
-_UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+def _is_digits(text: str) -> bool:
+    return text.isdigit() and text.isascii()
+
+
+def _read_rational(text: str, signed: bool = True) -> Optional[Fraction]:
+    """The Fraction text spells in the module's grammar (sign only if signed, no
+    whitespace or Unicode minus), or None; "a/0" is a ZeroDivisionError."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if signed and num[:1] in ("+", "-") else num
+    if not (_is_digits(digits) and (not slash or _is_digits(den))):
+        return None
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a" or "a/b", signed, into a Fraction (unicode minus tolerated)."""
     text = text.strip().replace("−", "-")
-    if not re.fullmatch(f"[+-]?{_UNSIGNED}", text):
+    if (x := _read_rational(text)) is None:
         raise ValueError(f"not a rational number: {text!r}")
-    return Fraction(text)
+    return x
 
 
 def _exp_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -239,10 +251,6 @@ class PolyScalar:
 
 Scalar = Union[Fraction, PolyScalar]
 
-# Signed terms covering the whole text: a sign never stands alone.
-_TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
-_FACTOR_RE = re.compile(rf"^(?:(?P<num>{_UNSIGNED})|(?P<var>[pqr])(?:\^(?P<exp>[0-9]+))?)$")
-
 
 def parse_scalar(text: str) -> Scalar:
     """Parse a scalar string: a rational, or a sum of monomials in p, q, r.
@@ -255,30 +263,29 @@ def parse_scalar(text: str) -> Scalar:
     text = text.strip().replace("−", "-")
     if not text:
         raise ValueError("empty scalar string")
-    if not re.search(r"[pqr]", text):
+    if "p" not in text and "q" not in text and "r" not in text:
         return parse_rational(text)
-    if not _TERMS_RE.fullmatch(text):
-        raise ValueError(f"malformed scalar string {text!r}")
 
+    # Signed terms, split at the signs (no parentheses in the grammar).
+    chunks = text.replace("-", "+-").removeprefix("+").split("+")
+    if "" in chunks or "-" in chunks:
+        raise ValueError(f"malformed scalar string {text!r}")
     terms: dict[tuple[int, int, int], Fraction] = {}
-    # Split into signed terms at top level (no parentheses in the grammar).
-    for signed_term in re.finditer(r"([+-]?)\s*([^+-]+)", text):
-        sign = -1 if signed_term.group(1) == "-" else 1
-        body = signed_term.group(2).strip()
+    for chunk in chunks:
+        body = chunk.removeprefix("-").strip()
         if not body:
             raise ValueError(f"malformed scalar string {text!r}")
-        coeff = Fraction(sign)
+        coeff = Fraction(-1 if chunk[0] == "-" else 1)
         exps = [0, 0, 0]
         for factor in body.split("*"):
             factor = factor.strip()
-            m = _FACTOR_RE.match(factor)
-            if m is None:
-                raise ValueError(f"malformed factor {factor!r} in scalar {text!r}")
-            if m.group("num") is not None:
-                coeff *= Fraction(m.group("num"))
+            var, caret, exp = factor.partition("^")
+            if (x := _read_rational(factor, signed=False)) is not None:
+                coeff *= x
+            elif var in POLY_VARS and (not caret or _is_digits(exp)):
+                exps[POLY_VARS.index(var)] += int(exp or 1)
             else:
-                i = POLY_VARS.index(m.group("var"))
-                exps[i] += int(m.group("exp") or 1)
+                raise ValueError(f"malformed factor {factor!r} in scalar {text!r}")
         e = (exps[0], exps[1], exps[2])
         terms[e] = terms.get(e, _ZERO) + coeff
     return PolyScalar(terms)

@@ -187,14 +187,14 @@ class Cochain:
 
     @classmethod
     def from_coords(cls, degree: int, dim: int, coords: Mapping[int, Scalar]) -> "Cochain":
-        """The cochain with the given {index: value} coordinates, all others zero."""
+        """The cochain of {index: exact value} coordinates, others zero (values unchecked)."""
         tuples = _tuples(dim, degree)
         _check_indices(coords, len(tuples) * dim, "coordinate")
         entries: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for i, x in coords.items():
             t, k = divmod(i, dim)
             entries.setdefault(tuples[t], {})[k] = x
-        return cls(degree, dim, entries)
+        return cls._canonical(degree, dim, entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cochain):

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liedeform
-from liedeform import catalog, jsonio
-from liedeform.cli import COMMANDS, EXIT_PIPE, _read_argv, build_parser, main
+from liedeform import catalog, cohomology, deform, jsonio
+from liedeform.cli import COMMANDS, EXIT_PIPE, _emit_json, _read_argv, build_parser, main
 from liedeform.cohomology import Cochain
 from liedeform.deform import Deformation
 from liedeform.exact import ExactMatrix
@@ -35,7 +36,7 @@ from liedeform.jsonio import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from liedeform.liealg import LieAlgebra
+from liedeform.liealg import LieAlgebra, d_mu
 
 from test_liealg import lie
 
@@ -603,6 +604,58 @@ def test_cli_deform_non_cocycle(h2_file, tmp_path, capsys):
     )
     assert main(["deform", h2_file, path]) == 1
     assert "not a cocycle" in capsys.readouterr().out
+
+
+def count_d_mu(monkeypatch):
+    """The d_mu calls of cohomology (apply_differential) and deform (defect)."""
+    calls = []
+
+    def counting(table, entries):
+        calls.append(entries)
+        return d_mu(table, entries)
+
+    monkeypatch.setattr(cohomology, "d_mu", counting)
+    monkeypatch.setattr(deform, "d_mu", counting)
+    return calls
+
+
+def test_cli_deform_computes_d_mu1_once(h2_file, tmp_path, capsys, monkeypatch):
+    # The cocycle verdict is the order-1 defect, -d mu_1, so the one call per
+    # order is all: (0, 1) at order 1 and (1, 1) at order 2.
+    path = phi_file(tmp_path, "phi3")
+    calls = count_d_mu(monkeypatch)
+    assert main(["deform", h2_file, path]) == 0
+    assert len(calls) == 2
+    # A non-cocycle takes d mu_1 once more, for its constraints.
+    bad = write(tmp_path, "bad.json", cochain_to_dict(Cochain(2, 5, {(3, 4): {4: 1}})))
+    capsys.readouterr()
+    calls.clear()
+    assert main(["deform", h2_file, bad, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["is_cocycle"] is False
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("family", ["phi4", "phi7", "phi8"])
+def test_cli_deform_tests_a_symbolic_term_for_the_cocycle_condition(
+    family, h2_file, h1_file, tmp_path, capsys
+):
+    # A symbolic term that is not identically a cocycle prints its polynomial
+    # constraints; one that is, and a term of another dimension, is an input error.
+    path = phi_file(tmp_path, family, symbolic=True)
+    constraints = cohomology.cocycle_constraints(
+        catalog.heisenberg(2), catalog.phi(family, symbolic=True)
+    )
+    if constraints:
+        assert main(["deform", h2_file, path]) == 1
+        lines = ["not a cocycle; failing constraints:"] + [f"  {x}" for x in constraints]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    else:
+        assert main(["deform", h2_file, path]) == 2
+        assert capsys.readouterr().err == (
+            "input error: deformation terms must be rational; substitute parameters first\n"
+        )
+    assert main(["deform", h1_file, path]) == 2
+    assert capsys.readouterr().err == "input error: cochain dimension does not match the algebra\n"
 
 
 def test_cli_extend_and_specialize(tmp_path, capsys):
@@ -1234,3 +1287,98 @@ def test_console_script_entry_reads_sys_argv(h1_file, monkeypatch, capsys):
     assert main(["cohomology", h1_file, "0", "--json"]) == 0
     assert from_sys_argv == capsys.readouterr().out
     assert json.loads(from_sys_argv)["dim_H"] == 1
+
+
+# -- JSON output -----------------------------------------------------------------
+
+
+def fraction_as_str(x):
+    """json.dumps's default for the documents the CLI emits."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+JSON_SCALARS = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters included
+    st.text(alphabet='"\\\n\t\x00\x1f\x7f é€𝄞'),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def emitted(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(doc)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_json_output_is_byte_for_byte_json_dumps(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True, default=fraction_as_str) + "\n"
+    assert emitted(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2}, 1.5, {"a": [1, 2.0]}, {"a": {"b": frozenset()}},
+        {1: "x"}, {None: 1}, {"a": {(1,): 0}}, {"a": 1, 2: "b"},
+    ],
+)
+def test_json_output_refuses_other_types_and_keys(doc):
+    out = io.StringIO()
+    with pytest.raises(TypeError), contextlib.redirect_stdout(out):
+        _emit_json(doc)
+    assert out.getvalue() == ""  # nothing is printed before the refusal
+
+
+def test_a_cohomology_job_uses_no_regular_expression(h2_file, capsys, monkeypatch):
+    argv = ["cohomology", h2_file, "2", "--json", "--representatives"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a regular expression was used")
+
+    for name in ("compile", "match", "fullmatch", "search", "finditer"):
+        monkeypatch.setattr(re, name, refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_importing_the_cli_compiles_no_regular_expression(tmp_path):
+    # fractions and json compile their own patterns when imported; they are
+    # imported first, so only what liedeform compiles is recorded.
+    path = write(tmp_path, "h2.json", algebra_to_dict(catalog.heisenberg(2)))
+    code = (
+        "import fractions, json, re, sys\n"
+        "compiled = []\n"
+        "compile_ = re._compile\n"
+        "re._compile = lambda *args: compiled.append(args[0]) or compile_(*args)\n"
+        "from liedeform.cli import main\n"
+        "code = main(['cohomology', sys.argv[1], '2', '--json'])\n"
+        "print(code, compiled, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path],
+        cwd=Path(liedeform.__file__).resolve().parents[1],  # the package's own src/
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stderr == "0 []\n"

@@ -1,6 +1,7 @@
 """Tests for exact scalars and sparse exact linear algebra."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedeform.catalog import named_dim
 from liedeform.exact import (
     DegreeCapExceeded,
     EchelonBasis,
@@ -145,6 +147,87 @@ def test_polynomial_coefficients_read_ascii_digits_only(text):
 def test_parse_scalar_rejects_a_sign_that_begins_no_term(text):
     with pytest.raises(ValueError, match="^malformed scalar string"):
         parse_scalar(text)
+
+
+# -- oracle: the regular-expression grammar that the string-method one replaced --
+
+
+_UNSIGNED = "[0-9]+(?:/[0-9]+)?"
+_TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
+_FACTOR_RE = re.compile(rf"^(?:(?P<num>{_UNSIGNED})|(?P<var>[pqr])(?:\^(?P<exp>[0-9]+))?)$")
+
+
+def regex_parse_rational(text):
+    text = text.strip().replace("−", "-")
+    if not re.fullmatch(f"[+-]?{_UNSIGNED}", text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
+
+
+def regex_parse_scalar(text):
+    text = text.strip().replace("−", "-")
+    if not text:
+        raise ValueError("empty scalar string")
+    if not re.search(r"[pqr]", text):
+        return regex_parse_rational(text)
+    if not _TERMS_RE.fullmatch(text):
+        raise ValueError(f"malformed scalar string {text!r}")
+    terms = {}
+    for signed_term in re.finditer(r"([+-]?)\s*([^+-]+)", text):
+        sign = -1 if signed_term.group(1) == "-" else 1
+        body = signed_term.group(2).strip()
+        if not body:
+            raise ValueError(f"malformed scalar string {text!r}")
+        coeff = Fraction(sign)
+        exps = [0, 0, 0]
+        for factor in body.split("*"):
+            factor = factor.strip()
+            m = _FACTOR_RE.match(factor)
+            if m is None:
+                raise ValueError(f"malformed factor {factor!r} in scalar {text!r}")
+            if m.group("num") is not None:
+                coeff *= Fraction(m.group("num"))
+            else:
+                exps["pqr".index(m.group("var"))] += int(m.group("exp") or 1)
+        e = tuple(exps)
+        terms[e] = terms.get(e, Fraction(0)) + coeff
+    return PolyScalar(terms)
+
+
+def regex_named_dim(name):
+    if re.fullmatch("h[0-9]+", name):
+        return 2 * int(name[1:]) + 1
+    raise ValueError(f"unknown algebra name {name!r}")
+
+
+def outcome(parse, text):
+    """(type, value) of parse(text), or (exception type, message)."""
+    try:
+        x = parse(text)
+    except Exception as exc:  # the two parsers must fail alike
+        return type(exc), str(exc)
+    return type(x), x
+
+
+GRAMMAR_TEXT = st.text(alphabet=list("0123456789+-/−pqr^* .e_١²"), max_size=14)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(GRAMMAR_TEXT)
+def test_the_grammar_accepts_what_the_regular_expressions_accepted(text):
+    for new, old in ((parse_rational, regex_parse_rational), (parse_scalar, regex_parse_scalar)):
+        assert outcome(new, text) == outcome(old, text)
+    name = "h" + text
+    assert outcome(named_dim, name) == outcome(regex_named_dim, name)
+    assert outcome(named_dim, text) == outcome(regex_named_dim, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "p - 1/0*q", "p^2 + -q", "p + + q", "x + ", "3/4*p^0*q^12", " -p^2*q + 7/3 - r "],
+)
+def test_the_grammar_matches_the_regular_expressions_on_edge_cases(text):
+    assert outcome(parse_scalar, text) == outcome(regex_parse_scalar, text)
 
 
 @settings(max_examples=100, deadline=None)

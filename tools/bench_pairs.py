@@ -23,6 +23,13 @@ per workload and end-to-end metric the median and quartiles of each side
 and in how many pairs the change read lower; the traced per-layer metrics;
 a note with the pass_s medians.  "what" and "claim" are prose and are
 kept from an existing OUTPUT, or left empty to be written by hand.
+
+Each metric's summary also says whether the change shows a gain (lower in
+at least nine tenths of the pairs, and the medians differ by more than the
+parent's interquartile range) and whether it is within its bound (the
+change's median at most the parent's times 1 + the bound that
+BENCHMARK.json fixes in "end_to_end").  The note names every workload and
+metric outside its bound.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ PAIRS = 10
 SECONDS = 25
 TRACED_SECONDS = 10
 RUN_TIMEOUT_S = 300
+STDERR_LINES = 20  # the tail of a failed run's stderr that its error carries
 END_TO_END = ("pass_s", "cpu_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
@@ -51,7 +59,10 @@ PROCEDURE = (
     "workload. Times are bench/run.py's scaled seconds (medians over the passes of a "
     "run). Per workload, 'summary' gives the median and quartiles (statistics.quantiles, "
     "n=4, inclusive) over the pairs of each side, and in how many pairs the change read "
-    "lower. 'traced' holds one traced run per side and workload (--trace 1, seed 1, "
+    "lower; 'gain' is true when that is at least 9/10 of the pairs and the medians differ "
+    "by more than the parent's interquartile range, and 'within_bound' when the change's "
+    "median is at most the parent's times 1 + the metric's bound in BENCHMARK.json. "
+    "'traced' holds one traced run per side and workload (--trace 1, seed 1, "
     f"--seconds {TRACED_SECONDS}): the per-layer metrics of its traced passes. Written "
     "by tools/bench_pairs.py."
 )
@@ -77,6 +88,16 @@ def checkouts(root: Path, parent: str, into: Path) -> dict[str, Path]:
     return out
 
 
+def end_to_end_bounds() -> dict[str, float]:
+    """The bound of each end-to-end metric in the repository's BENCHMARK.json;
+    every one reads better lower."""
+    path = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    metrics = json.loads(path.read_text())["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        raise ValueError("an end-to-end metric that reads better higher has no rule here")
+    return {m["name"]: m["bound"] for m in metrics}
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """The last line of one bench/run.py run: its result record."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -86,7 +107,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
         argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}")
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{tail}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -96,8 +118,10 @@ def side_record(result: dict) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the pairs
-    in which the change read lower."""
+    """Per end-to-end metric: each side's median and quartiles, the pairs in
+    which the change read lower, and whether that is a gain and within the
+    metric's bound in BENCHMARK.json."""
+    bounds = end_to_end_bounds()
     out = {}
     for name in END_TO_END:
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
@@ -106,8 +130,14 @@ def summarize(pairs: list[dict]) -> dict:
             q1, q2, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             entry[f"{side}_median"] = q2
             entry[f"{side}_quartiles"] = [q1, q3]
-        entry["change_lower_pairs"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        entry["change_lower_pairs"] = lower
         entry["pairs"] = len(pairs)
+        q1, q3 = entry["parent_quartiles"]
+        gap = entry["parent_median"] - entry["change_median"]
+        entry["gain"] = 10 * lower >= 9 * len(pairs) and gap > q3 - q1
+        limit = (1 + bounds[name]) * entry["parent_median"]
+        entry["within_bound"] = entry["change_median"] <= limit
         out[name] = entry
     return out
 
@@ -124,7 +154,14 @@ def note(workloads: dict) -> str:
     pairs = [pair for data in workloads.values() for pair in data["pairs"]]
     failed = sum(pair[side]["failed"] for pair in pairs for side in SIDES)
     joined = ", ".join(parts)
-    return f"Median pass_s parent -> change (change lower in): {joined}. Failed jobs: {failed}."
+    text = f"Median pass_s parent -> change (change lower in): {joined}. Failed jobs: {failed}."
+    outside = [
+        f"{name} {metric} {100 * (s['change_median'] / s['parent_median'] - 1):+.1f}%"
+        for name, data in workloads.items()
+        for metric, s in data["summary"].items()
+        if not s["within_bound"]
+    ]
+    return text + (f" Outside its bound: {', '.join(outside)}." if outside else "")
 
 
 def main(argv: list[str]) -> int:

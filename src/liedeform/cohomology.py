@@ -8,6 +8,13 @@ Cochain, by tuple, then target index.  Its basis images are ints over the
 table's denominator D: d_q keeps them as integer rows over D,
 apply_differential divides by D, and the image echelon of d_(q-1) takes
 the integer columns as they are, since scaling does not change a span.
+
+dim H^q and the ranks of d_q and d_(q-1) are basis invariants: a basis
+change T of g induces invertible maps on C^q and C^(q+1), and d_q in the
+new basis is d_q in the old one conjugated by them.  So the plain
+cohomology_dim ranks d_q in a basis adapted to [g, g], where the brackets
+are sparse.  Its representatives, and every class question, stay in the
+given basis: a cochain's coordinates depend on the basis.
 """
 
 from __future__ import annotations
@@ -144,14 +151,21 @@ def cohomology_dim(
 ) -> CohomologyReport:
     """Compute dim H^q(g; g) by exact rank computations.
 
-    Without representatives, rank d_q is taken on C^q / im d_(q-1), as
-    d_q.rank(kernel=d_(q-1)): im d_(q-1) lies in ker d_q, so the columns of
-    d_q at the leads of d_(q-1)'s column echelon are skipped, and
-    d_(q-1).rank() reads those leads back (see ExactMatrix.rank).
+    Without representatives, both ranks are taken in the basis of
+    LieAlgebra.adapted_to_derived, where every bracket lies on the leads of
+    [g, g], so d_q is sparse however dense the given table is; the ranks are
+    basis invariants (see the module docstring).  rank d_q is then taken on
+    C^q / im d_(q-1), as d_q.rank(kernel=d_(q-1)): im d_(q-1) lies in
+    ker d_q, so the columns of d_q at the leads of d_(q-1)'s column echelon
+    are skipped, and d_(q-1).rank() reads those leads back (see
+    ExactMatrix.rank).  With representatives, d_q's kernel is read in the
+    given basis, since the printed cochains are coordinates in it.
     """
     n = algebra.dim
     if not (0 <= q <= n):
         raise ValueError(f"degree {q} out of range 0..{n}")
+    if not representatives:
+        algebra = algebra.adapted_to_derived()
     d_q = differential(algebra, q)
     size = len(_tuples(n, q)) * n
     reps: Optional[tuple[Cochain, ...]] = None

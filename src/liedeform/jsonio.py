@@ -13,7 +13,7 @@ from typing import Any, Mapping
 from .catalog import named_algebra, named_dim
 from .cohomology import CohomologyReport
 from .deform import DefectReport, Deformation
-from .exact import ExactMatrix, PolyScalar, Scalar, parse_scalar
+from .exact import ExactMatrix, PolyScalar, Scalar, _is_digits, parse_scalar
 from .liealg import Cochain, LieAlgebra
 
 
@@ -57,10 +57,9 @@ def _parse_coeff_vector(coeffs, dim: int, location: str) -> dict[int, Scalar]:
     coeffs = _expect_dict(coeffs, location)
     vec: dict[int, Scalar] = {}
     for key, text in coeffs.items():
-        try:
-            k = int(key)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{location}.{key}", "keys must be basis indices") from None
+        if not (isinstance(key, str) and _is_digits(key)):
+            raise SchemaError(f"{location}.{key}", "keys must be basis indices")
+        k = int(key)
         if not (1 <= k <= dim):
             raise SchemaError(f"{location}.{key}", f"index out of range 1..{dim}")
         if k - 1 in vec:

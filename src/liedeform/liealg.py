@@ -32,9 +32,9 @@ the order-1 defect of {1: c} is -d c.
 
 _basis_images, the one function that composes tables, follows the nonzero
 compositions; d_mu sums its images over a cochain's entries, times D, and
-cohomology routes them into the columns of d_q.  bracket, series, center
-and change_basis read the table too: [x, y] is the sum of x_a y_b
-[e_a, e_b] over the nonzero entries of x and y, over D.
+cohomology routes them into the columns of d_q.  bracket, series, center,
+change_basis and adapted_to_derived read the table too: [x, y] is the sum
+of x_a y_b [e_a, e_b] over the nonzero entries of x and y, over D.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import (
@@ -53,6 +53,7 @@ from .exact import (
     PolyScalar,
     Scalar,
     SingularMatrixError,
+    _back_substitute,
     _check_indices,
     _coerce_entry,
     _echelon,
@@ -448,6 +449,36 @@ class LieAlgebra:
                         k: x / self._den for k, x in Tinv.mul_vector(acc).items()
                     }
         # T^-1 mu(T., T.) satisfies the Jacobi identity exactly when mu does.
+        return LieAlgebra(self.dim, new_brackets, check=False, name=None)
+
+    def adapted_to_derived(self) -> "LieAlgebra":
+        """The algebra in a basis adapted to its derived algebra D = [g, g].
+
+        D is spanned by the table's values; r_p, keyed by lead p, is its reduced
+        echelon basis as primitive integer rows with r_p[p] > 0.  The new basis
+        keeps e_i at every non-lead i and takes r_p at each lead p.  A bracket
+        lies in D and r_p is zero at the other leads, so its new coordinate at
+        p is its entry at p over r_p[p]: no inverse is formed.  When every r_p
+        is a unit vector the basis is the given one, and self is returned.
+        """
+        values = table_entries(self._table).values()
+        if all(len(col) == 1 for col in values):  # r_p = e_p, known without elimination
+            return self
+        reduced = _echelon(values)
+        _back_substitute(reduced)
+        if all(len(r) == 1 for r in reduced.values()):
+            return self
+        basis = [{i: 1} for i in range(self.dim)]
+        for p, r in reduced.items():
+            g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
+            basis[p] = {k: x // g for k, x in r.items()}
+        new_brackets = {}
+        for i, j in combinations(range(self.dim), 2):
+            if acc := self._product(basis[i], basis[j]):
+                new_brackets[(i, j)] = {
+                    p: Fraction(acc[p], self._den * basis[p][p]) for p in reduced if p in acc
+                }
+        # T^-1 mu(T., T.) for T = [basis] is Lie exactly when mu is (as in change_basis).
         return LieAlgebra(self.dim, new_brackets, check=False, name=None)
 
     # -- structural equality ----------------------------------------------

@@ -240,6 +240,11 @@ def args_doc(args, value="1"):
     return {"q": 2, "dim": 5, "entries": [{"args": args, "coeffs": {"1": value}}]}
 
 
+def coeffs_doc(key):
+    """A 2-cochain on dimension 5 whose one entry, at (1, 2), has the coefficient key key."""
+    return {"q": 2, "dim": 5, "entries": [{"args": [1, 2], "coeffs": {key: "1"}}]}
+
+
 def duplicated(doc, key, position):
     """doc with its list doc[key] extended by a copy of entry `position`."""
     return {**doc, key: [*doc[key], doc[key][position]]}
@@ -301,6 +306,15 @@ def duplicated(doc, key, position):
         ("check-cocycle", {"q": -1, "dim": 5}, "q: need q >= 0 and dim >= 1"),
         ("check-cocycle", args_doc([1, 6]), "entries[0].args: indices must lie in 1..5"),
         ("check-cocycle", args_doc([2, 1]), "entries[0].args: indices must be strictly increasing"),
+        # int() would read these keys as e_1, e_2, e_3 and e_5.
+        *(
+            (
+                "check-cocycle",
+                coeffs_doc(key),
+                f"entries[0].coeffs.{key}: keys must be basis indices",
+            )
+            for key in ("\u0661", " 2", "+3", "0_5")
+        ),
         (
             "check-cocycle",
             {"q": 2, "dim": 5, "params": {"s": "1"}},
@@ -377,6 +391,10 @@ def duplicated(doc, key, position):
         "negative degree",
         "args out of range",
         "args decreasing",
+        "coeff key arabic-indic digit",
+        "coeff key with a space",
+        "coeff key with a sign",
+        "coeff key with a separator",
         "unknown parameter",
         "polynomial parameter value",
         "unknown named base",

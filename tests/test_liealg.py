@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -447,3 +449,48 @@ def test_change_basis_matches_the_dense_reference(data):
     for transport in (A.change_basis, lambda S: reference_change_basis(A, S)):
         with pytest.raises(SingularMatrixError):
             transport(ExactMatrix(rows))
+
+
+def derived_reduced_basis(A):
+    """{lead p: r_p}: sympy's reduced row echelon basis of the span of A's
+    bracket values, each row scaled to the primitive integer vector with a
+    positive lead (the lcm of its denominators, as its lead is 1)."""
+    rows = [dense(vec, A.dim) for vec in A.brackets.values()]
+    if not rows:
+        return {}
+    R, leads = sympy.Matrix(rows).rref()
+    basis = {}
+    for r, p in enumerate(leads):
+        row = [Fraction(int(x.p), int(x.q)) for x in R.row(r)]
+        scale = lcm(*(x.denominator for x in row))
+        basis[p] = {k: int(x * scale) for k, x in enumerate(row) if x}
+    return basis
+
+
+def assert_adapted_to_derived(A):
+    """A.adapted_to_derived() is A moved to the basis e_i (i not a lead), r_p
+    (p a lead) of derived_reduced_basis, satisfies the Jacobi identity and
+    has its brackets at the leads only; returns it."""
+    reduced = derived_reduced_basis(A)
+    adapted = lie(A.adapted_to_derived())
+    columns = [reduced.get(i, {i: 1}) for i in range(A.dim)]
+    T = ExactMatrix([[columns[j].get(i, 0) for j in range(A.dim)] for i in range(A.dim)])
+    assert adapted == A.change_basis(T)
+    assert all(set(vec) <= set(reduced) for vec in adapted.brackets.values())
+    return adapted
+
+
+def test_adapted_to_derived_moves_the_catalog_algebras_to_the_reduced_basis():
+    for A in catalog_algebras():
+        assert_adapted_to_derived(A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_adapted_to_derived_moves_changed_catalog_algebras_to_the_reduced_basis(data):
+    A = data.draw(st.sampled_from(catalog_algebras()))
+    n = A.dim
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    T = ExactMatrix(data.draw(st.lists(row, min_size=n, max_size=n)))
+    if T.rank() == n:
+        assert_adapted_to_derived(lie(A.change_basis(T)))

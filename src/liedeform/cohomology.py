@@ -12,9 +12,10 @@ the integer columns as they are, since scaling does not change a span.
 dim H^q and the ranks of d_q and d_(q-1) are basis invariants: a basis
 change T of g induces invertible maps on C^q and C^(q+1), and d_q in the
 new basis is d_q in the old one conjugated by them.  So the plain
-cohomology_dim ranks d_q in a basis adapted to [g, g], where the brackets
-are sparse.  Its representatives, and every class question, stay in the
-given basis: a cochain's coordinates depend on the basis.
+cohomology_dim ranks d_q in the algebra's kept view adapted to [g, g],
+which the Jacobi check reads too, where the brackets are sparse.  Its
+representatives, and every class question, stay in the given basis: a
+cochain's coordinates depend on the basis.
 """
 
 from __future__ import annotations
@@ -151,15 +152,11 @@ def cohomology_dim(
 ) -> CohomologyReport:
     """Compute dim H^q(g; g) by exact rank computations.
 
-    Without representatives, both ranks are taken in the basis of
-    LieAlgebra.adapted_to_derived, where every bracket lies on the leads of
-    [g, g], so d_q is sparse however dense the given table is; the ranks are
-    basis invariants (see the module docstring).  rank d_q is then taken on
-    C^q / im d_(q-1), as d_q.rank(kernel=d_(q-1)): im d_(q-1) lies in
-    ker d_q, so the columns of d_q at the leads of d_(q-1)'s column echelon
-    are skipped, and d_(q-1).rank() reads those leads back (see
-    ExactMatrix.rank).  With representatives, d_q's kernel is read in the
-    given basis, since the printed cochains are coordinates in it.
+    Without representatives, both ranks are taken in the algebra's kept
+    view LieAlgebra.adapted_to_derived, where d_q is sparse however dense
+    the given table is; they are basis invariants (see the module
+    docstring).  With representatives, d_q's kernel is read in the given
+    basis, since the printed cochains are coordinates in it.
     """
     n = algebra.dim
     if not (0 <= q <= n):
@@ -181,9 +178,8 @@ def cohomology_dim(
             Cochain.from_coords(q, n, v) for v in kernel if echelon.add(v)
         )
     else:
-        d_prev = differential(algebra, q - 1) if q else None
-        rank_d = d_q.rank(kernel=d_prev)
-        rank_prev = d_prev.rank() if d_prev is not None else 0
+        rank_d = d_q.rank()
+        rank_prev = differential(algebra, q - 1).rank() if q else 0
     return CohomologyReport(
         degree=q,
         dim_cochain=size,

@@ -16,12 +16,8 @@ loop, _echelon, reduces every batch of rows.  The pivot of a column is the
 shortest row leading there, and among those the one with the smallest
 |entry|, so a unit pivot cancels without scaling the other rows.  rank
 eliminates the rows, or the columns when the matrix has more rows than
-columns.  rank(kernel=K), for K whose columns lie in ker m, ranks m on
-the quotient by K's span: it skips the columns of m at the leads of a tall
-K's column echelon, which the other columns span, and K keeps those leads
-for its own rank.  An EchelonBasis keeps the pivot rows of its batch and
-reduces each vector added later, or asked for its normal form, at the kept
-leads.
+columns.  An EchelonBasis keeps the pivot rows of its batch and reduces each
+vector added later, or asked for its normal form, at the kept leads.
 Results do not depend on which row serves as a pivot: the rank, the reduced
 row echelon form from which nullspace, solve (free variables zero) and
 inverse are read, the set of leading indices of a span and the normal form
@@ -333,7 +329,7 @@ class ExactMatrix:
     takes dense rows, and row, rows, column and entry read dense Fractions.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_den", "_leads")
+    __slots__ = ("nrows", "ncols", "_rows", "_den")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None):
         rows = [tuple(row) for row in rows]
@@ -375,7 +371,6 @@ class ExactMatrix:
             rows = [{j: x // g for j, x in row.items()} for row in rows]
         self._rows = tuple(rows)
         self._den = den
-        self._leads: Optional[list[int]] = None  # of the column echelon, once found
         self.nrows = len(self._rows)
         self.ncols = ncols
 
@@ -443,43 +438,15 @@ class ExactMatrix:
 
     # -- row reduction ------------------------------------------------------
 
-    def rank(self, kernel: Optional["ExactMatrix"] = None) -> int:
-        """The rank, eliminated on the shorter side: the transpose when nrows > ncols.
-
-        kernel, if given, is a matrix whose columns lie in the kernel of this
-        one (the caller vouches for it; d_(q-1) for d_q).  When kernel is
-        tall, the leads P of its column echelon are skipped: an echelon
-        vector v with lead p has m v = 0, so column p of m is a combination
-        of the columns after p, and, taking the leads from the largest down,
-        of the columns outside P.  The rank is unchanged, and kernel keeps
-        its leads, so kernel.rank() then reads them instead of eliminating.
-        A wide kernel is not eliminated here and is ignored.
-        """
-        skip: Collection[int] = ()
-        if kernel is not None:
-            if kernel.nrows != self.ncols:
-                raise ValueError(f"kernel has {kernel.nrows} rows, expected {self.ncols}")
-            if kernel.nrows > kernel.ncols:
-                skip = set(kernel._column_leads())
-        if self.nrows > self.ncols:
-            return len(_echelon(self._columns(skip)) if skip else self._column_leads())
-        if skip:
-            return len(_echelon({j: x for j, x in r.items() if j not in skip} for r in self._rows))
-        return len(_echelon(self._rows))
-
-    def _columns(self, skip: Collection[int] = ()) -> list[dict[int, int]]:
-        """The stored integer columns {row: x}, but those in skip, in order."""
+    def rank(self) -> int:
+        """The rank, eliminated on the shorter side: the transpose when nrows > ncols."""
+        if self.nrows <= self.ncols:
+            return len(_echelon(self._rows))
         cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self._rows):
             for j, x in row.items():
                 cols[j][i] = x
-        return [col for j, col in enumerate(cols) if j not in skip]
-
-    def _column_leads(self) -> list[int]:
-        """The leads of the column echelon, ascending: found once, then read."""
-        if self._leads is None:
-            self._leads = list(_echelon(self._columns()))
-        return self._leads
+        return len(_echelon(cols))
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         """Basis of the right kernel, ordered by ascending free column; each

@@ -35,6 +35,13 @@ compositions; d_mu sums its images over a cochain's entries, times D, and
 cohomology routes them into the columns of d_q.  bracket, series, center,
 change_basis and adapted_to_derived read the table too: [x, y] is the sum
 of x_a y_b [e_a, e_b] over the nonzero entries of x and y, over D.
+
+A LieAlgebra keeps one view of itself in a basis adapted to D = [g, g],
+built on first use, for the Jacobi check and cohomology's plain H^q: its
+brackets lie on the r = dim D leads of D's echelon, so it has at most
+C(n, 2) r nonzeros.  It is sound for any skew table: D is the span of the
+table's values, so every bracket lies in D, and T^-1 mu(T., T.) satisfies
+the Jacobi identity exactly when mu does.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import (
@@ -61,6 +68,7 @@ from .exact import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_SAME = object()  # the kept view of an algebra whose basis is already adapted
 
 # {(a, b): {k: c}}: the nonzero constants c of e_k in the value at (e_a, e_b),
 # as integers over the table's denominator.
@@ -321,11 +329,13 @@ class LieAlgebra:
     mu is the bracket as a rational 2-cochain, and brackets its entries.
     _table is mu's signed integer table over the denominator _den, which the
     Jacobi check, d_q, bracket, the series, the center and basis changes read.
-    check=False skips the Jacobi check, which is right only for a table proven
-    Lie (h_n, a member whose defects vanish, a moved Lie table) or a negative test.
+    _adapted keeps adapted_to_derived's view: None until built, _SAME when it
+    is the algebra itself (no self-reference).  check=False skips the Jacobi
+    check, which is right only for a table proven Lie (h_n, a member whose
+    defects vanish, a moved Lie table) or a negative test.
     """
 
-    __slots__ = ("dim", "mu", "name", "_table", "_den")
+    __slots__ = ("dim", "mu", "name", "_table", "_den", "_adapted")
 
     def __init__(
         self,
@@ -340,6 +350,7 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         (self._table,), self._den = signed_tables([self.mu])
+        self._adapted = None
         if check:
             violations = self.jacobi_violations()
             if violations:
@@ -377,7 +388,20 @@ class LieAlgebra:
 
     def jacobi_violations(self) -> list[tuple[int, int, int, dict[int, Fraction]]]:
         """All triples (i, j, k), i<j<k, where the Jacobi sum -d_mu(mu)/2 is
-        nonzero, each with that sum as {index: value}."""
+        nonzero, each with that sum as {index: value}.
+
+        The check reads the kept adapted view when it is kept, or sure to be
+        sparser: when the table has more than C(n, 2) r nonzeros, r = dim D
+        (found only past C(n, 2), as r >= 1).  When the view fails, the sums
+        are taken in the given basis, so the triples are the table's own.
+        """
+        nnz, bound = sum(map(len, self.mu.entries.values())), comb(self.dim, 2)
+        if self._adapted is None and nnz > bound:
+            if nnz > bound * len(reduced := self._derived_basis()):
+                self._keep_adapted(reduced)
+        view = self if self._adapted is None else self.adapted_to_derived()
+        if view is not self and not d_mu(view._table, table_entries(view._table)):
+            return []
         found = d_mu(self._table, table_entries(self._table))
         scale = -2 * self._den**2
         return [
@@ -452,7 +476,7 @@ class LieAlgebra:
         return LieAlgebra(self.dim, new_brackets, check=False, name=None)
 
     def adapted_to_derived(self) -> "LieAlgebra":
-        """The algebra in a basis adapted to its derived algebra D = [g, g].
+        """The algebra in a basis adapted to D = [g, g], built once and kept.
 
         D is spanned by the table's values; r_p, keyed by lead p, is its reduced
         echelon basis as primitive integer rows with r_p[p] > 0.  The new basis
@@ -461,25 +485,36 @@ class LieAlgebra:
         p is its entry at p over r_p[p]: no inverse is formed.  When every r_p
         is a unit vector the basis is the given one, and self is returned.
         """
+        if self._adapted is None:
+            self._keep_adapted(self._derived_basis())
+        return self if self._adapted is _SAME else self._adapted
+
+    def _derived_basis(self) -> dict[int, dict[int, int]]:
+        """D's reduced echelon basis {lead p: r_p}, r_p primitive with r_p[p] > 0."""
         values = table_entries(self._table).values()
         if all(len(col) == 1 for col in values):  # r_p = e_p, known without elimination
-            return self
+            return {k: {k: 1} for col in values for k in col}
         reduced = _echelon(values)
         _back_substitute(reduced)
-        if all(len(r) == 1 for r in reduced.values()):
-            return self
-        basis = [{i: 1} for i in range(self.dim)]
         for p, r in reduced.items():
             g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
-            basis[p] = {k: x // g for k, x in r.items()}
+            reduced[p] = {k: x // g for k, x in r.items()}
+        return reduced
+
+    def _keep_adapted(self, reduced: dict[int, dict[int, int]]) -> None:
+        """Keep the algebra in the basis of _derived_basis's reduced rows."""
+        if all(len(r) == 1 for r in reduced.values()):
+            self._adapted = _SAME
+            return
+        basis = [reduced.get(i, {i: 1}) for i in range(self.dim)]
         new_brackets = {}
         for i, j in combinations(range(self.dim), 2):
             if acc := self._product(basis[i], basis[j]):
                 new_brackets[(i, j)] = {
                     p: Fraction(acc[p], self._den * basis[p][p]) for p in reduced if p in acc
                 }
-        # T^-1 mu(T., T.) for T = [basis] is Lie exactly when mu is (as in change_basis).
-        return LieAlgebra(self.dim, new_brackets, check=False, name=None)
+        # Unchecked: T^-1 mu(T., T.) is Lie exactly when mu is; the check reads it.
+        self._adapted = LieAlgebra(self.dim, new_brackets, check=False, name=None)
 
     # -- structural equality ----------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the Chevalley-Eilenberg complex with adjoint coefficients."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liedeform import cohomology, exact
+from liedeform import cohomology, exact, liealg
 from liedeform.catalog import h1_cocycles, heisenberg, phi
 from liedeform.cohomology import (
     Cochain,
@@ -26,10 +27,10 @@ from liedeform.cohomology import (
 )
 from liedeform.deform import Deformation, specialize
 from liedeform.exact import ExactMatrix, PolyScalar
-from liedeform.liealg import LieAlgebra
+from liedeform.liealg import JacobiError, LieAlgebra
 
 from test_exact import dense, is_rational_multiple, naive_rank, sparse
-from test_liealg import assert_adapted_to_derived, lie
+from test_liealg import assert_adapted_to_derived, lie, reference_jacobi
 
 
 def abelian(n):
@@ -432,8 +433,8 @@ DENSE_H2_BASIS = [
 def assert_both_paths_agree(A, q):
     """cohomology_dim gives the same ranks with and without representatives,
     each the rank of d_q or d_(q-1) eliminated in full, and dim H^q
-    representatives; returns dim H^q.  The plain path ranks d_q modulo
-    im d_(q-1), the representatives path does not."""
+    representatives; returns dim H^q.  The plain path ranks in the adapted
+    view, the representatives path in the given basis."""
     plain, reps = cohomology_dim(A, q), cohomology_dim(A, q, representatives=True)
     assert (plain.rank_d, plain.rank_d_prev, plain.dim_H) == (
         reps.rank_d,
@@ -468,24 +469,6 @@ def test_both_paths_agree_on_non_heisenberg_algebras(name):
         assert_both_paths_agree(A, q)
 
 
-def test_plain_rank_of_d2_skips_the_columns_that_d1_makes_dependent(monkeypatch):
-    # On the dense h_3, d_1 is 147x49 of rank 21 and d_2 is 245x147: the 49
-    # columns of d_1 are eliminated once, and d_2 hands the eliminator its
-    # 147 - 21 = 126 columns outside the leads of d_1's column echelon.
-    A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
-    batches, echelon = [], exact._echelon
-
-    def recording(rows):
-        rows = list(rows)
-        batches.append(len(rows))
-        return echelon(rows)
-
-    monkeypatch.setattr(exact, "_echelon", recording)
-    report = cohomology_dim(A, 2)
-    assert batches == [49, 126]
-    assert (report.rank_d, report.rank_d_prev) == (56, 21)
-
-
 def test_algebras_adapted_to_their_derived_algebra_come_back_unchanged():
     # [g, g] has a reduced basis of unit vectors, so sweep_sparse's standard
     # h_n build no new table; so has d1, though not every bracket of it is
@@ -502,10 +485,62 @@ def test_the_dense_h3_is_moved_to_a_basis_with_one_lead():
     assert {k for vec in adapted.brackets.values() for k in vec} == {0}
 
 
+def test_a_checked_dense_table_builds_its_adapted_view_once():
+    # 147 nonzeros against C(7, 2) * 1 for the view: the check builds it, and
+    # cohomology_dim reads the same object.
+    dense_h3 = heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS))
+    A = LieAlgebra(7, dense_h3.brackets)
+    assert A._adapted is not None
+    view = A.adapted_to_derived()
+    assert view is not A and A.adapted_to_derived() is view
+    assert view.adapted_to_derived() is view
+    assert cohomology_dim(A, 1).dim_H == heisenberg_hp_formula(3, 1)
+    assert A.adapted_to_derived() is view
+
+
+def test_iso_inputs_are_checked_without_an_adapted_view(monkeypatch):
+    # d5(0:0) has 4 nonzeros, at most C(5, 2) r for any r >= 1: no echelon,
+    # no view, though its basis is not adapted to [g, g].
+    d5 = TEST_ALGEBRAS["d5(0:0)"]
+    monkeypatch.setattr(liealg, "_echelon", None)  # an echelon would fail
+    A = LieAlgebra(5, d5.brackets)
+    assert A._adapted is None
+    monkeypatch.undo()
+    assert A.adapted_to_derived() is not A
+
+
+def test_no_algebra_keeps_a_reference_to_itself():
+    # h_2's view is h_2 itself; a sentinel stands for it, so no cycle is left
+    # for the cyclic garbage collector.  A built view does not refer back.
+    A = heisenberg(2)
+    cohomology_dim(A, 2)
+    assert A.adapted_to_derived() is A
+    assert A not in gc.get_referents(A)
+    B = LieAlgebra(7, heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)).brackets)
+    view = B.adapted_to_derived()
+    assert [r is view for r in gc.get_referents(B)].count(True) == 1
+    assert not any(r is B or r is view for r in gc.get_referents(view))
+
+
+def test_a_perturbed_dense_table_reports_the_given_basis_triples():
+    # The dense h_2's view fails the check, and the sums are taken again in
+    # the given basis, so JacobiError names the table's own triples.
+    dense_h2 = heisenberg(2).change_basis(ExactMatrix(DENSE_H2_BASIS))
+    brackets = {key: dict(vec) for key, vec in dense_h2.brackets.items()}
+    brackets[(0, 1)][0] += 1
+    A = LieAlgebra(5, brackets, check=False)
+    expected = reference_jacobi(A)
+    assert expected and A.jacobi_violations() == expected
+    assert A._adapted is not None and A.adapted_to_derived() is not A
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(5, brackets)
+    assert err.value.violations == expected
+
+
 def test_plain_rank_hands_the_eliminator_the_adapted_sparse_differentials(monkeypatch):
     # In the basis adapted to [g, g] every bracket of the dense h_3 lies on
-    # one lead, so the same 49 and 126 columns carry 285 and 810 nonzeros,
-    # where the given basis hands the eliminator 2,499 and 6,389.
+    # one lead: d_2 (245x147, ranked by its 147 columns) and d_1 (147x49,
+    # by its 49 columns) carry 870 and 285 nonzeros.
     A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
     batches, echelon = [], exact._echelon
 
@@ -516,7 +551,7 @@ def test_plain_rank_hands_the_eliminator_the_adapted_sparse_differentials(monkey
 
     monkeypatch.setattr(exact, "_echelon", recording)
     report = cohomology_dim(A, 2)
-    assert batches == [(49, 285), (126, 810)]
+    assert batches == [(147, 870), (49, 285)]
     assert (report.rank_d, report.rank_d_prev) == (56, 21)
 
 

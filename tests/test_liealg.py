@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liedeform.catalog import heisenberg, paper_representatives, phi
@@ -16,7 +16,7 @@ from liedeform.deform import Deformation, specialize, strict_extendability
 from liedeform.exact import ExactMatrix, PolyScalar, SingularMatrixError
 from liedeform.liealg import JacobiError, LieAlgebra
 
-from test_exact import dense, naive_rank
+from test_exact import dense, naive_rank, sparse
 
 
 def abelian(n):
@@ -494,3 +494,70 @@ def test_adapted_to_derived_moves_changed_catalog_algebras_to_the_reduced_basis(
     T = ExactMatrix(data.draw(st.lists(row, min_size=n, max_size=n)))
     if T.rank() == n:
         assert_adapted_to_derived(lie(A.change_basis(T)))
+
+
+# -- the Jacobi check on the kept adapted view -------------------------------------
+
+
+def reference_jacobi(A):
+    """[(i, j, k, sum)] for the nonzero sums [e_i, [e_j, e_k]] + cyclic, i < j < k,
+    from the defining formula on A's own table, one dense vector at a time."""
+    n = A.dim
+    basis = [unit(n, i) for i in range(n)]
+
+    def nested(a, b, c):
+        return reference_bracket(A, basis[a], reference_bracket(A, basis[b], basis[c]))
+
+    found = []
+    for i, j, k in combinations(range(n), 3):
+        total = [sum(t) for t in zip(nested(i, j, k), nested(j, k, i), nested(k, i, j))]
+        if any(total):
+            found.append((i, j, k, sparse(total)))
+    return found
+
+
+@st.composite
+def moved_tables(draw):
+    """(A, perturbed): a catalog algebra or h_1..h_3 in a random integer basis,
+    dense (entries in -2..2) or sparse (a signed permutation with one
+    transvection), rebuilt unchecked, with one structure constant moved by
+    +-1 or 1/2 when perturbed is drawn."""
+    A = draw(st.sampled_from(catalog_algebras()))
+    n = A.dim
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        T = ExactMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+    else:
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        rows = [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] += draw(st.sampled_from((1, -1, 2)))
+        T = ExactMatrix(rows)
+    assume(T.rank() == n)
+    brackets = {key: dict(vec) for key, vec in A.change_basis(T).brackets.items()}
+    perturbed = draw(st.booleans())
+    if perturbed:
+        key = draw(st.sampled_from(list(combinations(range(n), 2))))
+        k = draw(st.integers(0, n - 1))
+        vec = brackets.setdefault(key, {})
+        vec[k] = vec.get(k, 0) + draw(st.sampled_from((1, -1, Fraction(1, 2))))
+    return LieAlgebra(n, brackets, check=False), perturbed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=moved_tables())
+def test_the_jacobi_verdict_on_the_kept_view_is_the_given_basis_verdict(case):
+    # The view is built for the check only when the table has more than
+    # C(n, 2) r nonzeros, r = dim [g, g]; either way the violations are the
+    # given basis's, and the view's own verdict is the same.
+    A, perturbed = case
+    expected = reference_jacobi(A)
+    assert perturbed or expected == []
+    nnz = sum(map(len, A.brackets.values()))
+    r = naive_rank([dense(vec, A.dim) for vec in A.brackets.values()])
+    assert A.jacobi_violations() == expected
+    assert (A._adapted is not None) == (nnz > comb(A.dim, 2) * r)
+    view = A.adapted_to_derived()
+    assert (view.jacobi_violations() == []) == (expected == [])
+

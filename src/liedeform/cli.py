@@ -48,7 +48,7 @@ from .deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from .exact import PolyScalar, parse_rational
+from .exact import parse_rational
 from .jsonio import (
     SchemaError,
     _format_coeff_vector,
@@ -145,7 +145,7 @@ def _emit_json(doc) -> None:
 
 
 def _combo(vec) -> str:
-    """Format an {index: value} vector as a basis combination like 2*e2 - 2*e3."""
+    """Format an {index: rational} vector as a basis combination like 2*e2 - 2*e3."""
     parts = []
     for k, x in sorted(vec.items()):
         body = f"e{k + 1}"
@@ -154,8 +154,6 @@ def _combo(vec) -> str:
             term = body
         elif text == "-1":
             term = f"-{body}"
-        elif isinstance(x, PolyScalar) and len(x.terms) > 1:
-            term = f"({text})*{body}"
         else:
             term = f"{text}*{body}"
         if not parts:

@@ -41,7 +41,9 @@ built on first use, for the Jacobi check and cohomology's plain H^q: its
 brackets lie on the r = dim D leads of D's echelon, so it has at most
 C(n, 2) r nonzeros.  It is sound for any skew table: D is the span of the
 table's values, so every bracket lies in D, and T^-1 mu(T., T.) satisfies
-the Jacobi identity exactly when mu does.
+the Jacobi identity exactly when mu does.  The Jacobi check builds it by
+one rule, when the table has more than C(n, 2) nonzeros: at or below that,
+as on sparse and monomial tables, the view costs more than the direct check.
 """
 
 from __future__ import annotations
@@ -330,9 +332,11 @@ class LieAlgebra:
     _table is mu's signed integer table over the denominator _den, which the
     Jacobi check, d_q, bracket, the series, the center and basis changes read.
     _adapted keeps adapted_to_derived's view: None until built, _SAME when it
-    is the algebra itself (no self-reference).  check=False skips the Jacobi
-    check, which is right only for a table proven Lie (h_n, a member whose
-    defects vanish, a moved Lie table) or a negative test.
+    is the algebra itself (no self-reference).  The Jacobi check builds it
+    exactly when the table has more than C(n, 2) nonzeros, as a dense table
+    does; a sparser one is checked faster directly.  check=False skips the
+    Jacobi check, which is right only for a table proven Lie (h_n, a member
+    whose defects vanish, a moved Lie table) or a negative test.
     """
 
     __slots__ = ("dim", "mu", "name", "_table", "_den", "_adapted")
@@ -390,16 +394,14 @@ class LieAlgebra:
         """All triples (i, j, k), i<j<k, where the Jacobi sum -d_mu(mu)/2 is
         nonzero, each with that sum as {index: value}.
 
-        The check reads the kept adapted view when it is kept, or sure to be
-        sparser: when the table has more than C(n, 2) r nonzeros, r = dim D
-        (found only past C(n, 2), as r >= 1).  When the view fails, the sums
-        are taken in the given basis, so the triples are the table's own.
+        The check reads the adapted view exactly when the table has more than
+        C(n, 2) nonzeros, one per basis pair: a dense table sits far above
+        that, and at or below it the view costs more than the direct sums.
+        When the view fails, the sums are taken in the given basis, so the
+        triples are the table's own.
         """
-        nnz, bound = sum(map(len, self.mu.entries.values())), comb(self.dim, 2)
-        if self._adapted is None and nnz > bound:
-            if nnz > bound * len(reduced := self._derived_basis()):
-                self._keep_adapted(reduced)
-        view = self if self._adapted is None else self.adapted_to_derived()
+        nnz = sum(map(len, self.mu.entries.values()))
+        view = self.adapted_to_derived() if nnz > comb(self.dim, 2) else self
         if view is not self and not d_mu(view._table, table_entries(view._table)):
             return []
         found = d_mu(self._table, table_entries(self._table))
@@ -484,37 +486,30 @@ class LieAlgebra:
         lies in D and r_p is zero at the other leads, so its new coordinate at
         p is its entry at p over r_p[p]: no inverse is formed.  When every r_p
         is a unit vector the basis is the given one, and self is returned.
+        The Jacobi check builds it past C(n, 2) nonzeros, where it beats the
+        direct sums; plain H^q builds it for any table.
         """
         if self._adapted is None:
-            self._keep_adapted(self._derived_basis())
+            values = table_entries(self._table).values()
+            reduced = {}  # single-entry values: D's reduced rows are unit vectors
+            if any(len(col) > 1 for col in values):
+                reduced = _echelon(values)
+                _back_substitute(reduced)
+            if all(len(r) == 1 for r in reduced.values()):
+                self._adapted = _SAME
+            else:
+                basis = [{i: 1} for i in range(self.dim)]
+                for p, r in reduced.items():
+                    g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
+                    basis[p] = {k: x // g for k, x in r.items()}
+                den = {p: self._den * basis[p][p] for p in reduced}
+                brackets = {}
+                for i, j in combinations(range(self.dim), 2):
+                    if acc := self._product(basis[i], basis[j]):
+                        brackets[(i, j)] = {p: Fraction(acc[p], den[p]) for p in den if p in acc}
+                # Unchecked: T^-1 mu(T., T.) is Lie exactly when mu is; the check reads it.
+                self._adapted = LieAlgebra(self.dim, brackets, check=False, name=None)
         return self if self._adapted is _SAME else self._adapted
-
-    def _derived_basis(self) -> dict[int, dict[int, int]]:
-        """D's reduced echelon basis {lead p: r_p}, r_p primitive with r_p[p] > 0."""
-        values = table_entries(self._table).values()
-        if all(len(col) == 1 for col in values):  # r_p = e_p, known without elimination
-            return {k: {k: 1} for col in values for k in col}
-        reduced = _echelon(values)
-        _back_substitute(reduced)
-        for p, r in reduced.items():
-            g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
-            reduced[p] = {k: x // g for k, x in r.items()}
-        return reduced
-
-    def _keep_adapted(self, reduced: dict[int, dict[int, int]]) -> None:
-        """Keep the algebra in the basis of _derived_basis's reduced rows."""
-        if all(len(r) == 1 for r in reduced.values()):
-            self._adapted = _SAME
-            return
-        basis = [reduced.get(i, {i: 1}) for i in range(self.dim)]
-        new_brackets = {}
-        for i, j in combinations(range(self.dim), 2):
-            if acc := self._product(basis[i], basis[j]):
-                new_brackets[(i, j)] = {
-                    p: Fraction(acc[p], self._den * basis[p][p]) for p in reduced if p in acc
-                }
-        # Unchecked: T^-1 mu(T., T.) is Lie exactly when mu is; the check reads it.
-        self._adapted = LieAlgebra(self.dim, new_brackets, check=False, name=None)
 
     # -- structural equality ----------------------------------------------
 

@@ -227,6 +227,20 @@ def test_cli_invariants_computes_each_series_once(h2_file, capsys, monkeypatch):
     assert sorted(calls) == ["derived", "lower_central"]
 
 
+def test_cli_invariants_refuse_a_table_that_fails_the_jacobi_identity(tmp_path, capsys):
+    doc = {
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"1": "1"}},
+            {"i": 1, "j": 3, "coeffs": {"2": "1"}},
+        ],
+    }
+    assert main(["invariants", write(tmp_path, "broken.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "not a Lie algebra: Jacobi identity fails\n"
+
+
 PHI3_DEFORMATION = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi3")})
 
 
@@ -884,6 +898,13 @@ def test_cli_catalog_emit_refuses_t_without_deformed(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: --t: applies only with --deformed\n"
+
+
+def test_cli_catalog_emit_refuses_to_deform_by_a_symbolic_cochain(capsys):
+    assert main(["catalog", "emit", "phi4", "--symbolic", "--deformed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: phi4: cannot specialize a symbolic cochain\n"
 
 
 def test_cli_catalog_emit_deformed_reads_t(capsys):

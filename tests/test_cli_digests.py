@@ -73,6 +73,17 @@ LITERALS = {
             }
         ],
     },
+    # [e1,e2] = e3 plus [e1,e3] = e1 on h_2: a sum of two representatives that
+    # `deform` finds obstructed at order 2, with the obstruction (e1,e2,e3) -> e3.
+    "x02": {
+        "q": 2,
+        "dim": 5,
+        "entries": [
+            {"args": [1, 2], "coeffs": {"3": "1"}},
+            {"args": [1, 3], "coeffs": {"1": "1"}},
+        ],
+    },
+    "identity5": {"rows": [["1" if i == j else "0" for j in range(5)] for i in range(5)]},
     # phi5(0:0) + phi8(0:1:1) on h_2: a cocycle whose order-2 defect has a nonzero class.
     "def_obstructed": {
         "base": "h2",
@@ -162,6 +173,7 @@ def cases():
         for q in range(top + 1):
             argv = ["cohomology", f"{{h{n}}}", str(q), "--representatives", "--json"]
             yield f"cohomology-h{n}-{q}", argv
+    yield "cohomology-h2-2-text", ["cohomology", "{h2}", "2", "--representatives"]
     for point in ("phi3", "phi6_10", "phi8_010", "phi8_100"):
         for fmt in ((), ("--json",)):
             tag = point + ("-json" if fmt else "")
@@ -170,6 +182,7 @@ def cases():
             yield f"extend-{tag}", ["extend", f"{{def_{point}}}", *fmt]
             yield f"specialize-{tag}", ["specialize", f"{{def_{point}}}", *fmt]
         yield f"specialize-{point}-half", ["specialize", f"{{def_{point}}}", "--t", "1/2", "--json"]
+    yield "deform-x02-json", ["deform", "{h2}", "{x02}", "--json"]
     yield "check-coboundary-defect", ["check-coboundary", "{h2}", "{defect_phi8_010}"]
     yield "check-coboundary-defect-json", ["check-coboundary", "{h2}", "{defect_phi8_010}", "--json"]
     yield "extend-obstructed", ["extend", "{def_obstructed}"]
@@ -189,6 +202,8 @@ def cases():
     ]
     for a, b in pairs:
         yield f"class-eq-{a}-{b}", ["class-eq", "{h2}", f"{{{a}}}", f"{{{b}}}"]
+    equal = ["class-eq", "{h2}", "{phi8_010}", "{phi6_00}", "--json"]
+    yield "class-eq-phi8_010-phi6_00-json", equal
     yield "span-points", ["span", "{h2}", "{phi3}", "{phi6_10}", "{phi8_010}", "{phi8_100}"]
     yield "span-equal-classes", ["span", "{h2}", "{phi8_010}", "{phi6_00}", "--json"]
     for name in MEMBERS:
@@ -199,6 +214,7 @@ def cases():
     yield "iso-d5-d6", ["iso", "search", "{d5}", "{d6}", *transvection, "--json"]
     yield "iso-d4-d7", ["iso", "search", "{d4}", "{d7}", "--class", "diagonal_signs", "--json"]
     yield "iso-d5-d5", ["iso", "search", "{d5}", "{d5}", "--class", "monomial"]
+    yield "iso-verify-d5-d5-json", ["iso", "verify", "{d5}", "{d5}", "--map", "{identity5}", "--json"]
     for algebra in ("h2", "broken3"):
         for fmt in ((), ("--json",)):
             tag = algebra + ("-json" if fmt else "")
@@ -284,6 +300,7 @@ DIGESTS = {
     'class-eq-phi3-phi6_10': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
     'class-eq-phi6_10-phi8_010': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
     'class-eq-phi8_010-phi6_00': (0, '8346964e9cd01e2d56b3c26fb5e87f8777e5344c572e758f1cdd8bf4879e8aaa'),
+    'class-eq-phi8_010-phi6_00-json': (0, 'b5fb9537fd35a9486b0e639cd76484219aeb1d719b84dd11a56ca1d428e6b91e'),
     'class-eq-phi8_010-phi8_100': (1, '3abda4837ccf1f9ded2060be28ee3ffc9c07dfebabfee24e7c47c6abe3976dd3'),
     'class-eq-phi8_100-phi8_100': (0, '8346964e9cd01e2d56b3c26fb5e87f8777e5344c572e758f1cdd8bf4879e8aaa'),
     'cohomology-h1-0': (0, 'a4920370eab748487de67c00531625fbd4f47de83d1bb913066cf3812effdb55'),
@@ -293,6 +310,7 @@ DIGESTS = {
     'cohomology-h2-0': (0, 'a6858118aadc6fe85d79ee13efdfdff20e8f513f29d3efa557f61766a06b4838'),
     'cohomology-h2-1': (0, 'f373df0f1bb3e6723fa0af384e407bfa41939db64a21e6f5cec01b3b0ad03745'),
     'cohomology-h2-2': (0, '9674293d1b525e3a2e9271700e08acf03fefe0e8fdf34d764dfaa213846fa519'),
+    'cohomology-h2-2-text': (0, '4e3f1b97b252154fe089bd9e871b34847ac1b81dc12e10711c382b0df756417e'),
     'cohomology-h2-3': (0, 'da214a5363235c72be2f68c918703982bca73c6139800e2509e6ebc0d6c1de89'),
     'cohomology-h2-4': (0, '4077f92ac7c0f743c2b8d408cb92ca2d4686c67912b79e93ea9d14c7f212d48b'),
     'cohomology-h2-5': (0, 'd08d12915db0e654e1a013bc7d0785c45f89f426ed3e3eead64eff64810174d8'),
@@ -312,6 +330,7 @@ DIGESTS = {
     'deform-phi8_010-json': (1, '26796b96a28766de4abb025dfeec51c20d85591f9223a783e50b27a54a185472'),
     'deform-phi8_100': (0, '5828d996f779ac6913fd72bcfa14c14b02f9e2aaeb82c9ff0dbb76305652b321'),
     'deform-phi8_100-json': (0, 'cc2fdee2a2569f5aa44a8876607a43ea4f499129caf5d8fb6490d52395571f7a'),
+    'deform-x02-json': (1, 'acdc9d082cb9dc75905d739a34e0a42b165c441b0d8a3f9e072980c5430f2f3a'),
     'extend-again-phi3': (0, '3b5f5cd1f9e179d0f81a8fcafd334a63dea53be87949fcf4d89497912a05ab93'),
     'extend-again-phi8_010': (0, '51d8e3edc823fc29ca1c11f3ac5d82329f5f61786584409f9f5b0b14ee5e6022'),
     'extend-inline-json': (0, '38afe0d39cbee5da9fcf06f359063930b5a069d8acb0343f824d085f16ee7813'),
@@ -338,6 +357,7 @@ DIGESTS = {
     'iso-d4-d7': (0, '97bb3f5466d968b4486c1c7af6c4c37894173557681b55b3875c4389e736e524'),
     'iso-d5-d5': (0, '415b6927862eab7f5c6d89138b57bd152ec803a03a5e7bb87952e562648006b9'),
     'iso-d5-d6': (1, 'a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e'),
+    'iso-verify-d5-d5-json': (0, '5e5a6bdb27b0187f1834e5b30f777334c6fb73a55a958ebc8984f4ad9060acbe'),
     'jacobi-broken3': (1, '32e2e366c89f0c6599c791fdac5cd64abd0855c44867b303061e74f06b1566e0'),
     'jacobi-broken3-json': (1, '8b51818788689e367520734aa51e501520932ff045d9ff09cf50e82bbdf7b70a'),
     'jacobi-h2': (0, '54daf2b94ebe99e77ae39d00aeb04a801efc7fbd932c2bf128417e85e1607e08'),

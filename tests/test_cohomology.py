@@ -498,6 +498,19 @@ def test_a_checked_dense_table_builds_its_adapted_view_once():
     assert A.adapted_to_derived() is view
 
 
+def test_the_echelon_of_the_derived_algebra_runs_once_per_algebra(monkeypatch):
+    # sl_2 moved to a dense basis has 9 nonzeros against C(3, 2) = 3, and
+    # r = dim [g, g] = 3: the check builds the view, and H^2 reads it.
+    calls, echelon = [], liealg._echelon
+    monkeypatch.setattr(liealg, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+    moved = SL2.change_basis(ExactMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 2]]))
+    assert sum(map(len, moved.brackets.values())) == 9
+    A = LieAlgebra(3, moved.brackets)
+    assert len(calls) == 1
+    assert cohomology_dim(A, 2).dim_H == 0
+    assert len(calls) == 1
+
+
 def test_iso_inputs_are_checked_without_an_adapted_view(monkeypatch):
     # d5(0:0) has 4 nonzeros, at most C(5, 2) r for any r >= 1: no echelon,
     # no view, though its basis is not adapted to [g, g].

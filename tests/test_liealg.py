@@ -1,10 +1,13 @@
 """Tests for Lie algebras by structure constants and their invariants."""
 
+import json
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -14,9 +17,14 @@ from hypothesis import strategies as st
 from liedeform.catalog import heisenberg, paper_representatives, phi
 from liedeform.deform import Deformation, specialize, strict_extendability
 from liedeform.exact import ExactMatrix, PolyScalar, SingularMatrixError
+from liedeform.jsonio import algebra_from_dict
 from liedeform.liealg import JacobiError, LieAlgebra
 
 from test_exact import dense, naive_rank, sparse
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def abelian(n):
@@ -549,15 +557,28 @@ def moved_tables(draw):
 @given(case=moved_tables())
 def test_the_jacobi_verdict_on_the_kept_view_is_the_given_basis_verdict(case):
     # The view is built for the check only when the table has more than
-    # C(n, 2) r nonzeros, r = dim [g, g]; either way the violations are the
-    # given basis's, and the view's own verdict is the same.
+    # C(n, 2) nonzeros; either way the violations are the given basis's, and
+    # the view's own verdict is the same.
     A, perturbed = case
     expected = reference_jacobi(A)
     assert perturbed or expected == []
     nnz = sum(map(len, A.brackets.values()))
-    r = naive_rank([dense(vec, A.dim) for vec in A.brackets.values()])
     assert A.jacobi_violations() == expected
-    assert (A._adapted is not None) == (nnz > comb(A.dim, 2) * r)
+    assert (A._adapted is not None) == (nnz > comb(A.dim, 2))
     view = A.adapted_to_derived()
     assert (view.jacobi_violations() == []) == (expected == [])
 
+
+def test_benchmark_inputs_fall_on_both_sides_of_the_rule(tmp_path):
+    # iso's tables have 3..10 nonzeros against C(5, 2) = 10, and sweep_sparse's
+    # h_n has n against C(2n + 1, 2): checked directly.  sweep_dense's have 50
+    # and 147 against 10 and 21: checked on a view that is a new table.
+    for workload in ("iso", "sweep_sparse", "sweep_dense"):
+        for seed in range(1, 11):
+            outdir = tmp_path / f"{workload}-{seed}"
+            for name in workloads.generate(workload, seed, outdir):
+                A = algebra_from_dict(json.loads((outdir / name).read_text()))
+                if workload == "sweep_dense":
+                    assert A._adapted is not None and A.adapted_to_derived() is not A
+                else:
+                    assert A._adapted is None

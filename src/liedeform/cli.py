@@ -48,7 +48,7 @@ from .deform import (
     strict_extendability,
     verify_isomorphism,
 )
-from .exact import parse_rational
+from .exact import _is_digits, parse_rational
 from .jsonio import (
     SchemaError,
     _format_coeff_vector,
@@ -551,6 +551,13 @@ def _arg(name: str, **kwargs):
     return name, kwargs
 
 
+def natural(text: str) -> int:
+    """A degree: ASCII digits only, the grammar of a coefficient key."""
+    if not _is_digits(text):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 _JSON = _arg("--json", action="store_true", help="emit a JSON document")
 _T = _arg("--t", default="1", metavar="VALUE", help="rational deformation parameter (default 1)")
 
@@ -572,7 +579,7 @@ COMMANDS = {
     ),
     "cohomology": ("dim H^q by exact rank computation", _cmd_cohomology, _arguments(
         "algebra",
-        _arg("degree", type=int),
+        _arg("degree", type=natural),
         _arg("--representatives", action="store_true", help="emit representative cocycles"),
     )),
     "check-cocycle": (

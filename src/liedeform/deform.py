@@ -32,7 +32,6 @@ from .cohomology import NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, _coerce_rational
 from .liealg import Cochain, LieAlgebra, d_mu, signed_tables, table_entries
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -290,19 +289,17 @@ def search_isomorphism(
         if found is None:
             continue
         perm, scale = found
-        M = ExactMatrix([[scale[j] if perm[j] == r else _ZERO for j in range(n)] for r in range(n)])
-        T = M if shear is None else M * _shear(n, *shear)
+        t_rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for j in range(n):
+            t_rows[perm[j]][j] = scale[j]
+        if shear is not None:
+            i0, j0, c = shear
+            t_rows[perm[j0]][i0] = c * scale[j0]
+        T = ExactMatrix.from_sparse_rows(t_rows, n)
         if not verify_isomorphism(A, B, T):
             raise RuntimeError("isomorphism search built a map that fails verification")
         return T
     return None
-
-
-def _shear(n: int, i0: int, j0: int, c: Fraction) -> ExactMatrix:
-    """e_i0 -> e_i0 + c e_j0: the identity with c at row j0, column i0."""
-    rows = [{a: c.denominator} for a in range(n)]
-    rows[j0][i0] = c.numerator
-    return ExactMatrix._from_integer_rows(rows, c.denominator, n)
 
 
 def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:

@@ -14,9 +14,9 @@ cancels an entry with integer multipliers (Bareiss, Math. Comp. 22, 1968),
 so no fraction is formed until a result is read.  One forward-elimination
 loop, _echelon, reduces every batch of rows.  The pivot of a column is the
 shortest row leading there, and among those the one with the smallest
-|entry|, so a unit pivot cancels without scaling the other rows.  rank
-eliminates the rows, or the columns when the matrix has more rows than
-columns.  An EchelonBasis keeps the pivot rows of its batch and reduces each
+|entry|, so a unit pivot cancels without scaling the other rows.  rank,
+nullspace, solve and inverse all eliminate the stored rows, whatever the
+shape.  An EchelonBasis keeps the pivot rows of its batch and reduces each
 vector added later, or asked for its normal form, at the kept leads.
 Results do not depend on which row serves as a pivot: the rank, the reduced
 row echelon form from which nullspace, solve (free variables zero) and
@@ -439,14 +439,8 @@ class ExactMatrix:
     # -- row reduction ------------------------------------------------------
 
     def rank(self) -> int:
-        """The rank, eliminated on the shorter side: the transpose when nrows > ncols."""
-        if self.nrows <= self.ncols:
-            return len(_echelon(self._rows))
-        cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self._rows):
-            for j, x in row.items():
-                cols[j][i] = x
-        return len(_echelon(cols))
+        """The rank: the number of pivots when the stored rows are eliminated."""
+        return len(_echelon(self._rows))
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         """Basis of the right kernel, ordered by ascending free column; each

@@ -486,6 +486,15 @@ def test_cli_cohomology_out_of_range(h2_file, capsys):
     assert main(["cohomology", h2_file, "9"]) == 2
 
 
+@pytest.mark.parametrize("degree", ["\u0662", "+2", " 2", "0_2", "-1"])
+def test_cli_cohomology_degree_is_ascii_digits(h2_file, capsys, degree):
+    # int() reads each of these; the degree takes the grammar of a
+    # coefficient key, so each is argparse's usage error.
+    out, err, code = _exit_of(main, ["cohomology", h2_file, degree], capsys)
+    assert (out, code) == ("", 2)
+    assert f"argument degree: invalid natural value: {degree!r}" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1197,6 +1206,7 @@ _PARSER_OUTPUT_ARGVS = [[name, "-h"] for name in COMMANDS] + [
     ["cohomology"],
     ["cohomology", "h.json", "0", "extra"],
     ["cohomology", "h.json", "x"],
+    ["cohomology", "h.json", "+2"],
     ["iso", "search", "a", "b", "--class", "bogus"],
     ["reproduce", "--max-order", "1"],
     [],

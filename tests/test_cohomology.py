@@ -3,8 +3,10 @@
 import gc
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,10 +29,15 @@ from liedeform.cohomology import (
 )
 from liedeform.deform import Deformation, specialize
 from liedeform.exact import ExactMatrix, PolyScalar
+from liedeform.jsonio import algebra_from_dict
 from liedeform.liealg import JacobiError, LieAlgebra
 
 from test_exact import dense, is_rational_multiple, naive_rank, sparse
 from test_liealg import assert_adapted_to_derived, lie, reference_jacobi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def abelian(n):
@@ -420,6 +427,18 @@ def test_dense_h3_cohomology_matches_the_closed_form():
         assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(3, q)
 
 
+def test_dense_h4_cohomology_matches_the_closed_form():
+    # h_4 moved by the benchmark's seeded dense basis change: all 36 brackets
+    # carry 9 nonzeros, and the table is loaded with its Jacobi check.
+    table = workloads.change_basis(
+        workloads.heisenberg(4), 9, workloads.dense_change(4, random.Random(1))
+    )
+    A = algebra_from_dict(workloads.algebra_doc(table, 9))
+    assert sum(map(len, A.brackets.values())) == 324
+    for q in range(4):
+        assert cohomology_dim(A, q).dim_H == heisenberg_hp_formula(4, q)
+
+
 # A fixed dense basis of h_2: all 50 transported structure constants are nonzero.
 DENSE_H2_BASIS = [
     [1, -1, 1, 1, 1],
@@ -552,8 +571,8 @@ def test_a_perturbed_dense_table_reports_the_given_basis_triples():
 
 def test_plain_rank_hands_the_eliminator_the_adapted_sparse_differentials(monkeypatch):
     # In the basis adapted to [g, g] every bracket of the dense h_3 lies on
-    # one lead: d_2 (245x147, ranked by its 147 columns) and d_1 (147x49,
-    # by its 49 columns) carry 870 and 285 nonzeros.
+    # one lead: d_2 (245x147, ranked by its 245 rows) and d_1 (147x49, by
+    # its 147 rows) carry 870 and 285 nonzeros.
     A = lie(heisenberg(3).change_basis(ExactMatrix(DENSE_H3_BASIS)))
     batches, echelon = [], exact._echelon
 
@@ -564,7 +583,7 @@ def test_plain_rank_hands_the_eliminator_the_adapted_sparse_differentials(monkey
 
     monkeypatch.setattr(exact, "_echelon", recording)
     report = cohomology_dim(A, 2)
-    assert batches == [(147, 870), (49, 285)]
+    assert batches == [(245, 870), (147, 285)]
     assert (report.rank_d, report.rank_d_prev) == (56, 21)
 
 

@@ -503,8 +503,8 @@ def test_rank_and_nullspace_match_sympy(m):
 @settings(max_examples=50, deadline=None)
 @given(m=rational_matrices(tall=True))
 def test_rank_of_tall_matrices_matches_sympy(m):
-    # With more rows than columns, rank eliminates the transposed rows; the
-    # explicit transpose is wide, so its rank takes the untransposed path.
+    # rank eliminates the stored rows, here more rows than columns; the
+    # explicit transpose is wide, so its rank eliminates m's columns.
     assert m.nrows > m.ncols
     transpose = ExactMatrix([m.column(j) for j in range(m.ncols)], ncols=m.nrows)
     rank = to_sympy(m.rows(), m.ncols).rank()
@@ -541,7 +541,8 @@ def matrices_with_kernels(draw):
 @given(pair=matrices_with_kernels())
 def test_rank_of_low_rank_tall_and_wide_matrices_matches_sympy(pair):
     # m has rank at most 3 and k's columns lie in its kernel; either may be
-    # tall or wide, and each is ranked on both sides through its transpose.
+    # tall or wide.  rank eliminates the stored rows, so each is ranked by
+    # its rows and, through its explicit transpose, by its columns.
     m, k = pair
     assert (m * k).is_zero()
     for a in (m, k):

@@ -559,7 +559,9 @@ def natural(text: str) -> int:
 
 
 _JSON = _arg("--json", action="store_true", help="emit a JSON document")
-_T = _arg("--t", default="1", metavar="VALUE", help="rational deformation parameter (default 1)")
+_T = _arg("--t", default="1", metavar="VALUE",
+          help="rational deformation parameter (default 1); a value that starts with - "
+          "is written --t=VALUE")
 
 
 def _arguments(*arguments) -> tuple:
@@ -617,19 +619,22 @@ COMMANDS = {
             _arg("--class", dest="search_class", required=True, choices=SEARCH_CLASSES),
             _arg("--bound", default="1,-1",
                  help="comma-separated nonzero scales and transvection coefficients "
-                 "(default 1,-1); diagonal_signs always uses the signs 1,-1"),
+                 "(default 1,-1); diagonal_signs always uses the signs 1,-1; a value "
+                 "that starts with - is written --bound=VALUE"),
         )),
     }),
     "catalog": ("emit built-in objects as JSON", _cmd_catalog, {
         "list": ("list catalog object names", ()),
         "emit": ("emit one catalog object", _arguments(
             _arg("name", help="hN, phi1..phi8, h1_phi1..h1_phi5, representatives"),
-            _arg("--params", help="comma-separated rational parameters"),
+            _arg("--params", help="comma-separated rational parameters; a value that "
+                 "starts with - is written --params=VALUE"),
             _arg("--symbolic", action="store_true", help="keep p, q, r symbolic"),
             _arg("--deformed", action="store_true",
                  help="emit the deformed algebra at --t instead of the cochain"),
             _arg("--t", metavar="VALUE",
-                 help="rational deformation parameter for --deformed (default 1)"),
+                 help="rational deformation parameter for --deformed (default 1); a "
+                 "value that starts with - is written --t=VALUE"),
         )),
     }),
     "reproduce": ("recompute the full classification table", _cmd_reproduce, _arguments()),

@@ -250,16 +250,17 @@ def search_isomorphism(
     pruned at every structure constant whose indices are placed.  The
     identity is found first whenever it works and the bound starts with 1.
 
-    B's integer constants are transported by U^-1 in place (_sheared), so a
-    candidate builds no matrix and no algebra; only the map found is built
-    and confirmed by verify_isomorphism.  The scales are nonzero, so under
-    M the target constant at (a, b, k) is nonzero exactly when the source
-    constant at (perm a, perm b, perm k) is.  Hence index i and perm(i) have
-    the same zero-pattern signature (_signatures), and a U whose target
-    signatures are not a reordering of the source's is skipped, and perm(i)
-    only runs over the source indices with i's signature.  What this prunes
-    can never match the constants, so the first hit in the order above is
-    unchanged.
+    Each U moves B's pairs a < b by U^-1 with LieAlgebra._transport
+    (_sheared), over B's denominator, and A's signed table is read as it
+    stands, so a candidate builds no matrix and no algebra; only the map
+    found is built and confirmed by verify_isomorphism.  The scales are
+    nonzero, so under M the target constant at (a, b, k) is nonzero exactly
+    when the source constant at (perm a, perm b, perm k) is.  Hence index i
+    and perm(i) have the same zero-pattern signature (_signatures), and a U
+    whose target signatures are not a reordering of the source's is skipped,
+    and perm(i) only runs over the source indices with i's signature.  What
+    this prunes can never match the constants, so the first hit in the order
+    above is unchanged.
     """
     if A.dim != B.dim:
         raise ValueError("algebras must have equal dimension")
@@ -273,19 +274,18 @@ def search_isomorphism(
     shears: list[Optional[tuple[int, int, Fraction]]] = [None]
     if search_class == "monomial_plus_one_transvection":
         shears += [(i0, j0, c) for i0 in range(n) for j0 in range(n) if i0 != j0 for c in scales]
-    source, target = _structure_constants(A), _structure_constants(B)
-    source_sigs = _signatures(source[0])
+    source_sigs = _signatures(table_entries(A._table), n)
     checks = [
         [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n) if max(b, k) == i]
         for i in range(n)
     ]
     for shear in shears:
-        moved = target if shear is None else _sheared(target, *shear)
-        sigs = _signatures(moved[0])
+        moved = table_entries(B._table) if shear is None else _sheared(B, *shear)
+        sigs = _signatures(moved, n)
         if sorted(sigs) != sorted(source_sigs):
             continue
         allowed = [[r for r in rows[i] if source_sigs[r] == sigs[i]] for i in range(n)]
-        found = _monomial_map(source, moved, allowed, scales, checks)
+        found = _monomial_map(A, moved, B._den, allowed, scales, checks)
         if found is None:
             continue
         perm, scale = found
@@ -315,79 +315,56 @@ def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
     return scales
 
 
-Constants = tuple[list[list[list[int]]], int]
+def _sheared(B: LieAlgebra, i0: int, j0: int, c: Fraction) -> dict:
+    """B's pairs {(a, b): {k: value}}, a < b, over B._den (Fractions for a
+    fractional c), in the basis f_i0 = e_i0 - c e_j0, f_m = e_m otherwise:
+    B moved by the inverse of the shear e_i0 -> e_i0 + c e_j0.  Since e_i0 =
+    f_i0 + c f_j0, f-coordinates add c times the e_i0 entry at j0."""
+    basis = [{m: 1} for m in range(B.dim)]
+    basis[i0] = {i0: 1, j0: -c}
+
+    def read(v):
+        x = v.pop(j0, 0) + c * v.get(i0, 0)
+        if x:
+            v[j0] = x
+        return v
+
+    return B._transport(basis, read)
 
 
-def _structure_constants(A: LieAlgebra) -> Constants:
-    """(c, D): c[a][b][k] is the int D [e_a, e_b]_k for every ordered pair,
-    read once from A's integer table over its denominator D."""
-    n, zero = A.dim, {}
-    cols = [[A._table.get((a, b), zero) for b in range(n)] for a in range(n)]
-    return [[[col.get(k, 0) for k in range(n)] for col in row] for row in cols], A._den
-
-
-def _sheared(constants: Constants, i0: int, j0: int, c: Fraction) -> Constants:
-    """The constants in the basis f_i0 = e_i0 - c e_j0, f_m = e_m otherwise:
-    the algebra moved by the inverse of the shear e_i0 -> e_i0 + c e_j0.
-
-    With c = p/q, q^2 [f_a, f_b] is q^2 w minus p q [e_j0, e_b] when a = i0
-    and p q [e_a, e_j0] when b = i0, for w = [e_a, e_b]; since e_i0 = f_i0 +
-    c f_j0, q times that vector plus p times its e_i0 entry at j0 is its
-    f-coordinates times q^3.  The result is over D q^3, not reduced.
-    """
-    table, den = constants
-    p, q = c.numerator, c.denominator
-    moved = []
-    for a, row in enumerate(table):
-        new_row = []
-        for b, w in enumerate(row):
-            v = [q * q * x for x in w]
-            if a == i0:
-                v = [x - p * q * y for x, y in zip(v, table[j0][b])]
-            if b == i0:
-                v = [x - p * q * y for x, y in zip(v, row[j0])]
-            v_i0 = v[i0]
-            v = [q * x for x in v]
-            v[j0] += p * v_i0
-            new_row.append(v)
-        moved.append(new_row)
-    return moved, den * q**3
-
-
-def _signatures(table: list[list[list[int]]]) -> list[tuple[int, int, int]]:
-    """Per index i: how many nonzero constants (a < b, k) have i as an
-    argument, as the output k, and as both."""
-    n = len(table)
+def _signatures(pairs: Mapping, n: int) -> list[tuple[int, int, int]]:
+    """Per index i: how many nonzero constants (a, b, k) of the pairs (a, b),
+    a < b, have i as an argument, as the output k, and as both."""
     sigs = [[0, 0, 0] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            for k, x in enumerate(table[a][b]):
-                if x:
-                    sigs[a][0] += 1
-                    sigs[b][0] += 1
-                    sigs[k][1] += 1
-                    if k == a or k == b:
-                        sigs[k][2] += 1
+    for (a, b), col in pairs.items():
+        for k in col:
+            sigs[a][0] += 1
+            sigs[b][0] += 1
+            sigs[k][1] += 1
+            if k == a or k == b:
+                sigs[k][2] += 1
     return [tuple(sig) for sig in sigs]
 
 
 def _monomial_map(
-    source: Constants,
-    target: Constants,
+    A: LieAlgebra,
+    target: Mapping,
+    den_t: int,
     rows: Sequence[Sequence[int]],
     scales: Sequence[Fraction],
     checks: Sequence[Sequence[tuple[int, int, int]]],
 ) -> Optional[tuple[list[int], list[Fraction]]]:
-    """First monomial map, as (perm, scale), carrying source to target.
+    """First monomial map, as (perm, scale), carrying A to the pairs target
+    over den_t.
 
     Column i is s_i e_perm(i), with perm(i) in rows[i].  Under such a map the
-    constants match iff s_k t/D_t = s_a s_b c/D_c for t = target[a][b][k],
-    c = source[pa][pb][pk] and all a < b and k, that is iff
-    s_k t D_c = s_a s_b c D_t; checks[i] holds the triples (a, b, k), a < b,
-    whose largest index is i, checked when column i is placed.  Zeros are
-    tested on the ints.
+    constants match iff s_k t/D_t = s_a s_b c/D_c for t the value of e_k at
+    target's pair (a, b), c that of e_pk in A's signed table at (pa, pb) over
+    D_c = A._den, and all a < b and k, that is iff s_k t D_c = s_a s_b c D_t;
+    checks[i] holds the triples (a, b, k), a < b, whose largest index is i,
+    checked when column i is placed.  A lookup miss is a zero constant.
     """
-    (source, den_c), (target, den_t) = source, target
+    source, den_c, zero = A._table, A._den, {}
     n = len(rows)
     perm = [0] * n
     scale = [_ONE] * n
@@ -395,8 +372,8 @@ def _monomial_map(
 
     def consistent(i: int) -> bool:
         for a, b, k in checks[i]:
-            t = target[a][b][k]
-            c = source[perm[a]][perm[b]][perm[k]]
+            t = target.get((a, b), zero).get(k, 0)
+            c = source.get((perm[a], perm[b]), zero).get(perm[k], 0)
             if not t and not c:
                 continue
             # The scales are nonzero, so a zero must meet a zero.

@@ -32,9 +32,12 @@ the order-1 defect of {1: c} is -d c.
 
 _basis_images, the one function that composes tables, follows the nonzero
 compositions; d_mu sums its images over a cochain's entries, times D, and
-cohomology routes them into the columns of d_q.  bracket, series, center,
-change_basis and adapted_to_derived read the table too: [x, y] is the sum
-of x_a y_b [e_a, e_b] over the nonzero entries of x and y, over D.
+cohomology routes them into the columns of d_q.  bracket, series and center
+read the table too: [x, y] is the sum of x_a y_b [e_a, e_b] over the
+nonzero entries of x and y, over D.  LieAlgebra._transport, the one code
+that moves a table to a new basis b, hands each D [b_i, b_j] to its
+caller's reader of new coordinates: change_basis reads through T^-1,
+adapted_to_derived at the leads of [g, g], deform's search through a shear.
 
 A LieAlgebra keeps one view of itself in a basis adapted to D = [g, g],
 built on first use, for the Jacobi check and cohomology's plain H^q: its
@@ -466,28 +469,35 @@ class LieAlgebra:
         except SingularMatrixError:
             raise SingularMatrixError("basis change must be invertible") from None
         cols = [T.mul_vector({i: _ONE}) for i in range(self.dim)]  # T e_i
-        new_brackets = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                acc = self._product(cols[i], cols[j])
-                if acc:
-                    new_brackets[(i, j)] = {
-                        k: x / self._den for k, x in Tinv.mul_vector(acc).items()
-                    }
+        brackets = self._transport(
+            cols, lambda v: {k: x / self._den for k, x in Tinv.mul_vector(v).items()}
+        )
         # T^-1 mu(T., T.) satisfies the Jacobi identity exactly when mu does.
-        return LieAlgebra(self.dim, new_brackets, check=False, name=None)
+        return LieAlgebra(self.dim, brackets, check=False, name=None)
+
+    def _transport(self, basis: Sequence[Mapping[int, Coeff]], read) -> dict:
+        """{(i, j): read(v)}, i < j, over the nonempty results, for new basis
+        vectors b: v = _den [b_i, b_j] is a fresh {k: value} nonzero vector in
+        the old coordinates, and read gives the new ones that its caller keeps,
+        zeros dropped."""
+        moved = {}
+        for i, j in combinations(range(self.dim), 2):
+            if (v := self._product(basis[i], basis[j])) and (new := read(v)):
+                moved[(i, j)] = new
+        return moved
 
     def adapted_to_derived(self) -> "LieAlgebra":
         """The algebra in a basis adapted to D = [g, g], built once and kept.
 
         D is spanned by the table's values; r_p, keyed by lead p, is its reduced
         echelon basis as primitive integer rows with r_p[p] > 0.  The new basis
-        keeps e_i at every non-lead i and takes r_p at each lead p.  A bracket
-        lies in D and r_p is zero at the other leads, so its new coordinate at
-        p is its entry at p over r_p[p]: no inverse is formed.  When every r_p
-        is a unit vector the basis is the given one, and self is returned.
-        The Jacobi check builds it past C(n, 2) nonzeros, where it beats the
-        direct sums; plain H^q builds it for any table.
+        keeps e_i at every non-lead i and takes r_p at each lead p, and
+        _transport moves the table.  A bracket lies in D and r_p is zero at the
+        other leads, so the reader takes its new coordinate at p as its entry
+        at p over r_p[p]: no inverse is formed.  When every r_p is a unit
+        vector the basis is the given one, and self is returned.  The Jacobi
+        check builds it past C(n, 2) nonzeros, where it beats the direct sums;
+        plain H^q builds it for any table.
         """
         if self._adapted is None:
             values = table_entries(self._table).values()
@@ -503,10 +513,9 @@ class LieAlgebra:
                     g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
                     basis[p] = {k: x // g for k, x in r.items()}
                 den = {p: self._den * basis[p][p] for p in reduced}
-                brackets = {}
-                for i, j in combinations(range(self.dim), 2):
-                    if acc := self._product(basis[i], basis[j]):
-                        brackets[(i, j)] = {p: Fraction(acc[p], den[p]) for p in den if p in acc}
+                brackets = self._transport(
+                    basis, lambda v: {p: Fraction(v[p], den[p]) for p in den if p in v}
+                )
                 # Unchecked: T^-1 mu(T., T.) is Lie exactly when mu is; the check reads it.
                 self._adapted = LieAlgebra(self.dim, brackets, check=False, name=None)
         return self if self._adapted is _SAME else self._adapted

@@ -817,6 +817,28 @@ def test_cli_iso_search_bound_errors_name_the_option(tmp_path, capsys, bound, me
     assert captured.err == f"input error: --bound: {message}\n"
 
 
+def test_cli_a_value_that_starts_with_a_minus_is_written_with_equals(tmp_path, capsys):
+    # argparse reads "--t -1/2" as two options; the help of --t, --params and
+    # --bound says that such a value is written --opt=VALUE.
+    D = Deformation(catalog.heisenberg(2), {1: catalog.phi("phi3")})
+    dpath = write(tmp_path, "def.json", deformation_to_dict(D))
+    assert main(["specialize", dpath, "--t=-1/2", "--json"]) == 0
+    member = algebra_from_dict(json.loads(capsys.readouterr().out))
+    assert member.bracket_basis(0, 3) == {0: Fraction(-1, 2)}
+
+    assert main(["catalog", "emit", "phi4", "--params=-1,0"]) == 0
+    emitted = cochain_from_dict(json.loads(capsys.readouterr().out))
+    assert emitted == catalog.phi("phi4", (-1, 0))
+
+    a = deformed_file(tmp_path, "d4", "phi4", (0, 0), "d4.json")
+    b = deformed_file(tmp_path, "d7", "phi7", (0, 0, 0), "d7.json")
+    argv = ["iso", "search", a, b, "--class", "monomial", "--bound=-1,1"]
+    assert main(argv) == 0
+    T = matrix_from_dict(json.loads(capsys.readouterr().out))
+    A, B = (algebra_from_dict(json.loads(Path(f).read_text())) for f in (a, b))
+    assert deform.verify_isomorphism(A, B, T)
+
+
 def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
     a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
     zero = ExactMatrix.from_sparse_rows([{}] * 5, 5)

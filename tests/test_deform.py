@@ -737,9 +737,16 @@ H1_MEMBERS = {
 }
 
 
-@pytest.mark.parametrize("klass", ["diagonal_signs", "monomial", "monomial_plus_one_transvection"])
-def test_search_agrees_with_the_brute_force_oracle_on_h1_members(klass):
-    bound = (1, -1, 2)
+@pytest.mark.parametrize(
+    "klass, bound",
+    [
+        # Under (1, -1, 1/2) every shear candidate moves B's table to Fractions.
+        pytest.param(klass, bound, id=klass + suffix)
+        for bound, suffix in (((1, -1, 2), ""), ((1, -1, Fraction(1, 2)), "-half"))
+        for klass in ("diagonal_signs", "monomial", "monomial_plus_one_transvection")
+    ],
+)
+def test_search_agrees_with_the_brute_force_oracle_on_h1_members(klass, bound):
     for A, B in product(H1_MEMBERS.values(), repeat=2):
         T = search_isomorphism(A, B, klass, bound)
         assert (T is not None) == oracle_finds(A, B, klass, bound)
@@ -789,7 +796,7 @@ H2_MEMBERS = [
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_a_shear_moves_the_integer_constants_as_its_basis_change_does(data):
+def test_a_shear_moves_the_signed_table_as_its_basis_change_does(data):
     A = data.draw(st.sampled_from(H2_MEMBERS + list(H1_MEMBERS.values())))
     n = A.dim
     perm = data.draw(st.permutations(range(n)))
@@ -797,16 +804,18 @@ def test_a_shear_moves_the_integer_constants_as_its_basis_change_does(data):
     i0, j0 = data.draw(st.sampled_from(list(permutations(range(n), 2))))
     c = data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
     B = lie(A.change_basis(signed_permutation(perm, signs)))
-    table, den = deform._sheared(deform._structure_constants(B), i0, j0, Fraction(c))
-    moved = lie(B.change_basis(transvection(n, i0, j0, -c)))
-    expected, expected_den = deform._structure_constants(moved)
-    for a, b, k in product(range(n), repeat=3):
-        assert Fraction(table[a][b][k], den) == Fraction(expected[a][b][k], expected_den)
+    pairs = deform._sheared(B, i0, j0, Fraction(c))
+    expected = B.change_basis(transvection(n, i0, j0, -c)).brackets
+    assert all(a < b for a, b in pairs)
+    for a, b in combinations(range(n), 2):
+        moved = {k: Fraction(x) / B._den for k, x in pairs.get((a, b), {}).items()}
+        assert moved == expected.get((a, b), {})
 
 
 def test_search_changes_basis_only_to_verify_a_hit(monkeypatch):
-    # Candidates are sheared on B's integer constants; only the map found
-    # goes through change_basis (and its inverse), in verify_isomorphism.
+    # Candidates shear B's signed table with LieAlgebra._transport; only the
+    # map found goes through change_basis (and its inverse), in
+    # verify_isomorphism.
     calls = {"inverse": 0, "change_basis": 0}
 
     def counted(cls, name):

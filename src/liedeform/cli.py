@@ -645,11 +645,18 @@ def build_parser():
     """The full CLI parser, built from COMMANDS."""
     import argparse
 
+    class Parser(argparse.ArgumentParser):  # its subparsers are Parsers too
+        def error(self, message):
+            option, _, problem = message.partition(": ")
+            if problem == "expected one argument":  # as for --t -1/2: "-1/2" reads as an option
+                message += f"; a value that starts with - is written {option.split()[-1]}=VALUE"
+            super().error(message)
+
     def add_arguments(p, arguments) -> None:
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
 
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="liedeform",
         description="Exact workbench for Lie algebra cohomology and deformations.",
     )

@@ -30,9 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cohomology import NotACocycleError, differential, is_coboundary
 from .exact import ExactMatrix, _coerce_rational
-from .liealg import Cochain, LieAlgebra, d_mu, signed_tables, table_entries
-
-_ONE = Fraction(1)
+from .liealg import Coeff, Cochain, LieAlgebra, d_mu, signed_tables, table_entries
 
 
 class NonzeroDefectError(ValueError):
@@ -250,17 +248,18 @@ def search_isomorphism(
     pruned at every structure constant whose indices are placed.  The
     identity is found first whenever it works and the bound starts with 1.
 
-    Each U moves B's pairs a < b by U^-1 with LieAlgebra._transport
-    (_sheared), over B's denominator, and A's signed table is read as it
-    stands, so a candidate builds no matrix and no algebra; only the map
-    found is built and confirmed by verify_isomorphism.  The scales are
-    nonzero, so under M the target constant at (a, b, k) is nonzero exactly
-    when the source constant at (perm a, perm b, perm k) is.  Hence index i
-    and perm(i) have the same zero-pattern signature (_signatures), and a U
-    whose target signatures are not a reordering of the source's is skipped,
-    and perm(i) only runs over the source indices with i's signature.  What
-    this prunes can never match the constants, so the first hit in the order
-    above is unchanged.
+    Each U moves B's pairs a < b by U^-1 in closed form from B's signed
+    table (_sheared), over B's denominator, and A's signed table is read as
+    it stands, so a candidate builds no matrix, no algebra and no product;
+    only the map found is built and confirmed by verify_isomorphism.  An
+    integral scale is an int (bound_scales), so a candidate forms a Fraction
+    only for a fractional scale.  The scales are nonzero, so under M the
+    target constant at (a, b, k) is nonzero exactly when the source constant
+    at (perm a, perm b, perm k) is.  Hence index i and perm(i) have the same
+    zero-pattern signature (_signatures), and a U whose target signatures are
+    not a reordering of the source's is skipped, and perm(i) only runs over
+    the source indices with i's signature.  What this prunes can never match
+    the constants, so the first hit in the order above is unchanged.
     """
     if A.dim != B.dim:
         raise ValueError("algebras must have equal dimension")
@@ -270,8 +269,8 @@ def search_isomorphism(
     scales = bound_scales(bound)
     rows: Sequence[Sequence[int]] = [range(n)] * n
     if search_class == "diagonal_signs":
-        rows, scales = [(i,) for i in range(n)], (_ONE, -_ONE)
-    shears: list[Optional[tuple[int, int, Fraction]]] = [None]
+        rows, scales = [(i,) for i in range(n)], (1, -1)
+    shears: list[Optional[tuple[int, int, Coeff]]] = [None]
     if search_class == "monomial_plus_one_transvection":
         shears += [(i0, j0, c) for i0 in range(n) for j0 in range(n) if i0 != j0 for c in scales]
     source_sigs = _signatures(table_entries(A._table), n)
@@ -289,7 +288,7 @@ def search_isomorphism(
         if found is None:
             continue
         perm, scale = found
-        t_rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        t_rows: list[dict[int, Coeff]] = [{} for _ in range(n)]
         for j in range(n):
             t_rows[perm[j]][j] = scale[j]
         if shear is not None:
@@ -302,8 +301,9 @@ def search_isomorphism(
     return None
 
 
-def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
-    """The coefficients of a search bound; at least one, all nonzero and distinct."""
+def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Coeff, ...]:
+    """The coefficients of a search bound; at least one, all nonzero and
+    distinct, an integral one as an int."""
     scales = tuple(_coerce_rational(c, "bound coefficients") for c in bound)
     if not scales:
         raise ValueError("bound needs at least one coefficient")
@@ -312,24 +312,31 @@ def bound_scales(bound: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
     for i, c in enumerate(scales):
         if c in scales[:i]:
             raise ValueError(f"bound repeats the coefficient {c}")
-    return scales
+    return tuple(c.numerator if c.denominator == 1 else c for c in scales)
 
 
-def _sheared(B: LieAlgebra, i0: int, j0: int, c: Fraction) -> dict:
-    """B's pairs {(a, b): {k: value}}, a < b, over B._den (Fractions for a
-    fractional c), in the basis f_i0 = e_i0 - c e_j0, f_m = e_m otherwise:
-    B moved by the inverse of the shear e_i0 -> e_i0 + c e_j0.  Since e_i0 =
-    f_i0 + c f_j0, f-coordinates add c times the e_i0 entry at j0."""
-    basis = [{m: 1} for m in range(B.dim)]
-    basis[i0] = {i0: 1, j0: -c}
-
-    def read(v):
-        x = v.pop(j0, 0) + c * v.get(i0, 0)
-        if x:
-            v[j0] = x
-        return v
-
-    return B._transport(basis, read)
+def _sheared(B: LieAlgebra, i0: int, j0: int, c: Coeff) -> dict:
+    """B's pairs {(a, b): {k: value}}, a < b, over B._den (ints for an int c),
+    in the basis f_i0 = e_i0 - c e_j0, f_m = e_m otherwise: B moved by the
+    inverse of the shear e_i0 -> e_i0 + c e_j0.  From B's signed table, only
+    the pairs with i0 change in e-coordinates, [f_i0, f_m] = [e_i0, e_m] -
+    c [e_j0, e_m], and since e_i0 = f_i0 + c f_j0, f-coordinates add c times
+    the e_i0 entry at j0."""
+    table, zero = B._table, {}
+    pairs = {key: v for key, v in table.items() if key[0] < key[1] and i0 not in key}
+    for m in range(B.dim):
+        key, other = ((i0, m), (j0, m)) if i0 < m else ((m, i0), (m, j0))
+        if m != i0 and (key in table or other in table):
+            v = pairs[key] = dict(table.get(key, zero))
+            for k, x in table.get(other, zero).items():
+                v[k] = v.get(k, 0) - c * x
+    moved = {}
+    for key, v in pairs.items():
+        if i0 in v:
+            v = {**v, j0: v.get(j0, 0) + c * v[i0]}
+        if v := {k: x for k, x in v.items() if x}:
+            moved[key] = v
+    return moved
 
 
 def _signatures(pairs: Mapping, n: int) -> list[tuple[int, int, int]]:
@@ -351,9 +358,9 @@ def _monomial_map(
     target: Mapping,
     den_t: int,
     rows: Sequence[Sequence[int]],
-    scales: Sequence[Fraction],
+    scales: Sequence[Coeff],
     checks: Sequence[Sequence[tuple[int, int, int]]],
-) -> Optional[tuple[list[int], list[Fraction]]]:
+) -> Optional[tuple[list[int], list[Coeff]]]:
     """First monomial map, as (perm, scale), carrying A to the pairs target
     over den_t.
 
@@ -367,7 +374,7 @@ def _monomial_map(
     source, den_c, zero = A._table, A._den, {}
     n = len(rows)
     perm = [0] * n
-    scale = [_ONE] * n
+    scale = [1] * n
     used = [False] * n
 
     def consistent(i: int) -> bool:

@@ -34,10 +34,12 @@ _basis_images, the one function that composes tables, follows the nonzero
 compositions; d_mu sums its images over a cochain's entries, times D, and
 cohomology routes them into the columns of d_q.  bracket, series and center
 read the table too: [x, y] is the sum of x_a y_b [e_a, e_b] over the
-nonzero entries of x and y, over D.  LieAlgebra._transport, the one code
-that moves a table to a new basis b, hands each D [b_i, b_j] to its
+nonzero entries of x and y, over D.  LieAlgebra._transport, the general
+code that moves a table to a new basis b, hands each D [b_i, b_j] to its
 caller's reader of new coordinates: change_basis reads through T^-1,
-adapted_to_derived at the leads of [g, g], deform's search through a shear.
+adapted_to_derived at the leads of [g, g].  deform's search moves B's table
+by one transvection per candidate in closed form (deform._sheared), since
+only the pairs and the coordinate that the transvection touches change.
 
 A LieAlgebra keeps one view of itself in a basis adapted to D = [g, g],
 built on first use, for the Jacobi check and cohomology's plain H^q: its

@@ -839,6 +839,23 @@ def test_cli_a_value_that_starts_with_a_minus_is_written_with_equals(tmp_path, c
     assert deform.verify_isomorphism(A, B, T)
 
 
+def test_cli_a_value_that_starts_with_a_minus_is_refused_with_the_equals_spelling(
+    tmp_path, capsys
+):
+    a = deformed_file(tmp_path, "d4", "phi4", (0, 0), "d4.json")
+    for argv, option in (
+        (["specialize", "d.json", "--t", "-1/2"], "--t"),
+        (["catalog", "emit", "phi4", "--params", "-1,0"], "--params"),
+        (["iso", "search", a, a, "--class", "monomial", "--bound", "-1,1"], "--bound"),
+    ):
+        out, err, code = _exit_of(main, argv, capsys)
+        assert (out, code) == ("", 2)
+        assert err.endswith(
+            f"error: argument {option}: expected one argument; "
+            f"a value that starts with - is written {option}=VALUE\n"
+        )
+
+
 def test_cli_iso_verify_with_a_singular_map_is_an_input_error(tmp_path, capsys):
     a = deformed_file(tmp_path, "d5", "phi5", (0, 0), "d5.json")
     zero = ExactMatrix.from_sparse_rows([{}] * 5, 5)

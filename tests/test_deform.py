@@ -736,6 +736,13 @@ H1_MEMBERS = {
     for name in ("h1_phi1", "h1_phi2", "h1_phi3", "h1_phi4", "h1_phi5")
 }
 
+# Each h_1 member and its image under one shear e_i0 -> e_i0 + e_j0/2: under
+# the bound (1, -1, 1/2) the oracle's first map goes through that shear, c = 1/2.
+H1_HALF_SHEARED = [
+    (A, lie(A.change_basis(transvection(3, i0, j0, Fraction(1, 2)))))
+    for A, (i0, j0) in zip(H1_MEMBERS.values(), ((1, 2), (0, 1), (2, 1), (0, 2), (2, 0)))
+]
+
 
 @pytest.mark.parametrize(
     "klass, bound",
@@ -747,7 +754,7 @@ H1_MEMBERS = {
     ],
 )
 def test_search_agrees_with_the_brute_force_oracle_on_h1_members(klass, bound):
-    for A, B in product(H1_MEMBERS.values(), repeat=2):
+    for A, B in [*product(H1_MEMBERS.values(), repeat=2), *H1_HALF_SHEARED]:
         T = search_isomorphism(A, B, klass, bound)
         assert (T is not None) == oracle_finds(A, B, klass, bound)
         assert T is None or verify_isomorphism(A, B, T)
@@ -802,19 +809,21 @@ def test_a_shear_moves_the_signed_table_as_its_basis_change_does(data):
     perm = data.draw(st.permutations(range(n)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     i0, j0 = data.draw(st.sampled_from(list(permutations(range(n), 2))))
-    c = data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))))
+    c = data.draw(st.sampled_from(bound_scales((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))))
     B = lie(A.change_basis(signed_permutation(perm, signs)))
-    pairs = deform._sheared(B, i0, j0, Fraction(c))
+    pairs = deform._sheared(B, i0, j0, c)
     expected = B.change_basis(transvection(n, i0, j0, -c)).brackets
     assert all(a < b for a, b in pairs)
+    # An integral scale is an int, so its shear forms no Fraction.
+    assert c.denominator > 1 or all(type(x) is int for v in pairs.values() for x in v.values())
     for a, b in combinations(range(n), 2):
         moved = {k: Fraction(x) / B._den for k, x in pairs.get((a, b), {}).items()}
         assert moved == expected.get((a, b), {})
 
 
 def test_search_changes_basis_only_to_verify_a_hit(monkeypatch):
-    # Candidates shear B's signed table with LieAlgebra._transport; only the
-    # map found goes through change_basis (and its inverse), in
+    # Candidates shear B's signed table in closed form (deform._sheared); only
+    # the map found goes through change_basis (and its inverse), in
     # verify_isomorphism.
     calls = {"inverse": 0, "change_basis": 0}
 
@@ -840,6 +849,32 @@ def test_search_changes_basis_only_to_verify_a_hit(monkeypatch):
     D6 = lie(specialize(single(phi("phi6", (0, 0))), 1))
     assert search_isomorphism(A, D6, "monomial_plus_one_transvection") is None
     assert calls == {"inverse": 0, "change_basis": 0}
+
+
+def test_search_tries_the_same_candidates_however_cheap_they_are(monkeypatch):
+    # One _sheared call per shear U tried and one _monomial_map call per U whose
+    # signatures pass: the counts pin the order and the pruning, whatever a call costs.
+    calls = {"_sheared": 0, "_monomial_map": 0}
+    for name in calls:
+        method = getattr(deform, name)
+
+        def counted(*args, method=method, name=name):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(deform, name, counted)
+
+    A = lie(specialize(single(phi("phi5", (0, 0))), 1))
+    D6 = lie(specialize(single(phi("phi6", (0, 0))), 1))
+    assert search_isomorphism(A, D6, "monomial_plus_one_transvection") is None
+    assert calls == {"_sheared": 40, "_monomial_map": 0}
+
+    calls.update(_sheared=0, _monomial_map=0)
+    change = signed_permutation((2, 0, 1, 4, 3), (-1, 1, 1, -1, 1)) * transvection(5, 4, 1, -1)
+    B = lie(A.change_basis(change))
+    T = search_isomorphism(A, B, "monomial_plus_one_transvection")
+    assert T is not None and verify_isomorphism(A, B, T)
+    assert calls == {"_sheared": 36, "_monomial_map": 2}
 
 
 def test_search_validates_inputs():
